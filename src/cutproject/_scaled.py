@@ -1,27 +1,44 @@
-"""Integer-scaled incremental scanner for rotation orbits (internal).
+"""Integer-scaled three-gap scanner for rotation orbits (internal).
 
 Every quantity a scan touches lives in Q(xi) with a fixed quadratic
 irrational xi = p + q*sqrt(d).  After clearing denominators by a common
 modulus M, each value becomes an integer pair (A, B) standing for
-(A + B*sqrt(d)) / M, so the orbit's fractional part advances by integer
-additions and every comparison is an integer sign test that needs at
-most two multiplications (compare A^2 against B^2*d; a tie there is
-impossible for squarefree d unless both parts vanish, which is exactly
-value equality).  No floating point anywhere.
+(A + B*sqrt(d)) / M, so orbit points move by integer additions and every
+comparison is an integer sign test that needs at most two
+multiplications (compare A^2 against B^2*d; a tie there is impossible
+for squarefree d unless both parts vanish, which is exactly value
+equality).  No floating point anywhere.
 
-The sign-test blocks are inlined in the hot loops on purpose; the
-readable reference implementation is ``exactnum.XiReal.sign``.
+Hits are enumerated by three-gap stepping (``interval_hits``).  For one
+half-open interval [lo, hi) of length l, let a be the least k >= 1 with
+alpha = frac(k*xi) < l and b the least k >= 1 with beta = 1 - frac(k*xi)
+< l (``return_gaps``, a subtractive Euclid walk).  By Slater's three-gap
+theorem the return times to the interval are a, b and a + b: from a hit y
+at index k the next hit is k + a if y < hi - alpha, else k + b if
+y >= lo + beta, else k + a + b.  Any a + b consecutive indices hold a
+hit, so one call costs O(#hits + a + b): at most a + b steps to find the
+first hit, then at most two sign tests per hit.  Windows of several
+intervals merge the streams of their intervals.
+
+``collect_hits_direct`` is the independent route: one explicit floor per
+index and no carried state, so the stepping core is checked against it
+(``strip_points`` and the tests).  Sign tests are inlined in the loops;
+the readable reference is ``exactnum.XiReal.sign``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import merge
+from itertools import chain, repeat
 from math import isqrt, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactnum import XiReal, XiSpec
 
-_NO_REC = -(10**30)  # sentinel k that is never scanned
+Pair = tuple[int, int]
+Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
 
 
 @dataclass(frozen=True)
@@ -31,7 +48,7 @@ class ScaledSystem:
     base: tuple[int, int]  # reduced basepoint, scaled radical pair
     step: tuple[int, int]  # frac(xi), scaled radical pair
     xi_pair: tuple[int, int]  # xi itself, scaled radical pair
-    ivals: tuple[tuple[int, int, int, int], ...]  # (lo_a, lo_b, hi_a, hi_b)
+    ivals: tuple[Interval, ...]
     length: tuple[int, int]  # total window length, scaled radical pair
     xi: XiSpec
     basepoint: XiReal
@@ -72,6 +89,16 @@ def _floor_pair(a: int, b: int, m: int, d: int) -> int:
     else:
         ge = b > 0 and b * b * d > a2 * a2
     return n0 + 1 if ge else n0
+
+
+def _floor_ratio(d: int, x: Pair, y: Pair) -> int:
+    """Exact floor of x / y for radical pairs over sqrt(d), y nonzero."""
+    den = y[0] * y[0] - y[1] * y[1] * d  # nonzero: d is squarefree
+    na = x[0] * y[0] - x[1] * y[1] * d
+    nb = x[1] * y[0] - x[0] * y[1]
+    if den < 0:
+        den, na, nb = -den, -na, -nb
+    return _floor_pair(na, nb, den, d)
 
 
 def scale_system(
@@ -133,88 +160,99 @@ def find_singular(ss: ScaledSystem, k_min: int, k_max: int) -> Optional[int]:
     return best
 
 
-def collect_hits(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
-    """All k in [k_min, k_max] whose orbit point lies in the window.
+# -- three-gap stepping ----------------------------------------------------------
 
-    Single pass with an incremental fractional-part update: add frac(xi),
-    conditionally subtract 1.  No per-k floor computation.
+
+@lru_cache(maxsize=1024)
+def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> tuple[int, Pair, int, Pair]:
+    """Least return times (a, alpha, b, beta) to an interval of length ell.
+
+    a is the least k >= 1 with alpha = frac(k*xi) < ell and b the least
+    k >= 1 with beta = 1 - frac(k*xi) < ell; step is frac(xi), and every
+    value is a radical pair scaled by m.  The subtractive Euclid walk
+    starts from (1, frac(xi)) and (1, 1 - frac(xi)) and, while either
+    value is still >= ell, subtracts the smaller value from the larger
+    and adds the two times; a run of equal subtractions is one exact floor.
     """
+    sides = [(1, step), (1, (m - step[0], -step[1]))]
+    while True:
+        big = [compare_pairs(d, v, ell) >= 0 for _, v in sides]
+        if not (big[0] or big[1]):
+            (a, alpha), (b, beta) = sides
+            return a, alpha, b, beta
+        i = 0 if compare_pairs(d, sides[0][1], sides[1][1]) > 0 else 1
+        (k, v), (k2, v2) = sides[i], sides[1 - i]
+        if big[1 - i]:  # subtract while v stays the larger
+            t = _floor_ratio(d, v, v2)
+        else:  # subtract until v drops below ell
+            t = _floor_ratio(d, (v[0] - ell[0], v[1] - ell[1]), v2) + 1
+        sides[i] = (k + t * k2, (v[0] - t * v2[0], v[1] - t * v2[1]))
+
+
+def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Iterator[int]:
+    """Increasing k in [k_min, k_max] with frac(basepoint + k*xi) in [lo, hi)."""
     if k_min > k_max:
-        return []
+        return
     d = ss.d
     m = ss.m
     p, q = ss.step
-    ivals = ss.ivals
-    a, b = ss.state_at(k_min - 1)
-    out = []
-    append = out.append
-    for k in range(k_min, k_max + 1):
-        a += p
-        b += q
-        a1 = a - m
-        if a1 >= 0:
-            if b >= 0 or a1 * a1 > b * b * d:
-                a = a1
-        elif b > 0 and b * b * d > a1 * a1:
-            a = a1
-        for lo_a, lo_b, hi_a, hi_b in ivals:
-            a2 = a - lo_a
-            b2 = b - lo_b
-            if a2 >= 0:
-                ge = b2 >= 0 or a2 * a2 > b2 * b2 * d
-            else:
-                ge = b2 > 0 and b2 * b2 * d > a2 * a2
-            if not ge:
-                continue
-            a2 = a - hi_a
-            b2 = b - hi_b
-            if a2 >= 0:
-                lt = b2 < 0 and b2 * b2 * d > a2 * a2
-            else:
-                lt = b2 <= 0 or a2 * a2 > b2 * b2 * d
-            if lt:
-                append(k)
+    lo_a, lo_b, hi_a, hi_b = iv
+    ga, (al_a, al_b), gb, (be_a, be_b) = return_gaps(d, m, ss.step, (hi_a - lo_a, hi_b - lo_b))
+    # first hit: any ga + gb consecutive indices hold one
+    ya, yb = ss.state_at(k_min)
+    k = k_min
+    last = min(k_max, k_min + ga + gb - 1)
+    while True:
+        a2 = ya - lo_a
+        b2 = yb - lo_b
+        if (b2 >= 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
+            a2 = ya - hi_a
+            b2 = yb - hi_b
+            if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
                 break
-    return out
+        if k == last:
+            return
+        k += 1
+        ya += p
+        yb += q
+        a2 = ya - m
+        if (yb >= 0 or a2 * a2 > yb * yb * d) if a2 >= 0 else (yb > 0 and yb * yb * d > a2 * a2):
+            ya = a2
+    t1_a, t1_b = hi_a - al_a, hi_b - al_b  # step by a below hi - alpha
+    t2_a, t2_b = lo_a + be_a, lo_b + be_b  # else by b from lo + beta on
+    gab = ga + gb
+    ab_a, ab_b = al_a - be_a, al_b - be_b
+    while True:
+        yield k
+        a2 = ya - t1_a
+        b2 = yb - t1_b
+        if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
+            k += ga
+            ya += al_a
+            yb += al_b
+        else:
+            a2 = ya - t2_a
+            b2 = yb - t2_b
+            if (b2 >= 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
+                k += gb
+                ya -= be_a
+                yb -= be_b
+            else:
+                k += gab
+                ya += ab_a
+                yb += ab_b
+        if k > k_max:
+            return
+
+
+def collect_hits(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
+    """All k in [k_min, k_max] whose orbit point lies in the window."""
+    return sorted(chain.from_iterable(interval_hits(ss, iv, k_min, k_max) for iv in ss.ivals))
 
 
 def count_hits(ss: ScaledSystem, k_min: int, k_max: int) -> int:
-    if k_min > k_max:
-        return 0
-    d = ss.d
-    m = ss.m
-    p, q = ss.step
-    ivals = ss.ivals
-    a, b = ss.state_at(k_min - 1)
-    n = 0
-    for _ in range(k_min, k_max + 1):
-        a += p
-        b += q
-        a1 = a - m
-        if a1 >= 0:
-            if b >= 0 or a1 * a1 > b * b * d:
-                a = a1
-        elif b > 0 and b * b * d > a1 * a1:
-            a = a1
-        for lo_a, lo_b, hi_a, hi_b in ivals:
-            a2 = a - lo_a
-            b2 = b - lo_b
-            if a2 >= 0:
-                ge = b2 >= 0 or a2 * a2 > b2 * b2 * d
-            else:
-                ge = b2 > 0 and b2 * b2 * d > a2 * a2
-            if not ge:
-                continue
-            a2 = a - hi_a
-            b2 = b - hi_b
-            if a2 >= 0:
-                lt = b2 < 0 and b2 * b2 * d > a2 * a2
-            else:
-                lt = b2 <= 0 or a2 * a2 > b2 * b2 * d
-            if lt:
-                n += 1
-                break
-    return n
+    """Number of k in [k_min, k_max] whose orbit point lies in the window."""
+    return sum(sum(1 for _ in interval_hits(ss, iv, k_min, k_max)) for iv in ss.ivals)
 
 
 def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
@@ -262,65 +300,18 @@ def collect_colored(
 ) -> tuple[list[int], list[int]]:
     """Hits of the hull window, labelled by interval index (1-based) or 0
     when the point lies in the hull but in none of the intervals."""
-    if k_min > k_max or not ss.ivals:
-        return [], []
-    d = ss.d
-    m = ss.m
-    p, q = ss.step
     ivals = ss.ivals
-    h_lo_a, h_lo_b = ivals[0][0], ivals[0][1]
-    h_hi_a, h_hi_b = ivals[-1][2], ivals[-1][3]
-    a, b = ss.state_at(k_min - 1)
-    ks: list[int] = []
-    colors: list[int] = []
-    for k in range(k_min, k_max + 1):
-        a += p
-        b += q
-        a1 = a - m
-        if a1 >= 0:
-            if b >= 0 or a1 * a1 > b * b * d:
-                a = a1
-        elif b > 0 and b * b * d > a1 * a1:
-            a = a1
-        # hull membership first
-        a2 = a - h_lo_a
-        b2 = b - h_lo_b
-        if a2 >= 0:
-            ge = b2 >= 0 or a2 * a2 > b2 * b2 * d
-        else:
-            ge = b2 > 0 and b2 * b2 * d > a2 * a2
-        if not ge:
-            continue
-        a2 = a - h_hi_a
-        b2 = b - h_hi_b
-        if a2 >= 0:
-            lt = b2 < 0 and b2 * b2 * d > a2 * a2
-        else:
-            lt = b2 <= 0 or a2 * a2 > b2 * b2 * d
-        if not lt:
-            continue
-        color = 0
-        for i, (lo_a, lo_b, hi_a, hi_b) in enumerate(ivals):
-            a2 = a - lo_a
-            b2 = b - lo_b
-            if a2 >= 0:
-                ge = b2 >= 0 or a2 * a2 > b2 * b2 * d
-            else:
-                ge = b2 > 0 and b2 * b2 * d > a2 * a2
-            if not ge:
-                continue
-            a2 = a - hi_a
-            b2 = b - hi_b
-            if a2 >= 0:
-                lt = b2 < 0 and b2 * b2 * d > a2 * a2
-            else:
-                lt = b2 <= 0 or a2 * a2 > b2 * b2 * d
-            if lt:
-                color = i + 1
-                break
-        ks.append(k)
-        colors.append(color)
-    return ks, colors
+    if len(ivals) == 1:  # the hull is the window: no gaps, nothing to merge
+        ks = list(interval_hits(ss, ivals[0], k_min, k_max))
+        return ks, [1] * len(ks)
+    pieces = [(iv, color) for color, iv in enumerate(ivals, 1)]
+    # the gaps [hi_i, lo_{i+1}) of the hull carry color 0
+    pieces += [((left[2], left[3], right[0], right[1]), 0) for left, right in zip(ivals, ivals[1:])]
+    color_of: dict[int, int] = {}
+    for iv, color in pieces:
+        color_of.update(zip(interval_hits(ss, iv, k_min, k_max), repeat(color)))
+    ks = sorted(color_of)
+    return ks, [color_of[k] for k in ks]
 
 
 # -- discrepancy scan ----------------------------------------------------------
@@ -328,7 +319,8 @@ def collect_colored(
 # D(N) = (hits over 0 <= k <= N) - N * Length(window); scaled by M it is the
 # pair (h*M - N*len_a, -N*len_b).  Between hits D decreases strictly, so the
 # running maximum can only move right after a hit and the running minimum only
-# right before a hit or at a segment end; extrema updates happen there only.
+# right before a hit or at a segment end: only those values are compared, and
+# the value right before a hit at k is D(k) - (M - len).
 
 
 def scan_chunk(
@@ -344,111 +336,53 @@ def scan_chunk(
     by M.  Absolute values are recovered by adding the pair for
     D(k_from - 1), which the caller tracks via cumulative hit counts.
     """
+    if not records:
+        return []
     d = ss.d
     m = ss.m
-    p, q = ss.step
     la, lb = ss.length
-    ivals = ss.ivals
-    a, b = ss.state_at(k_from - 1)
-    h = 0
-    da, db = 0, 0  # chunk-relative discrepancy pair
+    streams = [interval_hits(ss, iv, k_from, k_to) for iv in ss.ivals]
+    hits = streams[0] if len(streams) == 1 else merge(*streams)
     out = []
-    mx_a = mx_b = mn_a = mn_b = None
+    h = 0
+    mx_a = mx_b = mn_a = mn_b = None  # extrema of D(k) over the segment's hits
     ri = 0
-    next_rec = records[0] if records else _NO_REC
-    for k in range(k_from, k_to + 1):
-        a += p
-        b += q
-        a1 = a - m
-        if a1 >= 0:
-            if b >= 0 or a1 * a1 > b * b * d:
-                a = a1
-        elif b > 0 and b * b * d > a1 * a1:
-            a = a1
-        hit = False
-        for lo_a, lo_b, hi_a, hi_b in ivals:
-            a2 = a - lo_a
-            b2 = b - lo_b
-            if a2 >= 0:
-                ge = b2 >= 0 or a2 * a2 > b2 * b2 * d
-            else:
-                ge = b2 > 0 and b2 * b2 * d > a2 * a2
-            if not ge:
-                continue
-            a2 = a - hi_a
-            b2 = b - hi_b
-            if a2 >= 0:
-                lt = b2 < 0 and b2 * b2 * d > a2 * a2
-            else:
-                lt = b2 <= 0 or a2 * a2 > b2 * b2 * d
-            if lt:
-                hit = True
-                break
-        da -= la
-        db -= lb
-        if hit:
-            h += 1
-            da += m
-            # previous value D(k-1) is a candidate minimum
-            pa_ = da - m + la
-            pb_ = db + lb
-            if mn_a is None:
-                mn_a, mn_b = pa_, pb_
-            else:
-                a2 = pa_ - mn_a
-                b2 = pb_ - mn_b
-                if a2 >= 0:
-                    less = b2 < 0 and b2 * b2 * d > a2 * a2
-                elif b2 <= 0:
-                    less = True
-                else:
-                    less = a2 * a2 > b2 * b2 * d
-                if less:
-                    mn_a, mn_b = pa_, pb_
-            # the new value is a candidate maximum
+    rec = records[0]
+    for k in chain(hits, (records[-1] + 1,)):  # the sentinel closes the last segments
+        while k > rec:
+            # the segment ends at rec: D(rec) joins both extrema
+            n = rec - k_from + 1
+            da, db = h * m - n * la, -n * lb
             if mx_a is None:
-                mx_a, mx_b = da, db
+                mx_a, mx_b, mn_a, mn_b = da, db, da, db
             else:
-                a2 = da - mx_a
-                b2 = db - mx_b
-                if a2 >= 0:
-                    greater = (b2 >= 0 and (a2 > 0 or b2 > 0)) or (
-                        b2 < 0 and a2 * a2 > b2 * b2 * d
-                    )
-                else:
-                    greater = b2 > 0 and b2 * b2 * d > a2 * a2
-                if greater:
+                mn_a, mn_b = mn_a - m + la, mn_b + lb  # D(k-1) = D(k) - (M - len)
+                if compare_pairs(d, (da, db), (mx_a, mx_b)) > 0:
                     mx_a, mx_b = da, db
-        if k == next_rec:
-            # fold the current value into both extrema and emit the segment
-            if mx_a is None:
-                mx_a, mx_b = da, db
-                mn_a, mn_b = da, db
-            else:
-                a2 = da - mx_a
-                b2 = db - mx_b
-                if a2 >= 0:
-                    greater = (b2 >= 0 and (a2 > 0 or b2 > 0)) or (
-                        b2 < 0 and a2 * a2 > b2 * b2 * d
-                    )
-                else:
-                    greater = b2 > 0 and b2 * b2 * d > a2 * a2
-                if greater:
-                    mx_a, mx_b = da, db
-                a2 = da - mn_a
-                b2 = db - mn_b
-                if a2 >= 0:
-                    less = b2 < 0 and b2 * b2 * d > a2 * a2
-                elif b2 <= 0:
-                    less = True
-                else:
-                    less = a2 * a2 > b2 * b2 * d
-                if less:
+                if compare_pairs(d, (da, db), (mn_a, mn_b)) < 0:
                     mn_a, mn_b = da, db
-            out.append((k, h, mx_a, mx_b, mn_a, mn_b))
+            out.append((rec, h, mx_a, mx_b, mn_a, mn_b))
             mx_a = mx_b = mn_a = mn_b = None
             ri += 1
-            next_rec = records[ri] if ri < len(records) else _NO_REC
+            if ri == len(records):
+                return out
+            rec = records[ri]
+        h += 1
+        n = k - k_from + 1
+        da = h * m - n * la
+        db = -n * lb
+        if mx_a is None:
+            mx_a, mx_b, mn_a, mn_b = da, db, da, db
+            continue
+        a2 = da - mx_a
+        b2 = db - mx_b
+        if (b2 > 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
+            mx_a, mx_b = da, db
+            continue
+        a2 = da - mn_a
+        b2 = db - mn_b
+        if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
+            mn_a, mn_b = da, db
     return out
 
 

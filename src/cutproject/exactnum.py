@@ -43,10 +43,15 @@ class XiMismatchError(ValueError):
     """Two XiReal values from different ambient fields were combined."""
 
 
+RADICAND_LIMIT = 10**12  # trial division below stays under about 0.1 s
+
+
 def _squarefree_decompose(n: int) -> tuple[int, int]:
     """Return (s, core) with n = s*s*core and core squarefree."""
     if n <= 0:
         raise ValueError(f"radicand must be positive, got {n}")
+    if n > RADICAND_LIMIT:
+        raise ValueError(f"radicand {n} exceeds the supported limit {RADICAND_LIMIT}")
     s, core = 1, 1
     f = 2
     while f * f <= n:
@@ -183,6 +188,8 @@ class XiReal:
         return bool(self.a) or bool(self.b)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, XiReal) and other.xi != self.xi:
+            return False  # rational values of two fields share a hash; == must not raise
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -195,7 +202,8 @@ class XiReal:
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.xi))
+        # a rational value equals its int/Fraction, so it must hash like one
+        return hash((self.a, self.b, self.xi)) if self.b else hash(self.a)
 
     # -- arithmetic ---------------------------------------------------------
 

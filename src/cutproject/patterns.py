@@ -14,10 +14,12 @@ strict=True raise SingularOrbit instead, reporting the offending k.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import IO, Iterable, Optional, Union
 
 from . import _scaled
@@ -254,7 +256,7 @@ class PointPattern:
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
+        if not all(map(operator.lt, pts, islice(pts, 1, None))):
             raise ValueError("points must be strictly increasing")
         if self.colors is not None:
             cols = tuple(self.colors)

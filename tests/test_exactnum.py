@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -43,6 +44,14 @@ class TestXiSpec:
             XiSpec(1, 0, 2)
         with pytest.raises(ValueError):
             XiSpec(0, 1, 0)
+
+    def test_huge_radicand_fails_fast(self):
+        prime = 18446744073709551557  # the largest prime below 2**64
+        for make in (XiSpec.sqrt, lambda d: parse_xi(f"sqrt({d})")):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="limit 1000000000000"):
+                make(prime)
+            assert time.perf_counter() - t0 < 1.0
 
     def test_parse_shorthand(self):
         assert parse_xi("sqrt(2)") == SQRT2
@@ -110,6 +119,19 @@ class TestArithmetic:
             SQRT2.one / SQRT2.zero
         with pytest.raises(ZeroDivisionError):
             SQRT2.one / 0
+
+
+class TestHashEq:
+    def test_rational_values_hash_like_their_rationals(self):
+        golden = XiSpec(Fraction(1, 2), Fraction(1, 2), 5)
+        assert golden.real(3) in {3}
+        assert golden.real(Fraction(1, 2)) in {Fraction(1, 2)}
+        assert hash(golden.real(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert {3: "x"}[golden.real(3)] == "x"
+
+    def test_values_of_two_fields_are_distinct_keys(self):
+        assert SQRT2.zero != SQRT3.zero
+        assert len({SQRT2.zero, SQRT3.zero, SQRT2.xi_real, SQRT3.xi_real}) == 4
 
 
 class TestSign:
