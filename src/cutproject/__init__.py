@@ -11,8 +11,7 @@ from .exactnum import (
     XiMismatchError,
     XiReal,
     XiSpec,
-    fractional_part,
-    in_Z_plus_Zxi,
+    decompose_Z_plus_Zxi,
     parse_xi,
     parse_xireal,
 )
@@ -21,7 +20,6 @@ from .patterns import (
     RotationSystem,
     SingularOrbit,
     Window,
-    convex_hull_window,
     local_discrepancy,
     orbit_hits,
     strip_points,

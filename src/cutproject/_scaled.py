@@ -20,22 +20,28 @@ hit, so one call costs O(#hits + a + b): at most a + b steps to find the
 first hit, then at most two sign tests per hit.  Windows of several
 intervals merge the streams of their intervals.
 
-``collect_hits_direct`` is the independent route: one explicit floor per
-index and no carried state, so the stepping core is checked against it
-(``strip_points`` and the tests).  Sign tests are inlined in the loops;
-the readable reference is ``exactnum.XiReal.sign``.
+``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
+explicit floor per index, no carried state) and two sign tests per
+interval, so the stepping core is checked against it (``strip_points``
+and the tests).  Every sign test is ``exactnum.pair_sign`` and every
+floor ``exactnum.floor_pair``, except the per-hit tests in the loops of
+``interval_hits`` and ``scan_chunk``, which inline ``pair_sign``: a call
+per hit there made the benchmark's ``enumerate`` round 18 % slower and its
+``discrepancy`` round 17 % slower (median ``wall_s`` of 4 alternating
+pairs each, 2 cores, CPython 3.11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
 from itertools import chain, repeat
-from math import isqrt, lcm
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import XiReal, XiSpec
+from .exactnum import XiReal, XiSpec, floor_pair, pair_sign
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
@@ -51,14 +57,12 @@ class ScaledSystem:
     ivals: tuple[Interval, ...]
     length: tuple[int, int]  # total window length, scaled radical pair
     xi: XiSpec
-    basepoint: XiReal
 
     def state_at(self, k: int) -> tuple[int, int]:
         """Scaled radical pair of frac(basepoint + k*xi)."""
         a = self.base[0] + k * self.xi_pair[0]
         b = self.base[1] + k * self.xi_pair[1]
-        n = _floor_pair(a, b, self.m, self.d)
-        return a - n * self.m, b
+        return a - floor_pair(a, b, self.m, self.d) * self.m, b
 
     def unscale(self, pair: tuple[int, int]) -> XiReal:
         """Convert a scaled radical pair back to an exact field element."""
@@ -67,28 +71,8 @@ class ScaledSystem:
 
 def unscale_pair(xi: XiSpec, m: int, pair: tuple[int, int]) -> XiReal:
     """Exact field element for the scaled radical pair (A + B*sqrt(d)) / m."""
-    from fractions import Fraction
-
     b = Fraction(pair[1], m) / xi.q
     return XiReal(Fraction(pair[0], m) - b * xi.p, b, xi)
-
-
-def _floor_pair(a: int, b: int, m: int, d: int) -> int:
-    """Exact floor of (a + b*sqrt(d)) / m for integers a, b and m > 0."""
-    if b == 0:
-        t = 0
-    elif b > 0:
-        t = isqrt(b * b * d)
-    else:
-        t = -isqrt(b * b * d) - 1  # b^2*d is never a perfect square for b != 0
-    n0 = (a + t) // m
-    # value lies in [(a+t)/m, (a+t+1)/m); floor is n0 or n0 + 1
-    a2 = a - (n0 + 1) * m
-    if a2 >= 0:
-        ge = b >= 0 or a2 * a2 > b * b * d
-    else:
-        ge = b > 0 and b * b * d > a2 * a2
-    return n0 + 1 if ge else n0
 
 
 def _floor_ratio(d: int, x: Pair, y: Pair) -> int:
@@ -98,7 +82,7 @@ def _floor_ratio(d: int, x: Pair, y: Pair) -> int:
     nb = x[1] * y[0] - x[0] * y[1]
     if den < 0:
         den, na, nb = -den, -na, -nb
-    return _floor_pair(na, nb, den, d)
+    return floor_pair(na, nb, den, d)
 
 
 def scale_system(
@@ -132,7 +116,6 @@ def scale_system(
         ivals=ivals,
         length=length,
         xi=xi,
-        basepoint=basepoint,
     )
 
 
@@ -176,11 +159,11 @@ def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> tuple[int, Pair, int, 
     """
     sides = [(1, step), (1, (m - step[0], -step[1]))]
     while True:
-        big = [compare_pairs(d, v, ell) >= 0 for _, v in sides]
+        (a, alpha), (b, beta) = sides
+        big = [pair_sign(v[0] - ell[0], v[1] - ell[1], d) >= 0 for v in (alpha, beta)]
         if not (big[0] or big[1]):
-            (a, alpha), (b, beta) = sides
             return a, alpha, b, beta
-        i = 0 if compare_pairs(d, sides[0][1], sides[1][1]) > 0 else 1
+        i = 0 if pair_sign(alpha[0] - beta[0], alpha[1] - beta[1], d) > 0 else 1
         (k, v), (k2, v2) = sides[i], sides[1 - i]
         if big[1 - i]:  # subtract while v stays the larger
             t = _floor_ratio(d, v, v2)
@@ -202,22 +185,14 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
     ya, yb = ss.state_at(k_min)
     k = k_min
     last = min(k_max, k_min + ga + gb - 1)
-    while True:
-        a2 = ya - lo_a
-        b2 = yb - lo_b
-        if (b2 >= 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
-            a2 = ya - hi_a
-            b2 = yb - hi_b
-            if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
-                break
+    while pair_sign(ya - lo_a, yb - lo_b, d) < 0 or pair_sign(ya - hi_a, yb - hi_b, d) >= 0:
         if k == last:
             return
         k += 1
         ya += p
         yb += q
-        a2 = ya - m
-        if (yb >= 0 or a2 * a2 > yb * yb * d) if a2 >= 0 else (yb > 0 and yb * yb * d > a2 * a2):
-            ya = a2
+        if pair_sign(ya - m, yb, d) >= 0:
+            ya -= m
     t1_a, t1_b = hi_a - al_a, hi_b - al_b  # step by a below hi - alpha
     t2_a, t2_b = lo_a + be_a, lo_b + be_b  # else by b from lo + beta on
     gab = ga + gb
@@ -226,6 +201,7 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
         yield k
         a2 = ya - t1_a
         b2 = yb - t1_b
+        # pair_sign inlined (module docstring): y < hi - alpha
         if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
             k += ga
             ya += al_a
@@ -233,6 +209,7 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
         else:
             a2 = ya - t2_a
             b2 = yb - t2_b
+            # pair_sign inlined: y >= lo + beta
             if (b2 >= 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
                 k += gb
                 ya -= be_a
@@ -258,38 +235,15 @@ def count_hits(ss: ScaledSystem, k_min: int, k_max: int) -> int:
 def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
     """Lattice-line enumeration: an explicit floor per column x = k.
 
-    Independent of the incremental scanner above (no carried state), so
-    the two routes cross-check each other.
+    Independent of the stepping core above (no carried state), so the two
+    routes cross-check each other.
     """
-    if k_min > k_max:
-        return []
     d = ss.d
-    m = ss.m
-    xa, xb = ss.base
-    pa, pb = ss.xi_pair
-    ivals = ss.ivals
     out = []
     for k in range(k_min, k_max + 1):
-        a = xa + k * pa
-        b = xb + k * pb
-        n = _floor_pair(a, b, m, d)
-        a -= n * m
-        for lo_a, lo_b, hi_a, hi_b in ivals:
-            a2 = a - lo_a
-            b2 = b - lo_b
-            if a2 >= 0:
-                ge = b2 >= 0 or a2 * a2 > b2 * b2 * d
-            else:
-                ge = b2 > 0 and b2 * b2 * d > a2 * a2
-            if not ge:
-                continue
-            a2 = a - hi_a
-            b2 = b - hi_b
-            if a2 >= 0:
-                lt = b2 < 0 and b2 * b2 * d > a2 * a2
-            else:
-                lt = b2 <= 0 or a2 * a2 > b2 * b2 * d
-            if lt:
+        ya, yb = ss.state_at(k)
+        for lo_a, lo_b, hi_a, hi_b in ss.ivals:
+            if pair_sign(ya - lo_a, yb - lo_b, d) >= 0 and pair_sign(ya - hi_a, yb - hi_b, d) < 0:
                 out.append(k)
                 break
     return out
@@ -357,9 +311,9 @@ def scan_chunk(
                 mx_a, mx_b, mn_a, mn_b = da, db, da, db
             else:
                 mn_a, mn_b = mn_a - m + la, mn_b + lb  # D(k-1) = D(k) - (M - len)
-                if compare_pairs(d, (da, db), (mx_a, mx_b)) > 0:
+                if pair_sign(da - mx_a, db - mx_b, d) > 0:
                     mx_a, mx_b = da, db
-                if compare_pairs(d, (da, db), (mn_a, mn_b)) < 0:
+                if pair_sign(da - mn_a, db - mn_b, d) < 0:
                     mn_a, mn_b = da, db
             out.append((rec, h, mx_a, mx_b, mn_a, mn_b))
             mx_a = mx_b = mn_a = mn_b = None
@@ -376,34 +330,13 @@ def scan_chunk(
             continue
         a2 = da - mx_a
         b2 = db - mx_b
+        # pair_sign inlined (module docstring): D(k) > max
         if (b2 > 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
             mx_a, mx_b = da, db
             continue
         a2 = da - mn_a
         b2 = db - mn_b
+        # pair_sign inlined: D(k) < min
         if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
             mn_a, mn_b = da, db
     return out
-
-
-def scan_chunk_args(args) -> list[tuple[int, int, int, int, int, int]]:
-    """Top-level unpacking wrapper so process pools can pickle the call."""
-    return scan_chunk(*args)
-
-
-def compare_pairs(d: int, x: tuple[int, int], y: tuple[int, int]) -> int:
-    """Exact sign of (x - y) where both are radical pairs over sqrt(d)."""
-    a2 = x[0] - y[0]
-    b2 = x[1] - y[1]
-    if b2 == 0:
-        return (a2 > 0) - (a2 < 0)
-    if a2 == 0:
-        return 1 if b2 > 0 else -1
-    if a2 > 0 and b2 > 0:
-        return 1
-    if a2 < 0 and b2 < 0:
-        return -1
-    lhs, rhs = a2 * a2, b2 * b2 * d
-    if a2 > 0:
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1

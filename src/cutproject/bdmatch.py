@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import lcm
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from ._scaled import compare_pairs, unscale_pair
-from .exactnum import XiReal, XiSpec, parse_xireal
+from ._scaled import unscale_pair
+from .exactnum import XiReal, XiSpec, pair_sign, parse_xi, parse_xireal
 from .patterns import PointPattern
 
 __all__ = ["EmptyPattern", "MatchingWitness", "build_witness", "optimality_check"]
@@ -99,12 +99,12 @@ class MatchingWitness:
                 continue
             y_text = line.split(",", 1)[0]
             if xi is None and "xi" in header:
-                xi = XiSpec.parse(header["xi"])
+                xi = parse_xi(header["xi"])
             points.append(_parse_exact(y_text, xi))
         if "delta" not in header or "offset" not in header:
             raise ValueError("witness CSV is missing its header lines")
         if xi is None and "xi" in header:
-            xi = XiSpec.parse(header["xi"])
+            xi = parse_xi(header["xi"])
         delta = _parse_exact(header["delta"], xi)
         if isinstance(delta, int):
             delta = Fraction(delta)
@@ -143,9 +143,9 @@ def _residue_extrema(points: tuple[Exact, ...], delta: Exact) -> tuple[Exact, Ex
         lo = hi = (points[0] * a, points[0] * b)
         for i, y in enumerate(points[1:], 1):
             cand = (y * a - i * m, y * b)
-            if compare_pairs(d, cand, hi) > 0:
+            if pair_sign(cand[0] - hi[0], cand[1] - hi[1], d) > 0:
                 hi = cand
-            elif compare_pairs(d, cand, lo) < 0:
+            elif pair_sign(cand[0] - lo[0], cand[1] - lo[1], d) < 0:
                 lo = cand
         return unscale_pair(delta.xi, m, lo), unscale_pair(delta.xi, m, hi)
     if all_int and isinstance(delta, (int, Fraction)):

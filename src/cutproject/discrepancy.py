@@ -23,7 +23,7 @@ from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
 from .acceptance import PatternSpec, indicator_hits, pattern_density
-from .exactnum import XiReal
+from .exactnum import XiReal, pair_sign
 from .patterns import PointPattern, RotationSystem
 
 __all__ = [
@@ -174,14 +174,13 @@ def profile(
     args = [(ss, k_from, k_to, rs) for k_from, k_to, rs in chunks]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_rows = list(pool.map(_scaled.scan_chunk_args, args))
+            chunk_rows = list(pool.map(_scaled.scan_chunk, *zip(*args)))
     else:
-        chunk_rows = [_scaled.scan_chunk_args(a) for a in args]
+        chunk_rows = [_scaled.scan_chunk(*a) for a in args]
 
     m = ss.m
     la, lb = ss.length
     d = ss.d
-    cmp = _scaled.compare_pairs
     samples: list[ProfileSample] = []
     decade_maxima: list[tuple[int, XiReal]] = []
     sup_pair: Optional[tuple[int, int]] = None
@@ -190,11 +189,10 @@ def profile(
         off_a = h_before * m - (k_from - 1) * la
         off_b = -(k_from - 1) * lb
         for n, h_rel, mx_a, mx_b, mn_a, mn_b in rows:
-            seg_hi = (off_a + mx_a, off_b + mx_b)
-            seg_lo = (off_a + mn_a, off_b + mn_b)
-            for cand in (seg_hi, (-seg_lo[0], -seg_lo[1])):
-                if sup_pair is None or cmp(d, cand, sup_pair) > 0:
-                    sup_pair = cand
+            # |D| over the segment peaks at its max or at minus its min
+            for ca, cb in ((off_a + mx_a, off_b + mx_b), (-off_a - mn_a, -off_b - mn_b)):
+                if sup_pair is None or pair_sign(ca - sup_pair[0], cb - sup_pair[1], d) > 0:
+                    sup_pair = (ca, cb)
             h_abs = h_before + h_rel
             d_pair = (h_abs * m - n * la, -n * lb)
             sup_val = ss.unscale(sup_pair)

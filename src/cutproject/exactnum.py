@@ -26,10 +26,8 @@ __all__ = [
     "XiMismatchError",
     "XiSpec",
     "XiReal",
-    "add",
-    "sign",
-    "fractional_part",
-    "in_Z_plus_Zxi",
+    "pair_sign",
+    "floor_pair",
     "decompose_Z_plus_Zxi",
     "parse_rational",
     "parse_xi",
@@ -67,6 +65,31 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
     return s, core * n
 
 
+def pair_sign(a: Rational, b: Rational, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for rationals a, b and squarefree d >= 2.
+
+    Every exact comparison in the package is this test (the per-hit loops
+    of ``_scaled`` inline it).  Mixed signs compare a^2 against b^2*d, where
+    a tie is impossible unless a = b = 0.
+    """
+    if a >= 0:
+        if b >= 0:
+            return 1 if a or b else 0
+        return 1 if a * a > b * b * d else -1
+    if b <= 0:
+        return -1
+    return 1 if b * b * d > a * a else -1
+
+
+def floor_pair(a: int, b: int, m: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(d)) / m for integers a, b and m > 0."""
+    t = isqrt(b * b * d)  # b^2*d is never a perfect square for b != 0
+    # a + b*sqrt(d) lies in [a + t, a + t + 1) or (a - t - 1, a - t), so its
+    # floor over m is n0 or n0 + 1
+    n0 = (a + t if b >= 0 else a - t - 1) // m
+    return n0 + 1 if pair_sign(a - (n0 + 1) * m, b, d) >= 0 else n0
+
+
 @dataclass(frozen=True)
 class XiSpec:
     """The ambient quadratic irrational xi = p + q*sqrt(d).
@@ -95,10 +118,6 @@ class XiSpec:
     @classmethod
     def sqrt(cls, d: int) -> "XiSpec":
         return cls(Fraction(0), Fraction(1), d)
-
-    @classmethod
-    def parse(cls, text: str) -> "XiSpec":
-        return parse_xi(text)
 
     def real(self, a: Rational, b: Rational = 0) -> "XiReal":
         """The field element a + b*xi."""
@@ -165,24 +184,9 @@ class XiReal:
     # -- ordering ----------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real value: -1, 0 or +1.
-
-        Mixed-sign cases compare A^2 against B^2*d; equality there is
-        impossible for squarefree d >= 2 unless A = B = 0.
-        """
+        """Exact sign of the real value: -1, 0 or +1."""
         A, B = self.radical_pair()
-        if not B:
-            return (A > 0) - (A < 0)
-        if not A:
-            return 1 if B > 0 else -1
-        if A > 0 and B > 0:
-            return 1
-        if A < 0 and B < 0:
-            return -1
-        lhs, rhs = A * A, B * B * self.xi.d
-        if A > 0:  # B < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1  # A < 0, B > 0
+        return pair_sign(A, B, self.xi.d)
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
@@ -284,19 +288,7 @@ class XiReal:
         A, B = self.radical_pair()
         de = lcm(A.denominator, B.denominator)
         an = A.numerator * (de // A.denominator)
-        bn = B.numerator * (de // B.denominator)
-        if bn == 0:
-            t = 0
-        elif bn > 0:
-            t = isqrt(bn * bn * self.xi.d)
-        else:
-            # bn^2 d is never a perfect square for bn != 0, d squarefree >= 2
-            t = -isqrt(bn * bn * self.xi.d) - 1
-        # value lies in [(an+t)/de, (an+t+1)/de), an interval of length <= 1
-        n0 = (an + t) // de
-        if (self - (n0 + 1)).sign() >= 0:
-            return n0 + 1
-        return n0
+        return floor_pair(an, B.numerator * (de // B.denominator), de, self.xi.d)
 
     def fractional_part(self) -> tuple["XiReal", int]:
         """Split into (frac, floor) with value = floor + frac, 0 <= frac < 1."""
@@ -328,20 +320,7 @@ class XiReal:
         return f"XiReal({self}, xi={self.xi})"
 
 
-# -- operation surface --------------------------------------------------------
-
-
-def add(u: XiReal, v: XiReal) -> XiReal:
-    """Exact sum; raises XiMismatchError for values from different fields."""
-    return u + v
-
-
-def sign(u: XiReal) -> int:
-    return u.sign()
-
-
-def fractional_part(u: XiReal) -> tuple[XiReal, int]:
-    return u.fractional_part()
+# -- lattice membership ---------------------------------------------------------
 
 
 def decompose_Z_plus_Zxi(u: XiReal) -> Optional[tuple[int, int]]:
@@ -349,12 +328,6 @@ def decompose_Z_plus_Zxi(u: XiReal) -> Optional[tuple[int, int]]:
     if u.a.denominator == 1 and u.b.denominator == 1:
         return int(u.b), int(u.a)
     return None
-
-
-def in_Z_plus_Zxi(u: XiReal) -> Optional[int]:
-    """The integer k with u = k*xi + m (m in Z) when u lies in Z + Z*xi."""
-    km = decompose_Z_plus_Zxi(u)
-    return None if km is None else km[0]
 
 
 # -- parsing -------------------------------------------------------------------

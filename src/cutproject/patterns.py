@@ -35,7 +35,6 @@ __all__ = [
     "strip_points",
     "colored_hits",
     "local_discrepancy",
-    "convex_hull_window",
     "parse_window",
     "dump_pattern",
     "load_pattern",
@@ -128,7 +127,10 @@ class Window:
     def hull(self) -> "Window":
         """Single interval from the least to the greatest endpoint."""
         self._require_nonempty()
-        return Window.single(self.intervals[0][0], self.intervals[-1][1])
+        lo, hi = self.intervals[0][0], self.intervals[-1][1]
+        if not lo and hi == 1:
+            raise ValueError(f"the hull of {self} is the full circle [0, 1), which is no window")
+        return Window.single(lo, hi)
 
     def shift_mod1(self, t: XiReal) -> "Window":
         """Translate by t on the circle; wrapping intervals split at 1."""
@@ -306,7 +308,8 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     """Hits of the hull window, colored by originating interval.
 
     Color i in 1..L marks interval i (in sorted order); OMEGA marks points
-    of the hull that lie in no interval.
+    of the hull that lie in no interval.  A hull that is the full circle
+    [0, 1), which ``Window.hull`` rejects, is handled: every k is a hit.
     """
     if k_min > k_max:
         return PointPattern((), ())
@@ -328,11 +331,6 @@ def local_discrepancy(system: RotationSystem, n: int) -> XiReal:
     system.guard_singular(0, n)
     count = _scaled.count_hits(system._scaled, 0, n)
     return system.xi.real(count) - n * system.window_length()
-
-
-def convex_hull_window(w: Window) -> Window:
-    """Single interval spanning the window (requires a nonempty window)."""
-    return w.hull()
 
 
 # -- serialization ----------------------------------------------------------------

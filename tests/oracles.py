@@ -81,6 +81,40 @@ def decimal_orbit_hits(
     return out
 
 
+def _pair_digits(a: Fraction, b: Fraction, d: int, m: int = 1) -> int:
+    """Decimal digits that settle the sign and floor of (a + b*sqrt(d)) / m.
+
+    Cleared of denominators the value is (A + B*sqrt(d)) / M, and
+    |A + B*sqrt(d)| >= 1 / (|A| + |B|*sqrt(d)) unless A = B = 0; twice the
+    digits of |A| + |B|*sqrt(d) suffice, and bit lengths bound them.
+    """
+    bits = max(abs(x.numerator).bit_length() + x.denominator.bit_length() for x in (a, b))
+    return bits + m.bit_length() + d.bit_length() + 30  # 0.61 digits per bit would do
+
+
+def _mp_pair(a: Fraction, b: Fraction, d: int) -> mpmath.mpf:
+    v = mpmath.mpf(a.numerator) / a.denominator
+    return v + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(d)
+
+
+def mp_pair_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for ints or Fractions a, b, via the decimal oracle."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 and b == 0:
+        return 0
+    with mpmath.workdps(_pair_digits(a, b, d)):
+        v = _mp_pair(a, b, d)
+    assert v != 0, "oracle resolution too small"
+    return 1 if v > 0 else -1
+
+
+def mp_floor_pair(a: int, b: int, m: int, d: int) -> int:
+    """Floor of (a + b*sqrt(d)) / m via the decimal oracle."""
+    a, b = Fraction(a), Fraction(b)
+    with mpmath.workdps(_pair_digits(a, b, d, m)):
+        return int(mpmath.floor(_mp_pair(a, b, d) / m))
+
+
 def fraction_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 

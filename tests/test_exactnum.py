@@ -1,23 +1,24 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt, prod
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutproject.exactnum import (
     XiMismatchError,
     XiReal,
     XiSpec,
-    add,
     decompose_Z_plus_Zxi,
-    fractional_part,
-    in_Z_plus_Zxi,
+    floor_pair,
+    pair_sign,
     parse_xi,
     parse_xireal,
-    sign,
 )
-from oracles import fraction_floor, mp_sign, mp_value
+from oracles import fraction_floor, mp_floor_pair, mp_pair_sign, mp_sign, mp_value
 
 SQRT2 = XiSpec.sqrt(2)
 SQRT3 = XiSpec.sqrt(3)
@@ -79,13 +80,13 @@ class TestArithmetic:
     def test_add_examples(self):
         one = SQRT2.real(1, 0)
         xi = SQRT2.real(0, 1)
-        assert add(one, xi) == SQRT2.real(1, 1)
-        assert add(xi, SQRT2.zero) == xi
-        assert add(SQRT2.real(-1, 1), SQRT2.real(1, -1)) == SQRT2.zero
+        assert one + xi == SQRT2.real(1, 1)
+        assert xi + SQRT2.zero == xi
+        assert SQRT2.real(-1, 1) + SQRT2.real(1, -1) == SQRT2.zero
 
     def test_mismatched_fields(self):
         with pytest.raises(XiMismatchError):
-            add(SQRT2.one, SQRT3.one)
+            SQRT2.one + SQRT3.one
         with pytest.raises(XiMismatchError):
             SQRT2.one < SQRT3.one
 
@@ -136,10 +137,10 @@ class TestHashEq:
 
 class TestSign:
     def test_examples(self):
-        assert sign(SQRT2.zero) == 0
-        assert sign(SQRT2.real(-1, 1)) == 1  # sqrt2 > 1
+        assert SQRT2.zero.sign() == 0
+        assert SQRT2.real(-1, 1).sign() == 1  # sqrt2 > 1
         # 3 - 2*sqrt(2) = 0.1715... > 0 (decimal oracle cross-check below)
-        assert sign(SQRT2.real(3, -2)) == 1
+        assert SQRT2.real(3, -2).sign() == 1
         assert mp_sign(SQRT2.real(3, -2)) == 1
 
     def test_zero_iff_both_components_zero(self):
@@ -147,9 +148,9 @@ class TestSign:
         for _ in range(200):
             u = rnd_value(rng)
             if u.a == 0 and u.b == 0:
-                assert sign(u) == 0
+                assert u.sign() == 0
             else:
-                assert sign(u) != 0
+                assert u.sign() != 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_against_decimal_oracle_10k(self, seed):
@@ -157,7 +158,7 @@ class TestSign:
         specs = [SQRT2, SQRT3, XiSpec(Fraction(1, 2), Fraction(1, 2), 5)]
         for _ in range(5000):
             u = rnd_value(rng, rng.choice(specs))
-            assert sign(u) == mp_sign(u)
+            assert u.sign() == mp_sign(u)
 
     def test_ordering(self):
         a = SQRT2.real(1, 0)
@@ -169,13 +170,74 @@ class TestSign:
         assert SQRT2.xi_real > 1
 
 
+# squarefree radicands: products of distinct small primes, and squarefree
+# values just below RADICAND_LIMIT = 10**12 (999999999989 is prime)
+NEAR_LIMIT = [999999999989, 999999999994, 999999999995, 999999999997, 999999999998]
+radicands = st.one_of(
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+            min_size=1, max_size=7).map(prod),
+    st.sampled_from(NEAR_LIMIT),
+)
+ints = st.one_of(st.integers(-(2**300), 2**300), st.integers(-100, 100))
+rationals = st.builds(Fraction, ints, st.integers(1, 2**300))
+
+
+@st.composite
+def sign_args(draw):
+    """(a, b, d): ints, Fractions, a = b = 0, or a within 2 of -b*sqrt(d)."""
+    d = draw(radicands)
+    kind = draw(st.sampled_from(["int", "fraction", "near", "zero"]))
+    if kind == "zero":
+        return 0, 0, d
+    if kind == "fraction":
+        return draw(rationals), draw(rationals), d
+    b = draw(ints)
+    if kind == "int":
+        return draw(ints), b, d
+    t = isqrt(b * b * d)  # a^2 and b^2*d then differ by O(|b|*sqrt(d))
+    return (-t if b > 0 else t) + draw(st.integers(-2, 2)), b, d
+
+
+@st.composite
+def floor_args(draw):
+    """(a, b, m, d), half of them with (a + b*sqrt(d)) / m within 2/m of an integer."""
+    d = draw(radicands)
+    b = draw(ints)
+    m = draw(st.one_of(st.integers(1, 2**64), st.sampled_from([1, 2, 2**64])))
+    if draw(st.booleans()):
+        return draw(ints), b, m, d
+    t = isqrt(b * b * d)
+    a = draw(ints) * m + (-t if b >= 0 else t) + draw(st.integers(-2, 2))
+    return a, b, m, d
+
+
+class TestPairPrimitives:
+    @settings(max_examples=500, deadline=None)
+    @given(sign_args())
+    @example((0, 0, 2))
+    @example((0, 0, NEAR_LIMIT[0]))
+    @example((Fraction(0), Fraction(0), 3))
+    def test_pair_sign_against_decimal_oracle(self, args):
+        a, b, d = args
+        assert pair_sign(a, b, d) == mp_pair_sign(a, b, d)
+        assert pair_sign(-a, -b, d) == -mp_pair_sign(a, b, d)
+
+    @settings(max_examples=500, deadline=None)
+    @given(floor_args())
+    @example((0, 0, 1, 2))
+    @example((0, 0, 2**64, NEAR_LIMIT[-1]))
+    def test_floor_pair_against_decimal_oracle(self, args):
+        a, b, m, d = args
+        assert floor_pair(a, b, m, d) == mp_floor_pair(a, b, m, d)
+
+
 class TestFloorAndFrac:
     def test_examples(self):
-        frac, fl = fractional_part(SQRT2.real(0, 3))
+        frac, fl = SQRT2.real(0, 3).fractional_part()
         assert (frac, fl) == (SQRT2.real(-4, 3), 4)  # 3*sqrt2 = 4.2426...
-        frac, fl = fractional_part(SQRT2.real(Fraction(1, 2)))
+        frac, fl = SQRT2.real(Fraction(1, 2)).fractional_part()
         assert (frac, fl) == (SQRT2.real(Fraction(1, 2)), 0)
-        frac, fl = fractional_part(SQRT2.real(Fraction(-1, 3)))
+        frac, fl = SQRT2.real(Fraction(-1, 3)).fractional_part()
         assert (frac, fl) == (SQRT2.real(Fraction(2, 3)), -1)
 
     def test_floor_pure_rational_against_fraction(self):
@@ -205,9 +267,9 @@ class TestFloorAndFrac:
 
 class TestLatticeMembership:
     def test_examples(self):
-        assert in_Z_plus_Zxi(SQRT2.real(-1, 1)) == 1
-        assert in_Z_plus_Zxi(SQRT2.real(Fraction(1, 2))) is None
-        assert in_Z_plus_Zxi(SQRT2.real(Fraction(17, 3), -4)) is None
+        assert decompose_Z_plus_Zxi(SQRT2.real(-1, 1)) == (1, -1)
+        assert decompose_Z_plus_Zxi(SQRT2.real(Fraction(1, 2))) is None
+        assert decompose_Z_plus_Zxi(SQRT2.real(Fraction(17, 3), -4)) is None
 
     def test_negation_symmetry(self):
         rng = random.Random(9)
@@ -215,11 +277,11 @@ class TestLatticeMembership:
             SQRT2.real(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(100)
         ] + [rnd_value(rng) for _ in range(100)]
         for u in candidates:
-            k = in_Z_plus_Zxi(u)
-            kn = in_Z_plus_Zxi(-u)
-            assert (k is None) == (kn is None)
-            if k is not None:
-                assert kn == -k
+            km = decompose_Z_plus_Zxi(u)
+            kmn = decompose_Z_plus_Zxi(-u)
+            assert (km is None) == (kmn is None)
+            if km is not None:
+                assert kmn == (-km[0], -km[1])
 
     def test_decompose(self):
         assert decompose_Z_plus_Zxi(SQRT2.real(5, -3)) == (-3, 5)

@@ -12,7 +12,6 @@ from cutproject.patterns import (
     SingularOrbit,
     Window,
     colored_hits,
-    convex_hull_window,
     dump_pattern,
     load_pattern,
     local_discrepancy,
@@ -102,13 +101,22 @@ class TestWindow:
 
     def test_hull_examples(self):
         win = w(((0,), (Fraction(1, 3),)), ((Fraction(1, 2),), (Fraction(2, 3),)))
-        assert convex_hull_window(win) == w(((0,), (Fraction(2, 3),)))
+        assert win.hull() == w(((0,), (Fraction(2, 3),)))
         single = w(((Fraction(1, 4),), (Fraction(1, 3),)))
-        assert convex_hull_window(single) == single
+        assert single.hull() == single
         win3 = w(((Fraction(1, 4),), (Fraction(1, 3),)), ((Fraction(2, 5),), (Fraction(1, 2),)))
-        assert convex_hull_window(win3) == w(((Fraction(1, 4),), (Fraction(1, 2),)))
+        assert win3.hull() == w(((Fraction(1, 4),), (Fraction(1, 2),)))
         with pytest.raises(ValueError):
-            convex_hull_window(Window([]))
+            Window([]).hull()
+
+    def test_full_circle_hull(self):
+        win = parse_window("[0, 1/3) [1/2, 1)", SQRT2)
+        with pytest.raises(ValueError, match=r"hull .* is the full circle \[0, 1\)"):
+            win.hull()
+        system = RotationSystem(SQRT2, SQRT2.zero, win)
+        pat = colored_hits(system, 0, 5)
+        assert pat.points == (0, 1, 2, 3, 4, 5)
+        assert pat.colors == (1, OMEGA, 2, 1, 2, 1)
 
     def test_shift_wraps_and_splits(self):
         win = w(((Fraction(1, 2),), (Fraction(3, 4),)))
