@@ -20,6 +20,23 @@ hit, so one call costs O(#hits + a + b): at most a + b steps to find the
 first hit, then at most two sign tests per hit.  Windows of several
 intervals merge the streams of their intervals.
 
+Hit counts step over nothing (``count_hits``).  For 0 <= lo <= hi <= 1,
+1[frac(y) in [lo, hi)] = floor(y - lo) - floor(y - hi), so the count over
+N + 1 consecutive k is the difference of two floor sums
+S(N, a, b) = sum_{k=0..N} floor(a*k + b) with a = frac(xi) (``floor_sum``).
+S reduces by the reciprocity step of Euclid's algorithm.  Stripping the
+integer parts adds floor(a)*N*(N + 1)/2 + floor(b)*(N + 1) and leaves
+0 < a < 1, 0 <= b < 1; then, with M = floor(a*N + b), counting the
+lattice points under the line row by row gives
+
+    S(N, a, b) = M*N + sing - S(M - 1, 1/a, (1 - b)/a).
+
+The singular correction sing is 1 if a*k + b is an integer for some k in
+[1, N] and 0 otherwise; a is irrational, so at most one k qualifies, and
+the vanishing of the sqrt(d) coefficient of a*k + b fixes it.  As
+a*frac(1/a) < 1/2, N falls by half every two levels: a count costs
+O(log N) exact floors for any N.
+
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
@@ -38,13 +55,14 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import XiReal, XiSpec, floor_pair, pair_sign
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
+Triple = tuple[int, int, int]  # (A, B, D): the value (A + B*sqrt(d)) / D, D > 0
 
 
 @dataclass(frozen=True)
@@ -227,9 +245,65 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
     return sorted(chain.from_iterable(interval_hits(ss, iv, k_min, k_max) for iv in ss.ivals))
 
 
+# -- floor sums -------------------------------------------------------------------
+
+
+def floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
+    """Exact sum of floor(a*k + b) over 0 <= k <= n (0 when n < 0).
+
+    a must be irrational (B != 0); b is any radical triple.  Each level
+    strips floor(a) and floor(b), adds M*n + sing with M = floor(a*n + b)
+    and goes on with (M - 1, 1/a, (1 - b)/a) and the opposite sign (module
+    docstring).  Both triples share one denominator, divided by the gcd of
+    all five integers at each level.
+    """
+    A, B, da = a
+    C, E, db = b
+    D = lcm(da, db)
+    A, B, C, E = A * (D // da), B * (D // da), C * (D // db), E * (D // db)
+    total = 0
+    sign = 1
+    while n >= 0:
+        fa = floor_pair(A, B, D, d)
+        fb = floor_pair(C, E, D, d)
+        A -= fa * D
+        C -= fb * D
+        big_m = floor_pair(A * n + C, B * n + E, D, d)
+        # sing: some k in [1, n] makes a*k + b an integer; its sqrt(d) part
+        # B*k + E must vanish, which fixes k
+        k, r = divmod(-E, B)
+        sing = 1 if r == 0 and 1 <= k <= n and (A * k + C) % D == 0 else 0
+        total += sign * (fa * (n * (n + 1) // 2) + fb * (n + 1) + big_m * n + sing)
+        # 1/a = D*(A - B*sqrt(d))/N and (1 - b)/a = (D - C - E*sqrt(d))*(A - B*sqrt(d))/N
+        N = A * A - B * B * d
+        A, B, C, E = D * A, -D * B, (D - C) * A + E * B * d, -(D - C) * B - E * A
+        D = N
+        if D < 0:
+            A, B, C, E, D = -A, -B, -C, -E, -D
+        g = gcd(A, B, C, E, D)
+        A, B, C, E, D = A // g, B // g, C // g, E // g, D // g
+        n = big_m - 1
+        sign = -sign
+    return total
+
+
 def count_hits(ss: ScaledSystem, k_min: int, k_max: int) -> int:
-    """Number of k in [k_min, k_max] whose orbit point lies in the window."""
-    return sum(sum(1 for _ in interval_hits(ss, iv, k_min, k_max)) for iv in ss.ivals)
+    """Number of k in [k_min, k_max] whose orbit point lies in the window.
+
+    Per interval [lo, hi): the floor sums of y_k - lo and y_k - hi over the
+    range, y_k = basepoint + k*xi, differ by the hit count.  Stepping by
+    frac(xi) in place of xi shifts both sums by the same amount.
+    """
+    n = k_max - k_min
+    m = ss.m
+    step = (ss.step[0], ss.step[1], m)
+    ya = ss.base[0] + k_min * ss.xi_pair[0]
+    yb = ss.base[1] + k_min * ss.xi_pair[1]
+    return sum(
+        floor_sum(n, step, (ya - lo_a, yb - lo_b, m), ss.d)
+        - floor_sum(n, step, (ya - hi_a, yb - hi_b, m), ss.d)
+        for lo_a, lo_b, hi_a, hi_b in ss.ivals
+    )
 
 
 def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
@@ -274,7 +348,10 @@ def collect_colored(
 # pair (h*M - N*len_a, -N*len_b).  Between hits D decreases strictly, so the
 # running maximum can only move right after a hit and the running minimum only
 # right before a hit or at a segment end: only those values are compared, and
-# the value right before a hit at k is D(k) - (M - len).
+# the value right before a hit at k is D(k) - (M - len).  From one hit to the
+# next, g indices on, D moves by M - g*len, whose sign is fixed by g against
+# F = floor(M/len): a hit can move the max or the min, never both, so it
+# costs one sign test.
 
 
 def scan_chunk(
@@ -295,10 +372,14 @@ def scan_chunk(
     d = ss.d
     m = ss.m
     la, lb = ss.length
+    # a gap g between hits moves D by M - g*len: up for g < F, down for g > F
+    big_f = _floor_ratio(d, (m, 0), ss.length) if ss.ivals else 0  # no window, no hits
+    f_sign = pair_sign(m - big_f * la, -big_f * lb, d)  # at g == F: 1 or 0
     streams = [interval_hits(ss, iv, k_from, k_to) for iv in ss.ivals]
     hits = streams[0] if len(streams) == 1 else merge(*streams)
     out = []
     h = 0
+    kp = 0  # the previous hit
     mx_a = mx_b = mn_a = mn_b = None  # extrema of D(k) over the segment's hits
     ri = 0
     rec = records[0]
@@ -325,18 +406,20 @@ def scan_chunk(
         n = k - k_from + 1
         da = h * m - n * la
         db = -n * lb
+        g = k - kp
+        kp = k
         if mx_a is None:
             mx_a, mx_b, mn_a, mn_b = da, db, da, db
-            continue
-        a2 = da - mx_a
-        b2 = db - mx_b
-        # pair_sign inlined (module docstring): D(k) > max
-        if (b2 > 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
-            mx_a, mx_b = da, db
-            continue
-        a2 = da - mn_a
-        b2 = db - mn_b
-        # pair_sign inlined: D(k) < min
-        if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
-            mn_a, mn_b = da, db
+        elif g < big_f or g == big_f and f_sign:  # D rose: only the max can move
+            a2 = da - mx_a
+            b2 = db - mx_b
+            # pair_sign inlined (module docstring): D(k) > max
+            if (b2 > 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
+                mx_a, mx_b = da, db
+        elif g > big_f:  # D fell: only the min can move
+            a2 = da - mn_a
+            b2 = db - mn_b
+            # pair_sign inlined: D(k) < min
+            if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
+                mn_a, mn_b = da, db
     return out

@@ -109,8 +109,9 @@ class DiscrepancyProfile:
         fp.write(f"# n_max = {self.n_max}\n")
         fp.write("N,D_signed,absD,decade_max,D_signed_exact,decade_max_exact\n")
         for s in self.samples:
+            dec = s.value.decimal(30)  # truncated toward zero, so |D| only drops the '-'
             fp.write(
-                f"{s.n},{s.value.decimal(30)},{abs(s.value).decimal(30)},"
+                f"{s.n},{dec},{dec.lstrip('-')},"
                 f"{s.running_sup.decimal(30)},{s.value},{s.running_sup}\n"
             )
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, lcm, sqrt as _fsqrt
+from math import isqrt, lcm
 from typing import Optional, Union
 
 __all__ = [
@@ -137,7 +137,7 @@ class XiSpec:
         return self.real(0, 1)
 
     def __float__(self) -> float:
-        return float(self.p) + float(self.q) * _fsqrt(self.d)
+        return float(self.xi_real)
 
     def __str__(self) -> str:
         if self.p == 0 and self.q == 1:
@@ -283,12 +283,15 @@ class XiReal:
 
     # -- floor and friends ---------------------------------------------------
 
+    def _cleared(self) -> tuple[int, int, int]:
+        """Integers (a, b, m) with value (a + b*sqrt(d)) / m, m > 0."""
+        A, B = self.radical_pair()
+        m = lcm(A.denominator, B.denominator)
+        return A.numerator * (m // A.denominator), B.numerator * (m // B.denominator), m
+
     def floor(self) -> int:
         """Exact floor, via integer square roots (no floating point)."""
-        A, B = self.radical_pair()
-        de = lcm(A.denominator, B.denominator)
-        an = A.numerator * (de // A.denominator)
-        return floor_pair(an, B.numerator * (de // B.denominator), de, self.xi.d)
+        return floor_pair(*self._cleared(), self.xi.d)
 
     def fractional_part(self) -> tuple["XiReal", int]:
         """Split into (frac, floor) with value = floor + frac, 0 <= frac < 1."""
@@ -307,7 +310,13 @@ class XiReal:
         return "-" + out if neg else out
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * float(self.xi)
+        """The value within 1 ulp, from an exact floor of value * 2^s."""
+        a, b, m = self._cleared()
+        d = self.xi.d
+        # |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) unless a = b = 0, so this s
+        # makes |value * 2^s| >= 2^54 and the floor costs under 2^-54 relative
+        s = 54 + m.bit_length() + (abs(a) + abs(b) * (isqrt(d) + 1)).bit_length()
+        return floor_pair(a << s, b << s, m, d) / (1 << s)
 
     def __str__(self) -> str:
         if not self.b:

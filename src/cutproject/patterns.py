@@ -325,6 +325,8 @@ def local_discrepancy(system: RotationSystem, n: int) -> XiReal:
     term uses N, following the classical definition; the resulting
     off-by-one constant never affects boundedness.  For a multi-interval
     window this is automatically the sum of the per-interval values.
+    The count is a floor-sum recursion, not a scan: exact for any N, at a
+    cost of O(log N) exact floors.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -17,19 +17,19 @@ from cutproject.exactnum import XiReal, XiSpec
 DPS = 60
 
 
-def mp_xi(xi: XiSpec) -> mpmath.mpf:
-    with mpmath.workdps(DPS):
+def mp_xi(xi: XiSpec, dps: int = DPS) -> mpmath.mpf:
+    with mpmath.workdps(dps):
         return mpmath.mpf(xi.p.numerator) / xi.p.denominator + (
             mpmath.mpf(xi.q.numerator) / xi.q.denominator
         ) * mpmath.sqrt(xi.d)
 
 
-def mp_value(u: XiReal) -> mpmath.mpf:
-    """60-digit decimal evaluation of a + b*xi."""
-    with mpmath.workdps(DPS):
+def mp_value(u: XiReal, dps: int = DPS) -> mpmath.mpf:
+    """Decimal evaluation of a + b*xi to dps digits (60 by default)."""
+    with mpmath.workdps(dps):
         a = mpmath.mpf(u.a.numerator) / u.a.denominator
         b = mpmath.mpf(u.b.numerator) / u.b.denominator
-        return a + b * mp_xi(u.xi)
+        return a + b * mp_xi(u.xi, dps)
 
 
 def mp_sign(u: XiReal) -> int:

@@ -156,6 +156,25 @@ class TestProfile:
         assert last[0] == "200"
         assert last[5] == "1"  # exact running sup
 
+    def test_csv_abs_column(self):
+        upper = Window.single(SQRT2.real(Fraction(1, 2)), SQRT2.one)
+        p = profile(RotationSystem(SQRT2, SQRT2.zero, upper), 2000, trace_limit=64)
+        buf = io.StringIO()
+        p.to_csv(buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[5:]]
+        assert len(rows) == len(p.samples)
+        assert any(s.value.sign() < 0 for s in p.samples)
+        for row, s in zip(rows, p.samples):
+            assert row[1] == s.value.decimal(30)
+            assert row[2] == abs(s.value).decimal(30)
+
+    def test_empty_window(self):
+        sys = RotationSystem(SQRT2, SQRT2.zero, Window([]))
+        p = profile(sys, 300, trace_limit=16)
+        assert p.sup_seen == 0
+        assert all(s.value == 0 for s in p.samples)
+        assert local_discrepancy(sys, 10**40) == 0
+
 
 class TestCochain:
     def test_single_term_reduces_to_disc(self):

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, prod, ulp
 
 import mpmath
 import pytest
@@ -326,3 +326,37 @@ class TestRendering:
     def test_decimal_known_value(self):
         # sqrt(2) = 1.41421356237309504880168872420969807856...
         assert SQRT2.xi_real.decimal(30) == "1.414213562373095048801688724209"
+
+
+class TestFloat:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([SQRT2, SQRT3, XiSpec(Fraction(1, 2), Fraction(1, 2), 5), XiSpec(-2, 1, 2)]),
+        st.integers(-(10**100), 10**100),
+        st.integers(1, 10**6),
+        st.integers(-2, 1),
+    )
+    @example(SQRT2, 10**100, 1, 0)
+    def test_within_one_ulp_near_cancellation(self, xi, b, den, off):
+        # u = (off + frac(b*den*xi)) / den: components up to 10^100, |u| < 2
+        u = xi.real(Fraction(off - (b * den * xi.xi_real).floor(), den), b)
+        got = float(u)
+        with mpmath.workdps(500):
+            assert abs(mpmath.mpf(got) - mp_value(u, 500)) <= ulp(got)
+
+    def test_golden_discrepancy_at_1e20(self):
+        golden = XiSpec(Fraction(1, 2), Fraction(1, 2), 5)
+        u = golden.real(161803398874989484821, -(10**20))  # 0.5413165634...
+        assert abs(float(u) - 0.5413165634361882) <= ulp(0.5413165634361882)
+
+    def test_exact_values(self):
+        assert float(SQRT2.zero) == 0.0
+        assert float(SQRT2.real(Fraction(1, 3))) == 1 / 3
+        assert float(SQRT2.real(0, -(10**300))) == -1.4142135623730951e300
+
+    def test_xispec_near_cancellation(self):
+        xi = XiSpec(-1414213562373095, 10**15, 2)  # 0.0488016887242096...
+        with mpmath.workdps(100):
+            want = mp_value(xi.xi_real, 100)
+            assert abs(mpmath.mpf(float(xi)) - want) <= ulp(float(xi))
+

@@ -1,4 +1,5 @@
-"""Property tests of the three-gap stepping core in ``cutproject._scaled``.
+"""Property tests of the three-gap stepping core and the floor-sum count
+in ``cutproject._scaled``.
 
 Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from cutproject import _scaled
 from cutproject.discrepancy import profile
 from cutproject.exactnum import XiSpec
-from cutproject.patterns import OMEGA, RotationSystem, Window, colored_hits
+from cutproject.patterns import (
+    OMEGA,
+    RotationSystem,
+    Window,
+    colored_hits,
+    local_discrepancy,
+)
 
 FIELDS = [
     XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
@@ -41,9 +48,12 @@ def points(draw, xi):
     return xi.real(a, draw(st.integers(-7, 7))).fractional_part()[0]
 
 
+NEGATIVE_XI = XiSpec(-2, 1, 2)  # -2 + sqrt(2) < 0
+
+
 @st.composite
-def systems(draw):
-    xi = draw(st.sampled_from(FIELDS))
+def systems(draw, fields=FIELDS):
+    xi = draw(st.sampled_from(fields))
     n_iv = draw(st.integers(1, 4))
     cuts = sorted(set(draw(st.lists(points(xi), min_size=2 * n_iv, max_size=2 * n_iv))))
     cuts = cuts[: len(cuts) // 2 * 2]
@@ -134,3 +144,87 @@ def test_profile_matches_direct_scan(system, n_max):
         if n in got:
             assert got[n].value == value
             assert got[n].running_sup == sup
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    systems(FIELDS + [NEGATIVE_XI]),
+    st.tuples(st.integers(-5000, 3000), st.sampled_from([-1, 0, 1, 2, 3, 13, 200, 1500, 4000])),
+)
+def test_floor_sum_count_matches_strip_route(system, rng):
+    k_min, span = rng
+    ss = system._scaled
+    want = _scaled.collect_hits_direct(ss, k_min, k_min + span)
+    assert _scaled.count_hits(ss, k_min, k_min + span) == len(want)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(FIELDS + [NEGATIVE_XI]),
+    st.tuples(st.integers(-40, 40), st.integers(1, 9), st.integers(-5, 5).filter(bool)),
+    st.tuples(st.integers(-40, 40), st.integers(1, 9), st.integers(-5, 5)),
+    st.integers(-2, 200),
+)
+def test_floor_sum_matches_brute_force(xi, a, b, n):
+    av = xi.real(Fraction(a[0], a[1]), a[2])  # irrational: nonzero xi part
+    bv = xi.real(Fraction(b[0], b[1]), b[2])
+    triples = []
+    for v in (av, bv):
+        A, B = v.radical_pair()
+        m = A.denominator * B.denominator
+        triples.append((int(A * m), int(B * m), m))
+    want = sum((av * k + bv).floor() for k in range(n + 1))
+    assert _scaled.floor_sum(n, triples[0], triples[1], xi.d) == want
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(FIELDS + [NEGATIVE_XI]), st.integers(0, 10**30))
+def test_count_is_additive_at_scale(system, j):
+    n = 10**30 + 7
+    ss = system._scaled
+    whole = _scaled.count_hits(ss, 0, n)
+    assert whole == _scaled.count_hits(ss, 0, j) + _scaled.count_hits(ss, j + 1, n)
+    assert 0 <= whole <= n + 1
+
+
+def test_kesten_bound_up_to_a_googol():
+    """Windows of length frac(k*xi) have |D(N)| < |k| + 1 for every N (Kesten)."""
+    golden, sqrt2 = FIELDS[0], FIELDS[1]
+    cases = [(golden, 1, golden.real(Fraction(1, 7))), (sqrt2, 3, sqrt2.real(0))]
+    for xi, k, lo in cases:
+        length = (k * xi.xi_real).fractional_part()[0]
+        window = Window.single(lo, lo + length)
+        for base in (xi.zero, xi.real(Fraction(2, 5), 1).fractional_part()[0]):
+            system = RotationSystem(xi, base, window)
+            for j in range(1, 101):
+                value = local_discrepancy(system, 10**j)
+                assert (abs(value) - (abs(k) + 1)).sign() < 0, (xi, j, value)
+
+
+@SETTINGS
+@given(systems(FIELDS + [NEGATIVE_XI]), ranges, st.lists(st.integers(0, 1500), max_size=6))
+def test_scan_chunk_rows_match_strip_route(system, rng, cuts):
+    """Each row: hits so far, max of D over the segment's hits and its end,
+    min over the values right before those hits and the end."""
+    k_from, span = rng
+    k_to = k_from + span
+    records = sorted({k_from + c for c in cuts if c < span} | {k_to})
+    ss = system._scaled
+    hits = set(_scaled.collect_hits_direct(ss, k_from, k_to))
+    length = system.window_length()
+    want = []
+    h = 0
+    start = k_from
+    for rec in records:
+        at_hits = []
+        for k in range(start, rec + 1):
+            if k in hits:
+                h += 1
+                at_hits.append(h - (k - k_from + 1) * length)
+        end = system.xi.real(h) - (rec - k_from + 1) * length
+        before_hits = [v - (1 - length) for v in at_hits]
+        want.append((rec, h, max(at_hits + [end]), min(before_hits + [end])))
+        start = rec + 1
+    rows = _scaled.scan_chunk(ss, k_from, k_to, records)
+    got = [(n, hn, ss.unscale((a, b)), ss.unscale((c, e))) for n, hn, a, b, c, e in rows]
+    assert got == want
