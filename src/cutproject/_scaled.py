@@ -37,6 +37,32 @@ the vanishing of the sqrt(d) coefficient of a*k + b fixes it.  As
 a*frac(1/a) < 1/2, N falls by half every two levels: a count costs
 O(log N) exact floors for any N.
 
+Profiles of windows with an Oren matching scan nothing either
+(``closed_form_rows``).  Since 1[frac(y) in [lo, hi)] - (hi - lo) =
+frac(y - hi) - frac(y - lo), a matching b_sigma(l) = a_l + kappa_l*xi + m_l
+makes the sum over k telescope: with f_l(y) = frac(y - a_l) and
+y_n = basepoint + n*xi, D(n) = C - G(y_n), where
+
+    G(y) = sum_{kappa_l > 0} sum_{j=0..kappa_l-1} f_l(y - j*xi)
+         - sum_{kappa_l < 0} sum_{j=1..|kappa_l|} f_l(y + j*xi)
+
+and C = len + G(y_0 - xi).  G is piecewise linear with slope
+beta = sum kappa_l, never 0 as len = beta*xi + integer, and jumps at its
+teeth a_l + j*xi.  So max |D| over n <= N is the larger of
+C - min G(y_n) and max G(y_n) - C, and on a piece [p, p') between sorted
+teeth these extremes sit at the orbit points nearest each end.  Those
+nearest p from the right are the records of v = frac(y_n - p): from a
+record v at n the next is at n + b with value v - beta_b, (b, beta_b) the
+return gap for length v, unless the orbit meets p exactly before (at
+most once, at the k that the sqrt(d) coefficient fixes, as for
+``find_singular``), where v drops to 0 and the chain ends.  Those nearest
+p' from the left are the records of u = p' - y_n in (0, 1], next at n + a
+with value u - alpha.  A record counts once it lies in the piece.  The
+lengths of one chain shrink, so one Euclid walk goes on across its
+records (``_walk``); for a quadratic xi the chains hold O(teeth * log N)
+records, and the profile merges them with its samples at one exact
+comparison each.
+
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
@@ -52,10 +78,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from heapq import merge
 from itertools import chain, repeat
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import XiReal, XiSpec, floor_pair, pair_sign
@@ -144,38 +171,50 @@ def find_singular(ss: ScaledSystem, k_min: int, k_max: int) -> Optional[int]:
     strictly monotone in k, so each endpoint can be hit at most once; the
     candidate k solves a linear equation and is then verified exactly.
     """
-    xb = ss.base[1]
-    qb = ss.xi_pair[1]
     targets = set()
     for lo_a, lo_b, hi_a, hi_b in ss.ivals:
         targets.add((lo_a, lo_b))
         # the endpoint value 1 is the circle point 0
         targets.add((0, 0) if (hi_a, hi_b) == (ss.m, 0) else (hi_a, hi_b))
-    best: Optional[int] = None
-    for ea, eb in targets:
-        if (eb - xb) % qb:
-            continue
-        k = (eb - xb) // qb
-        if k_min <= k <= k_max and ss.state_at(k) == (ea, eb):
-            best = k if best is None else min(best, k)
-    return best
+    ks = [_orbit_index(ss, t) for t in targets]
+    return min((k for k in ks if k is not None and k_min <= k <= k_max), default=None)
+
+
+def _orbit_index(ss: ScaledSystem, pair: Pair) -> Optional[int]:
+    """The k with frac(basepoint + k*xi) equal to the reduced pair, if any."""
+    k, r = divmod(pair[1] - ss.base[1], ss.xi_pair[1])
+    return k if r == 0 and ss.state_at(k) == pair else None
 
 
 # -- three-gap stepping ----------------------------------------------------------
 
 
+Gaps = tuple[int, Pair, int, Pair]  # (a, alpha, b, beta)
+
+
 @lru_cache(maxsize=1024)
-def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> tuple[int, Pair, int, Pair]:
+def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> Gaps:
     """Least return times (a, alpha, b, beta) to an interval of length ell.
 
     a is the least k >= 1 with alpha = frac(k*xi) < ell and b the least
     k >= 1 with beta = 1 - frac(k*xi) < ell; step is frac(xi), and every
     value is a radical pair scaled by m.  The subtractive Euclid walk
-    starts from (1, frac(xi)) and (1, 1 - frac(xi)) and, while either
-    value is still >= ell, subtracts the smaller value from the larger
-    and adds the two times; a run of equal subtractions is one exact floor.
+    starts from (1, frac(xi)) and (1, 1 - frac(xi)) (``_walk``).
     """
-    sides = [(1, step), (1, (m - step[0], -step[1]))]
+    return _walk(d, (1, step, 1, (m - step[0], -step[1])), ell)
+
+
+def _walk(d: int, gaps: Gaps, ell: Pair) -> Gaps:
+    """Go on with the subtractive Euclid walk from gaps until alpha, beta < ell.
+
+    While either value is still >= ell, subtract the smaller value from
+    the larger and add the two times; a run of equal subtractions is one
+    exact floor.  The states the walk passes do not depend on ell, which
+    only says where to stop: for a smaller ell the walk goes on from
+    where it stopped for a larger one.
+    """
+    a, alpha, b, beta = gaps
+    sides = [(a, alpha), (b, beta)]
     while True:
         (a, alpha), (b, beta) = sides
         big = [pair_sign(v[0] - ell[0], v[1] - ell[1], d) >= 0 for v in (alpha, beta)]
@@ -423,3 +462,101 @@ def scan_chunk(
             if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
                 mn_a, mn_b = da, db
     return out
+
+
+# -- closed form for bounded windows (module docstring) ------------------------------
+
+
+def closed_form_rows(
+    ss: ScaledSystem, kappas: Sequence[int], records: Sequence[int]
+) -> tuple[list[tuple[int, Pair, Pair]], int, int]:
+    """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, with no scan.
+
+    kappas[l] is the xi-coefficient of b_sigma(l) - a_l in an Oren matching
+    of the window.  Returns the rows as scaled pairs, the number of
+    distinct teeth of G and the number of record events merged.
+    """
+    d = ss.d
+    m = ss.m
+    xa, xb = ss.xi_pair
+    teeth = []  # (e_a, e_b, s): G(y) = sum of s*frac(y - e)
+    for (lo_a, lo_b, _, _), kappa in zip(ss.ivals, kappas):
+        js = range(kappa) if kappa > 0 else range(-1, kappa - 1, -1)
+        teeth += [(lo_a + j * xa, lo_b + j * xb, 1 if kappa > 0 else -1) for j in js]
+    beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
+
+    def frac(a: int, b: int) -> Pair:
+        return a - floor_pair(a, b, m, d) * m, b
+
+    def big_g(ya: int, yb: int) -> Pair:
+        ga = gb = 0
+        for ea, eb, s in teeth:
+            fa, fb = frac(ya - ea, yb - eb)
+            ga += s * fa
+            gb += s * fb
+        return ga, gb
+
+    ya, yb = ss.base
+    ga, gb = big_g(ya - xa, yb - xb)
+    ca, cb = ss.length[0] + ga, ss.length[1] + gb  # D(n) = C - G(y_n)
+
+    n_max = records[-1]
+    # each chain goes on with one Euclid walk as its length shrinks, and keeps
+    # its one-off lengths out of return_gaps' cache
+    start = (1, ss.step, 1, (m - ss.step[0], -ss.step[1]))
+    pts = sorted(
+        {frac(ea, eb) for ea, eb, _ in teeth},
+        key=cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d)),
+    )
+    events = []  # (n, updates the min, candidate G(y_n))
+    for i, (pa, pb) in enumerate(pts):
+        qa, qb = pts[i + 1] if i + 1 < len(pts) else (pts[0][0] + m, pts[0][1])
+        la, lb = qa - pa, qb - pb  # the piece [p, p') of G
+        g0a, g0b = big_g(pa, pb)
+        # left chain: records of v = frac(y_n - p); G(y_n) = G(p) + beta*v
+        k_hit = _orbit_index(ss, (pa, pb))
+        n = 0
+        v = frac(ya - pa, yb - pb)
+        gaps = start
+        while n <= n_max:
+            if pair_sign(v[0] - la, v[1] - lb, d) < 0:
+                events.append((n, beta > 0, (g0a + beta * v[0], g0b + beta * v[1])))
+            if v == (0, 0):
+                break
+            gaps = _walk(d, gaps, v)
+            _, _, b, (be_a, be_b) = gaps
+            if k_hit is not None and n < k_hit < n + b:  # v drops to 0 exactly there
+                n, v = k_hit, (0, 0)
+            else:
+                n, v = n + b, (v[0] - be_a, v[1] - be_b)
+        # right chain: records of u = p' - y_n in (0, 1]; G(y_n) = G(p) + beta*(l - u)
+        n = 0
+        fa, fb = frac(ya - qa, yb - qb)
+        u = (m - fa, -fb)
+        gaps = start
+        while n <= n_max:
+            if pair_sign(u[0] - la, u[1] - lb, d) <= 0:
+                events.append((n, beta < 0, (g0a + beta * (la - u[0]), g0b + beta * (lb - u[1]))))
+            gaps = _walk(d, gaps, u)
+            a, (al_a, al_b), _, _ = gaps
+            n, u = n + a, (u[0] - al_a, u[1] - al_b)
+    events.sort(key=itemgetter(0))
+
+    rows = []
+    lo = hi = None  # running min and max of G(y_n); both events of y_0 set them
+    i = 0
+    for r in records:
+        while i < len(events) and events[i][0] <= r:
+            _, to_min, g = events[i]
+            i += 1
+            if to_min:
+                if lo is None or pair_sign(g[0] - lo[0], g[1] - lo[1], d) < 0:
+                    lo = g
+            elif hi is None or pair_sign(g[0] - hi[0], g[1] - hi[1], d) > 0:
+                hi = g
+        ga, gb = big_g(ya + r * xa, yb + r * xb)
+        up = (ca - lo[0], cb - lo[1])  # max of D
+        down = (hi[0] - ca, hi[1] - cb)  # max of -D
+        sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
+        rows.append((r, (ca - ga, cb - gb), sup))
+    return rows, len(pts), len(events)

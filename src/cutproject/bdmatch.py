@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -62,8 +63,12 @@ class MatchingWitness:
     sup_displacement: Exact
     points: tuple[Exact, ...]
 
+    @cached_property
+    def _spacing(self) -> Exact:
+        return Fraction(1) / self.delta  # one exact inversion, not one per row
+
     def lattice_point(self, i: int) -> Exact:
-        return (i + self.offset) / self.delta
+        return (i + self.offset) * self._spacing
 
     def pairs(self) -> Iterator[tuple[Exact, Exact, Exact]]:
         """Yield (point, matched lattice point, signed displacement)."""

@@ -3,11 +3,14 @@
 The local discrepancy of a rotation system is D(N) = hits over
 0 <= k <= N minus N*Length(window); a pattern or point set Y is
 measured against a density delta by |#(Y in I) - delta*Length(I)|.
-Profiles track |D| exactly over a full range of N in a single pass,
-retaining the running maxima at decade boundaries (N <= 10^j) plus a
-logarithmically spaced trace.  All stored values are exact field
-elements compared by exact sign tests; decimal output is rendering
-only.
+Profiles track |D| exactly over 0 <= N <= n_max, retaining the running
+maxima at decade boundaries (N <= 10^j) plus a logarithmically spaced
+trace.  A window with an Oren matching takes the closed form of the
+Kesten/Oren coboundary and merges the orbit's record events near the
+teeth of its transfer function, so its profile is exact at any n_max;
+an empty or unbounded window is scanned hit by hit, sharded over worker
+processes on request.  All stored values are exact field elements
+compared by exact sign tests; decimal output is rendering only.
 
 The empirical boundedness verdict derived from a profile is evidence,
 never proof: the exact verdict comes from the boundary-class criteria.
@@ -15,6 +18,7 @@ never proof: the exact verdict comes from the boundary-class criteria.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +27,7 @@ from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
 from .acceptance import PatternSpec, indicator_hits, pattern_density
+from .criteria import oren_condition
 from .exactnum import XiReal, pair_sign
 from .patterns import PointPattern, RotationSystem
 
@@ -39,6 +44,8 @@ __all__ = [
 ]
 
 Exact = Union[int, Fraction, XiReal]
+
+_log = logging.getLogger(__name__)
 
 _CHUNK_SPAN = 131_072  # fixed so results never depend on the worker count
 
@@ -133,7 +140,8 @@ def _record_points(n_max: int, trace_limit: int) -> list[int]:
     while shift >= 0:
         recs = set(mandatory)
         n = 1
-        while n < n_max:
+        # a walk past trace_limit is rejected: stop it there, unless it is the last
+        while n < n_max and (len(recs) <= trace_limit or shift == 0):
             recs.add(n)
             n += max(1, n >> shift)
         if len(recs) <= trace_limit or shift == 0:
@@ -149,18 +157,54 @@ def profile(
     trace_limit: int = 4096,
     workers: int = 1,
 ) -> DiscrepancyProfile:
-    """Exact single-pass |D| profile over 0 <= N <= n_max.
+    """Exact |D| profile over 0 <= N <= n_max, on one of two routes.
 
-    The scan may be sharded over disjoint N-ranges (workers > 1); chunk
-    boundaries are fixed independently of the worker count and the merge
-    is exact arithmetic, so results are identical for any sharding.
+    A window with an Oren matching (``criteria.oren_condition``) takes the
+    closed form D(N) = C - G(y_N) and follows the records of the orbit
+    near each tooth of G (``_scaled.closed_form_rows``): nothing is
+    scanned, so the profile is exact at any n_max.  An empty or unbounded
+    window is scanned hit by hit with the three-gap core over fixed
+    chunks, sharded over ``workers`` processes when workers > 1; chunk
+    boundaries do not depend on the worker count and the merge is exact,
+    so results are identical for any sharding.  ``workers`` matters only
+    on the scan route.
     """
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
     system.guard_singular(0, n_max)
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
+    witness = oren_condition(system.window) if system.window else None
+    if witness is None:
+        rows = _scan_rows(ss, records, workers)
+    else:
+        rows, teeth, events = _scaled.closed_form_rows(ss, witness.ks, records)
+        _log.debug(
+            "profile n_max=%d: closed form, %d teeth, %d record events, %d samples",
+            n_max, teeth, events, len(rows),
+        )
 
+    samples: list[ProfileSample] = []
+    decade_maxima: list[tuple[int, XiReal]] = []
+    for n, d_pair, sup_pair in rows:
+        sup_val = ss.unscale(sup_pair)
+        samples.append(ProfileSample(n, ss.unscale(d_pair), sup_val))
+        if _is_pow10(n) and n >= 100 or n == n_max:
+            decade_maxima.append((n, sup_val))
+    return DiscrepancyProfile(
+        system=system,
+        n_max=n_max,
+        samples=tuple(samples),
+        decade_maxima=tuple(decade_maxima),
+        sup_seen=decade_maxima[-1][1],
+    )
+
+
+def _scan_rows(
+    ss: _scaled.ScaledSystem, records: list[int], workers: int
+) -> list[tuple[int, _scaled.Pair, _scaled.Pair]]:
+    """Rows (n, D(n), max |D(N)| over N <= n) of a three-gap scan over 0..records[-1]."""
+    n_max = records[-1]
     # chunks are runs of record segments covering at least _CHUNK_SPAN steps
     chunks: list[tuple[int, int, list[int]]] = []  # (k_from, k_to, records)
     start = 0
@@ -173,7 +217,12 @@ def profile(
             recs = []
 
     args = [(ss, k_from, k_to, rs) for k_from, k_to, rs in chunks]
-    if workers > 1 and len(chunks) > 1:
+    pooled = workers > 1 and len(chunks) > 1
+    _log.debug(
+        "profile n_max=%d: three-gap scan, %d chunks, %d workers, %d samples",
+        n_max, len(chunks), workers if pooled else 1, len(records),
+    )
+    if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_rows = list(pool.map(_scaled.scan_chunk, *zip(*args)))
     else:
@@ -182,9 +231,8 @@ def profile(
     m = ss.m
     la, lb = ss.length
     d = ss.d
-    samples: list[ProfileSample] = []
-    decade_maxima: list[tuple[int, XiReal]] = []
-    sup_pair: Optional[tuple[int, int]] = None
+    out = []
+    sup_pair: Optional[_scaled.Pair] = None
     h_before = 0
     for (k_from, _k_to, _rs), rows in zip(chunks, chunk_rows):
         off_a = h_before * m - (k_from - 1) * la
@@ -194,21 +242,9 @@ def profile(
             for ca, cb in ((off_a + mx_a, off_b + mx_b), (-off_a - mn_a, -off_b - mn_b)):
                 if sup_pair is None or pair_sign(ca - sup_pair[0], cb - sup_pair[1], d) > 0:
                     sup_pair = (ca, cb)
-            h_abs = h_before + h_rel
-            d_pair = (h_abs * m - n * la, -n * lb)
-            sup_val = ss.unscale(sup_pair)
-            samples.append(ProfileSample(n, ss.unscale(d_pair), sup_val))
-            if _is_pow10(n) and n >= 100 or n == n_max:
-                decade_maxima.append((n, sup_val))
+            out.append((n, ((h_before + h_rel) * m - n * la, -n * lb), sup_pair))
         h_before += rows[-1][1]
-
-    return DiscrepancyProfile(
-        system=system,
-        n_max=n_max,
-        samples=tuple(samples),
-        decade_maxima=tuple(decade_maxima),
-        sup_seen=decade_maxima[-1][1],
-    )
+    return out
 
 
 # -- interval discrepancy ------------------------------------------------------

@@ -1,10 +1,12 @@
 import io
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
 from cutproject.acceptance import PatternSpec
+from cutproject.criteria import oren_condition
 from cutproject.discrepancy import (
     Cochain,
     DiscrepancyProfile,
@@ -26,6 +28,7 @@ from cutproject.patterns import (
 from oracles import brute_profile
 
 SQRT2 = XiSpec.sqrt(2)
+GOLDEN = XiSpec(Fraction(1, 2), Fraction(1, 2), 5)
 
 
 def kesten_system():
@@ -167,6 +170,40 @@ class TestProfile:
         for row, s in zip(rows, p.samples):
             assert row[1] == s.value.decimal(30)
             assert row[2] == abs(s.value).decimal(30)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[11/100, -89/100+1*xi)",  # Kesten, kappa = 1
+            # the benchmark's crossed Oren window: b2 - a1 = 4xi - 6,
+            # b1 - a2 = -(5xi - 8), b3 - a3 = 2xi - 3
+            "[9/200, 1/5) [-39/5+5*xi, -1191/200+4*xi) [-59/10+4*xi, -89/10+6*xi)",
+        ],
+    )
+    def test_bounded_profile_at_1e30(self, text):
+        window = parse_window(text, GOLDEN)
+        kappa_sum = sum(abs(k) for k in oren_condition(window).ks)
+        length = window.total_length()
+        system = RotationSystem(GOLDEN, GOLDEN.real(Fraction(1, 7)), window)
+        p = profile(system, 10**30)
+        for s in p.samples:
+            # D(N) = len + G(y_-1) - G(y_N), G a signed sum of kappa_sum fractional parts
+            assert (s.value - length + kappa_sum).sign() > 0
+            assert (s.value - length - kappa_sum).sign() < 0
+            assert (abs(s.value) - kappa_sum - 1).sign() < 0
+        sups = [s.running_sup for s in p.samples]
+        assert all((b - a).sign() >= 0 for a, b in zip(sups, sups[1:]))
+        for s in p.samples[::97] + p.samples[-1:]:
+            assert s.value == local_discrepancy(system, s.n)
+        assert p.verdict() == "bounded-consistent"
+
+    def test_route_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cutproject.discrepancy"):
+            profile(kesten_system(), 1000)
+            profile(half_system(), 1000, workers=2)
+        closed, scan = [r.getMessage() for r in caplog.records]
+        assert "closed form, 1 teeth, " in closed and " record events" in closed
+        assert "three-gap scan, 1 chunks, 1 workers" in scan  # one chunk: no pool
 
     def test_empty_window(self):
         sys = RotationSystem(SQRT2, SQRT2.zero, Window([]))

@@ -1,18 +1,20 @@
-"""Property tests of the three-gap stepping core and the floor-sum count
-in ``cutproject._scaled``.
+"""Property tests of the three-gap stepping core, the floor-sum count and
+the closed-form profile of bounded windows in ``cutproject._scaled``.
 
 Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
-``XiReal`` arithmetic from ``exactnum``, or brute force over k.
+``XiReal`` arithmetic from ``exactnum``, brute force over k, or, for the
+closed form, the three-gap scan of ``scan_chunk``.
 """
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutproject import _scaled
-from cutproject.discrepancy import profile
+from cutproject.criteria import oren_condition
+from cutproject.discrepancy import _record_points, _scan_rows, profile
 from cutproject.exactnum import XiSpec
 from cutproject.patterns import (
     OMEGA,
@@ -20,6 +22,7 @@ from cutproject.patterns import (
     Window,
     colored_hits,
     local_discrepancy,
+    parse_window,
 )
 
 FIELDS = [
@@ -128,9 +131,75 @@ def test_colors_match_interval_membership(system, rng):
     assert list(pat.points) == sorted(want)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(systems(), st.integers(100, 400))
-def test_profile_matches_direct_scan(system, n_max):
+KAPPAS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def bounded_systems(draw, fields=FIELDS + [NEGATIVE_XI]):
+    """Windows with an Oren matching, 1-3 intervals, and their witness.
+
+    Each class of endpoints is {frac(u), frac(u + kappa*xi)} with
+    0 < |kappa| <= 3, sometimes in the class of the previous one (teeth of
+    G may then coincide), or {0, 1}.  The window is bounded when every
+    class falls one endpoint left and one right.  The basepoint is free,
+    or puts the orbit point k, -300 <= k <= 300, exactly on a tooth.
+    """
+    xi = draw(st.sampled_from(fields))
+    cuts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            cuts += [xi.zero, xi.one]
+            continue
+        if cuts and draw(st.booleans()):
+            u = cuts[-1] + draw(KAPPAS) * xi.xi_real
+        else:
+            u = draw(points(xi))
+        kappa = draw(KAPPAS)
+        cuts += [u.fractional_part()[0], (u + kappa * xi.xi_real).fractional_part()[0]]
+    assume(len(set(cuts)) == len(cuts))
+    cuts.sort()
+    assume(cuts[:2] != [xi.zero, xi.one])  # [0, 1) is no window
+    window = Window([(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)])
+    witness = oren_condition(window)
+    assume(witness is not None)
+    if draw(st.booleans()):
+        base = draw(points(xi))
+    else:  # G's teeth are a_l + j*xi, 0 <= j < kappa or kappa <= j < 0
+        l = draw(st.integers(0, len(window) - 1))
+        kappa = witness.ks[l]
+        j = draw(st.sampled_from(list(range(min(kappa, 0), max(kappa, 0))) or [0]))
+        k = draw(st.one_of(st.integers(-3, 3), st.integers(-300, 300)))
+        base = window.intervals[l][0] + (j - k) * xi.xi_real
+    return RotationSystem(xi, base, window), witness
+
+
+def _case(xi, text, base):
+    window = parse_window(text, xi)
+    return RotationSystem(xi, base, window), oren_condition(window)
+
+
+# y_0 sits on the right end of a piece of G, where G jumps up (kappa < 0)
+ON_A_TOOTH = _case(
+    FIELDS[1], "[11/31, 104/31-2*xi) [149/31-3*xi, 25/31)", FIELDS[1].real(Fraction(104, 31), -2)
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(ON_A_TOOTH, 100, 4096)
+@given(
+    bounded_systems(),
+    st.sampled_from([100, 101, 997, 4096, 10**5]),
+    st.sampled_from([1, 16, 64, 4096]),
+)
+def test_closed_form_rows_match_scan(case, n_max, trace_limit):
+    system, witness = case
+    ss = system._scaled
+    records = _record_points(n_max, trace_limit)
+    rows, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
+    assert rows == _scan_rows(ss, records, 1)
+
+
+def assert_profile_matches_strip_route(system, n_max):
     hits = set(_scaled.collect_hits_direct(system._scaled, 0, n_max))
     length = system.window_length()
     got = {s.n: s for s in profile(system, n_max, trace_limit=64).samples}
@@ -144,6 +213,19 @@ def test_profile_matches_direct_scan(system, n_max):
         if n in got:
             assert got[n].value == value
             assert got[n].running_sup == sup
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(), st.integers(100, 400))
+def test_profile_matches_direct_scan(system, n_max):
+    assert_profile_matches_strip_route(system, n_max)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(ON_A_TOOTH, 100)
+@given(bounded_systems(), st.integers(100, 400))
+def test_closed_form_matches_strip_route(case, n_max):
+    assert_profile_matches_strip_route(case[0], n_max)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
