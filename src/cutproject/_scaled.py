@@ -9,16 +9,28 @@ multiplications (compare A^2 against B^2*d; a tie there is impossible
 for squarefree d unless both parts vanish, which is exactly value
 equality).  No floating point anywhere.
 
-Hits are enumerated by three-gap stepping (``interval_hits``).  For one
-half-open interval [lo, hi) of length l, let a be the least k >= 1 with
-alpha = frac(k*xi) < l and b the least k >= 1 with beta = 1 - frac(k*xi)
-< l (``return_gaps``, a subtractive Euclid walk).  By Slater's three-gap
-theorem the return times to the interval are a, b and a + b: from a hit y
-at index k the next hit is k + a if y < hi - alpha, else k + b if
-y >= lo + beta, else k + a + b.  Any a + b consecutive indices hold a
-hit, so one call costs O(#hits + a + b): at most a + b steps to find the
-first hit, then at most two sign tests per hit.  Windows of several
-intervals merge the streams of their intervals.
+Hits of one interval are enumerated by three-gap stepping
+(``interval_hits``).  For [lo, hi) of length l, let a be the least k >= 1
+with alpha = frac(k*xi) < l and b the least k >= 1 with beta =
+1 - frac(k*xi) < l (``return_gaps``, a subtractive Euclid walk).  By
+Slater's three-gap theorem the return times to the interval are a, b and
+a + b: from a hit y at index k the next hit is k + a if y < hi - alpha,
+else k + b if y >= lo + beta, else k + a + b.  Any a + b consecutive
+indices hold a hit, so one call costs O(#hits + a + b): at most a + b
+steps to find the first hit, then at most two sign tests per hit.
+
+Long ranges copy hits forward by blocks (``hit_blocks``).  For a walk
+time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
+exactly with eps = alpha or -beta: k + q lies in k's piece (an interval,
+or a gap of the hull) unless y_k lies on the crossing arc [c - eps, c)
+or [c, c - eps) of an endpoint c, split at 0 if it wraps, and then in
+the piece just past c (if it crosses two endpoints, it is stepped).  The
+first q indices and the arcs are stepped, every later hit is one integer
+addition.  With q the last walk time <= sqrt(N), a call makes
+O(q + L*(N*|eps| + q')) sign tests, q' the return times of an arc, and
+|eps| = O(1/q) as xi has bounded partial quotients.  Ranges below 3q and
+windows with fewer than 8 hits per crossing (length < 8*|eps| per
+endpoint, as for an acceptance domain) are stepped whole.
 
 Hit counts step over nothing (``count_hits``).  For 0 <= lo <= hi <= 1,
 1[frac(y) in [lo, hi)] = floor(y - lo) - floor(y - hi), so the count over
@@ -76,13 +88,14 @@ pairs each, 2 cores, CPython 3.11).
 
 from __future__ import annotations
 
+import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from heapq import merge
-from itertools import chain, repeat
-from math import gcd, lcm
-from operator import itemgetter
+from functools import cmp_to_key, lru_cache, reduce
+from itertools import chain
+from math import gcd, isqrt, lcm
+from operator import iadd, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import XiReal, XiSpec, floor_pair, pair_sign
@@ -90,6 +103,8 @@ from .exactnum import XiReal, XiSpec, floor_pair, pair_sign
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
 Triple = tuple[int, int, int]  # (A, B, D): the value (A + B*sqrt(d)) / D, D > 0
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -201,6 +216,8 @@ def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> Gaps:
     value is a radical pair scaled by m.  The subtractive Euclid walk
     starts from (1, frac(xi)) and (1, 1 - frac(xi)) (``_walk``).
     """
+    if pair_sign(ell[0], ell[1], d) <= 0:
+        raise ValueError("an interval of length <= 0 has no return times")
     return _walk(d, (1, step, 1, (m - step[0], -step[1])), ell)
 
 
@@ -231,13 +248,13 @@ def _walk(d: int, gaps: Gaps, ell: Pair) -> Gaps:
 
 def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Iterator[int]:
     """Increasing k in [k_min, k_max] with frac(basepoint + k*xi) in [lo, hi)."""
-    if k_min > k_max:
-        return
     d = ss.d
     m = ss.m
     p, q = ss.step
     lo_a, lo_b, hi_a, hi_b = iv
     ga, (al_a, al_b), gb, (be_a, be_b) = return_gaps(d, m, ss.step, (hi_a - lo_a, hi_b - lo_b))
+    if k_min > k_max:
+        return
     # first hit: any ga + gb consecutive indices hold one
     ya, yb = ss.state_at(k_min)
     k = k_min
@@ -279,9 +296,100 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
             return
 
 
+# -- block shift (module docstring) --------------------------------------------------
+
+Piece = tuple[Interval, int]  # an interval and its colour
+Block = tuple[list[int], list[int]]  # hits and their colours
+
+
+def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int) -> Block:
+    """Hits of the pieces in [k_min, k_max] and their colours, by three-gap stepping."""
+    if len(pieces) == 1:
+        ks = list(interval_hits(ss, pieces[0][0], k_min, k_max))
+        return ks, [pieces[0][1]] * len(ks)
+    hits = sorted((k, color) for iv, color in pieces for k in interval_hits(ss, iv, k_min, k_max))
+    return [k for k, _ in hits], [color for _, color in hits]
+
+
+@lru_cache(maxsize=256)
+def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], r: int, hull: bool) -> tuple:
+    """(pieces, q, arcs): q the last walk time at most r, by single steps, and
+    q = 0 for windows with fewer than 8 hits per crossing (module docstring)."""
+    pieces: list[Piece] = []
+    for color, iv in enumerate(ivals, 1):
+        if hull and pieces:
+            pieces.append(((pieces[-1][0][2], pieces[-1][0][3], iv[0], iv[1]), 0))
+        pieces.append((iv, color))
+    a, al, b, be = 1, step, 1, (m - step[0], -step[1])
+    while a + b <= r:
+        if pair_sign(al[0] - be[0], al[1] - be[1], d) > 0:
+            a, al = a + b, (al[0] - be[0], al[1] - be[1])
+        else:
+            b, be = a + b, (be[0] - al[0], be[1] - al[1])
+    q, (ea, eb), shift = (a, al, al) if a >= b else (b, be, (0, 0))  # |eps|, max(eps, 0)
+    ends = {e if e != (m, 0) else (0, 0) for iv, _ in pieces for e in (iv[:2], iv[2:])}  # 1 is 0
+    la = sum(iv[2] - iv[0] for iv, _ in pieces) - 8 * len(ends) * ea
+    lb = sum(iv[3] - iv[1] for iv, _ in pieces) - 8 * len(ends) * eb
+    if not pieces or pair_sign(la, lb, d) < 0:
+        return pieces, 0, []
+    side = slice(0, 2) if shift != (0, 0) else slice(2, 4)  # the colour past each endpoint by eps
+    past = dict.fromkeys(ends) | {iv[side]: color for iv, color in pieces}
+    past[0, 0] = past.pop((m, 0), past.get((0, 0)))
+    arcs = []  # [c - eps, c) or [c, c - eps), split at 0 if it wraps: none empty
+    for c in ends:
+        sa, sb = c[0] - shift[0], c[1] - shift[1]
+        sa += m if pair_sign(sa, sb, d) < 0 else 0
+        ta, tb = sa + ea, sb + eb
+        wraps = pair_sign(ta - m, tb, d) > 0
+        parts = [(sa, sb, m, 0), (0, 0, ta - m, tb)] if wraps else [(sa, sb, ta, tb)]
+        arcs += [(arc, past[c]) for arc in parts]
+    return pieces, q, arcs
+
+
+def hit_blocks(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> Iterator[Block]:
+    """Hits in [k_min, k_max] in increasing blocks of (ks, colours), as ``collect_colored``
+    with hull=True, else of the intervals alone."""
+    span = k_max - k_min + 1
+    pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, isqrt(max(span, 0)), hull)
+    if not q or 3 * q > span:
+        _log.debug("hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
+        yield _stepped(ss, pieces, k_min, k_max)
+        return
+    # the k whose point crosses an endpoint when moved on by q: those on its arc
+    on_arcs = ((k, color) for arc, color in arcs for k in interval_hits(ss, arc, k_min, k_max - q))
+    cross = sorted(on_arcs, key=itemgetter(0))
+    _log.debug(
+        "hits %d..%d: block shift, q=%d, %d blocks, %d crossings",
+        k_min, k_max, q, -(-span // q), len(cross),
+    )
+    ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)
+    yield ks, colors
+    i = 0
+    for start in range(k_min + q, k_max + 1, q):
+        ks = [k + q for k in ks]
+        colors = colors[:]  # new lists: callers keep or extend the blocks already yielded
+        while i < len(cross) and cross[i][0] < start:  # the crossings of the last block
+            k, color = cross[i]
+            i += 1
+            while i < len(cross) and cross[i][0] == k:  # it crosses several endpoints: step k + q
+                i += 1
+                color = (_stepped(ss, pieces, k + q, k + q)[1] or [None])[0]
+            k += q
+            j = bisect_left(ks, k)
+            if j < len(ks) and ks[j] == k:
+                del ks[j], colors[j]
+            if color is not None:
+                ks.insert(j, k)
+                colors.insert(j, color)
+        if start + q - 1 > k_max:  # the last block ends at k_max
+            j = bisect_right(ks, k_max)
+            del ks[j:], colors[j:]
+        yield ks, colors
+
+
 def collect_hits(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
     """All k in [k_min, k_max] whose orbit point lies in the window."""
-    return sorted(chain.from_iterable(interval_hits(ss, iv, k_min, k_max) for iv in ss.ivals))
+    return reduce(iadd, (ks for ks, _ in hit_blocks(ss, k_min, k_max)))
 
 
 # -- floor sums -------------------------------------------------------------------
@@ -367,18 +475,8 @@ def collect_colored(
 ) -> tuple[list[int], list[int]]:
     """Hits of the hull window, labelled by interval index (1-based) or 0
     when the point lies in the hull but in none of the intervals."""
-    ivals = ss.ivals
-    if len(ivals) == 1:  # the hull is the window: no gaps, nothing to merge
-        ks = list(interval_hits(ss, ivals[0], k_min, k_max))
-        return ks, [1] * len(ks)
-    pieces = [(iv, color) for color, iv in enumerate(ivals, 1)]
-    # the gaps [hi_i, lo_{i+1}) of the hull carry color 0
-    pieces += [((left[2], left[3], right[0], right[1]), 0) for left, right in zip(ivals, ivals[1:])]
-    color_of: dict[int, int] = {}
-    for iv, color in pieces:
-        color_of.update(zip(interval_hits(ss, iv, k_min, k_max), repeat(color)))
-    ks = sorted(color_of)
-    return ks, [color_of[k] for k in ks]
+    ks, colors = zip(*hit_blocks(ss, k_min, k_max, hull=True))
+    return reduce(iadd, ks), reduce(iadd, colors)
 
 
 # -- discrepancy scan ----------------------------------------------------------
@@ -414,8 +512,7 @@ def scan_chunk(
     # a gap g between hits moves D by M - g*len: up for g < F, down for g > F
     big_f = _floor_ratio(d, (m, 0), ss.length) if ss.ivals else 0  # no window, no hits
     f_sign = pair_sign(m - big_f * la, -big_f * lb, d)  # at g == F: 1 or 0
-    streams = [interval_hits(ss, iv, k_from, k_to) for iv in ss.ivals]
-    hits = streams[0] if len(streams) == 1 else merge(*streams)
+    hits = chain.from_iterable(ks for ks, _ in hit_blocks(ss, k_from, k_to))
     out = []
     h = 0
     kp = 0  # the previous hit

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
-from .acceptance import PatternSpec, indicator_hits, pattern_density
+from .acceptance import PatternSpec, _domain_window, pattern_density
 from .criteria import oren_condition
 from .exactnum import XiReal, pair_sign
 from .patterns import PointPattern, RotationSystem
@@ -346,8 +346,8 @@ def cochain_discrepancy(
 ) -> XiReal:
     """sum_j c_j * (occurrences of P_j in [x0, x1) - density_j * length).
 
-    Linear in the terms; densities are the exact acceptance-window
-    lengths (cached per system and pattern).
+    Linear in the terms; densities are exact acceptance-window lengths
+    and counts are floor sums on those windows (``_scaled.count_hits``).
     """
     x0, x1 = interval
     lo = _exact_ceil(x0)
@@ -355,7 +355,9 @@ def cochain_discrepancy(
     length = x1 - x0
     total = system.xi.zero
     for coeff, pat in cochain.terms:
-        count = len(indicator_hits(system, pat, lo, hi))
         dens = pattern_density(system, pat)
+        domain = system.with_window(_domain_window(system, pat))
+        domain.guard_singular(lo, hi)
+        count = _scaled.count_hits(domain._scaled, lo, hi)
         total = total + coeff * (system.xi.real(count) - dens * length)
     return total

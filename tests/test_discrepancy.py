@@ -1,5 +1,6 @@
 import io
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -258,6 +259,33 @@ class TestCochain:
                 + cochain_discrepancy(Cochain(((c2, pb),)), sys, interval)
             )
             assert cochain_discrepancy(combined, sys, interval) == split
+
+    def test_floor_sum_count_matches_enumeration(self):
+        """cochain_discrepancy counts occurrences by floor sums; the count
+        must equal the size of the enumerated indicator hits."""
+        from cutproject.acceptance import acceptance_domain, indicator_hits, pattern_density
+
+        rng = random.Random(7)
+        sys = RotationSystem(GOLDEN, GOLDEN.real(Fraction(1, 7)), parse_window("[0, 1/3)", GOLDEN))
+        never = PatternSpec(frozenset({0, 1}))  # y and y + xi never both lie in [0, 1/3)
+        assert not acceptance_domain(sys, never).window
+        pats = [never]
+        while len(pats) < 7:
+            offsets = rng.sample([o for o in range(-9, 10) if o], 3)
+            pat = PatternSpec(frozenset({0, offsets[0]}), frozenset(offsets[1:rng.randint(1, 3)]))
+            if pat not in pats:
+                pats.append(pat)
+        for _ in range(6):
+            chosen = [never] + rng.sample(pats[1:], 2)
+            terms = tuple((Fraction(rng.randint(-5, 5), rng.randint(1, 4)), p) for p in chosen)
+            x0 = Fraction(rng.randint(-4000, 4000), rng.randint(1, 3))
+            x1 = x0 + rng.randint(0, 3000)
+            lo, hi = math.ceil(x0), math.ceil(x1) - 1
+            expect = GOLDEN.zero
+            for coeff, p in terms:
+                count = len(indicator_hits(sys, p, lo, hi))
+                expect = expect + coeff * (GOLDEN.real(count) - pattern_density(sys, p) * (x1 - x0))
+            assert cochain_discrepancy(Cochain(terms), sys, (x0, x1)) == expect
 
     def test_two_term_against_direct_count(self):
         sys = RotationSystem(

@@ -1,5 +1,6 @@
-"""Property tests of the three-gap stepping core, the floor-sum count and
-the closed-form profile of bounded windows in ``cutproject._scaled``.
+"""Property tests of the three-gap stepping core, the block-shift hit
+stream, the floor-sum count and the closed-form profile of bounded
+windows in ``cutproject._scaled``.
 
 Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
@@ -7,22 +8,26 @@ stepping: ``collect_hits_direct`` (one explicit floor per index), plain
 closed form, the three-gap scan of ``scan_chunk``.
 """
 
+import logging
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, example, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from cutproject import _scaled
 from cutproject.criteria import oren_condition
 from cutproject.discrepancy import _record_points, _scan_rows, profile
-from cutproject.exactnum import XiSpec
+from cutproject.exactnum import XiSpec, pair_sign
 from cutproject.patterns import (
     OMEGA,
     RotationSystem,
     Window,
     colored_hits,
     local_discrepancy,
+    orbit_hits,
     parse_window,
+    strip_points,
 )
 
 FIELDS = [
@@ -310,3 +315,143 @@ def test_scan_chunk_rows_match_strip_route(system, rng, cuts):
     rows = _scaled.scan_chunk(ss, k_from, k_to, records)
     got = [(n, hn, ss.unscale((a, b)), ss.unscale((c, e))) for n, hn, a, b, c, e in rows]
     assert got == want
+
+
+# -- the block-shift stream ------------------------------------------------------------
+
+
+@st.composite
+def tiny(draw, xi):
+    """A length below the crossing arc |eps| of spans over a few thousand:
+    a small rational or a surd frac(a*xi) or 1 - frac(b*xi) below it."""
+    ell = xi.real(Fraction(1, draw(st.integers(1500, 10**5))))
+    if draw(st.booleans()):
+        return ell
+    ss = _scaled.scale_system(xi, xi.zero, [(xi.zero, ell)])
+    _, alpha, _, beta = _scaled.return_gaps(ss.d, ss.m, ss.step, ss.length)
+    return ss.unscale(draw(st.sampled_from([alpha, beta])))
+
+
+@st.composite
+def block_systems(draw):
+    """Windows long enough for the block route, 1-4 intervals.
+
+    Cuts come from ``points`` (so 0 and 1 and full-circle hulls occur) or
+    sit a tiny length after the previous cut, which makes a piece or a gap
+    shorter than |eps|: one point then crosses two endpoints in one
+    block.  Half the basepoints put the orbit point of some k in the range
+    exactly on an endpoint.  Returns the system and the range.
+    """
+    xi = draw(st.sampled_from(FIELDS + [NEGATIVE_XI]))
+    cuts = []
+    for _ in range(2 * draw(st.integers(1, 4))):
+        if cuts and draw(st.integers(0, 2)) == 0:
+            cuts.append((cuts[-1] + draw(tiny(xi))).fractional_part()[0])
+        else:
+            cuts.append(draw(points(xi)))
+    cuts = sorted(set(cuts))
+    cuts = cuts[: len(cuts) // 2 * 2]
+    assume(cuts and cuts[:2] != [xi.zero, xi.one])
+    window = Window([(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)])
+    assume((3 * window.total_length() - 1).sign() > 0)
+    k_min = draw(st.integers(-30000, 3000))
+    span = draw(st.sampled_from([2000, 5000, 9000, 20000]))
+    if draw(st.booleans()):
+        base = draw(points(xi))
+    else:
+        end = draw(st.sampled_from(window.endpoints()))
+        base = end - (k_min + draw(st.integers(0, span))) * xi.xi_real
+    return RotationSystem(xi, base, window), k_min, k_min + span
+
+
+def direct_colors(ss, k_min, k_max):
+    """Colour of each k of the hull by its own explicit floor: interval i
+    (from 1), OMEGA in a gap between intervals."""
+    ivals = ss.ivals
+    out = {}
+    for k in range(k_min, k_max + 1):
+        ya, yb = ss.state_at(k)
+        below = [pair_sign(ya - iv[2], yb - iv[3], ss.d) < 0 for iv in ivals]
+        above = [pair_sign(ya - iv[0], yb - iv[1], ss.d) >= 0 for iv in ivals]
+        inside = [i for i, (b, a) in enumerate(zip(below, above), 1) if a and b]
+        if inside:
+            out[k] = inside[0]
+        elif above[0] and below[-1]:
+            out[k] = OMEGA
+    return out
+
+
+def route(caplog, call):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cutproject"):
+        call()
+    (record,) = caplog.records
+    return record.getMessage()
+
+
+# q = 89 and eps = frac(89*xi) > 1/1000: the arc of the endpoint 1/1000 wraps
+WRAPPED = (
+    RotationSystem(FIELDS[0], FIELDS[0].zero, parse_window("[1/1000, 7/10)", FIELDS[0])),
+    -5000,
+    15000,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@example(WRAPPED)
+@given(block_systems())
+def test_block_stream_matches_strip_route(case):
+    system, k_min, k_max = case
+    ss = system._scaled
+    blocks = [list(ks) for ks, _ in _scaled.hit_blocks(ss, k_min, k_max)]
+    event("block shift" if len(blocks) > 1 else "three-gap stepping")
+    assert [k for ks in blocks for k in ks] == _scaled.collect_hits_direct(ss, k_min, k_max)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
+@example(WRAPPED)
+@given(block_systems())
+def test_block_stream_colors_match_membership(case):
+    system, k_min, k_max = case
+    ks, colors = _scaled.collect_colored(system._scaled, k_min, k_max)
+    assert dict(zip(ks, colors)) == direct_colors(system._scaled, k_min, k_max)
+    assert ks == sorted(set(ks))
+
+
+FLAGSHIP = RotationSystem(
+    FIELDS[1], FIELDS[1].zero, Window.single(FIELDS[1].zero, FIELDS[1].real(-1, 1))
+)
+
+
+@pytest.mark.parametrize("k_max", [10, 10**4])
+def test_block_stream_flagship(k_max, caplog):
+    """sqrt(2), basepoint 0 on the endpoint 0, window [0, xi - 1)."""
+    message = route(caplog, lambda: orbit_hits(FLAGSHIP, 0, k_max))
+    assert ("block shift" in message) == (k_max > 10)
+    assert orbit_hits(FLAGSHIP, 0, k_max) == strip_points(FLAGSHIP, 0, k_max)
+    ks, colors = _scaled.collect_colored(FLAGSHIP._scaled, 0, k_max)
+    assert dict(zip(ks, colors)) == direct_colors(FLAGSHIP._scaled, 0, k_max)
+
+
+def test_route_is_logged(caplog):
+    """One DEBUG line per call names the route: block shift or stepping."""
+    xi = FIELDS[0]
+    long = RotationSystem(xi, xi.zero, parse_window("[1/10, 7/10)", xi))
+    short = long.with_window(parse_window("[1/10, 1/10 + 1/64)", xi))
+    message = route(caplog, lambda: orbit_hits(long, -7, 49992))
+    assert message.startswith("hits -7..49992: block shift, q=144, 348 blocks, ")
+    assert message.endswith(" crossings")
+    message = route(caplog, lambda: colored_hits(long, 0, 99))
+    assert message == "hits 0..99: three-gap stepping, 1 pieces"
+    message = route(caplog, lambda: colored_hits(short, 0, 49999))
+    assert message == "hits 0..49999: three-gap stepping, 1 pieces"
+
+
+def test_zero_length_interval_fails_fast():
+    ss = FLAGSHIP._scaled
+    for ell in [(0, 0), (-ss.m, 0)]:
+        with pytest.raises(ValueError, match="length <= 0"):
+            _scaled.return_gaps(ss.d, ss.m, ss.step, ell)
+    for iv in [(0, 0, 0, 0), (ss.m, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="length <= 0"):
+            list(_scaled.interval_hits(ss, iv, 0, 10))
