@@ -88,23 +88,27 @@ pairs each, 2 cores, CPython 3.11).
 
 from __future__ import annotations
 
-import logging
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import iadd, itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import XiReal, XiSpec, floor_pair, pair_sign
+from .exactnum import Triple, XiReal, XiSpec, floor_pair, pair_sign
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
-Triple = tuple[int, int, int]  # (A, B, D): the value (A + B*sqrt(d)) / D, D > 0
 
-_log = logging.getLogger(__name__)
+
+def debug(logger: str, msg: str, *args: object) -> None:
+    """Log at DEBUG on ``logger`` if ``logging`` is loaded: the package never imports
+    it (ms at start-up), and where nothing else has, the line has nowhere to go."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,7 @@ class ScaledSystem:
 
 def unscale_pair(xi: XiSpec, m: int, pair: tuple[int, int]) -> XiReal:
     """Exact field element for the scaled radical pair (A + B*sqrt(d)) / m."""
-    b = Fraction(pair[1], m) / xi.q
-    return XiReal(Fraction(pair[0], m) - b * xi.p, b, xi)
+    return XiReal.from_triple(pair[0], pair[1], m, xi)
 
 
 def _floor_ratio(d: int, x: Pair, y: Pair) -> int:
@@ -149,15 +152,9 @@ def scale_system(
     xi: XiSpec, basepoint: XiReal, intervals: Sequence[tuple[XiReal, XiReal]]
 ) -> ScaledSystem:
     step_frac, _ = xi.xi_real.fractional_part()
-    values = [basepoint, step_frac, xi.xi_real]
-    for lo, hi in intervals:
-        values.append(lo)
-        values.append(hi)
-    pairs = [v.radical_pair() for v in values]
-    m = 1
-    for A, B in pairs:
-        m = lcm(m, A.denominator, B.denominator)
-    scaled = [(int(A * m), int(B * m)) for A, B in pairs]
+    triples = [v.triple for v in (basepoint, step_frac, xi.xi_real, *chain(*intervals))]
+    m = lcm(*(D for _, _, D in triples))
+    scaled = [(A * (m // D), B * (m // D)) for A, B, D in triples]
     epairs = scaled[3:]
     ivals = tuple(
         (epairs[2 * i][0], epairs[2 * i][1], epairs[2 * i + 1][0], epairs[2 * i + 1][1])
@@ -352,14 +349,14 @@ def hit_blocks(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> 
     span = k_max - k_min + 1
     pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, isqrt(max(span, 0)), hull)
     if not q or 3 * q > span:
-        _log.debug("hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
+        debug(__name__, "hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
         yield _stepped(ss, pieces, k_min, k_max)
         return
     # the k whose point crosses an endpoint when moved on by q: those on its arc
     on_arcs = ((k, color) for arc, color in arcs for k in interval_hits(ss, arc, k_min, k_max - q))
     cross = sorted(on_arcs, key=itemgetter(0))
-    _log.debug(
-        "hits %d..%d: block shift, q=%d, %d blocks, %d crossings",
+    debug(
+        __name__, "hits %d..%d: block shift, q=%d, %d blocks, %d crossings",
         k_min, k_max, q, -(-span // q), len(cross),
     )
     ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)

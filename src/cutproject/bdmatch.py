@@ -20,10 +20,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from ._scaled import unscale_pair
 from .exactnum import XiReal, XiSpec, pair_sign, parse_xi, parse_xireal
 from .patterns import PointPattern
 
@@ -141,9 +139,7 @@ def _residue_extrema(points: tuple[Exact, ...], delta: Exact) -> tuple[Exact, Ex
     """Exact (min, max) of r_i = y_i*delta - i over the sorted points."""
     all_int = all(isinstance(y, int) for y in points)
     if all_int and isinstance(delta, XiReal):
-        A, B = delta.radical_pair()
-        m = lcm(A.denominator, B.denominator)
-        a, b = int(A * m), int(B * m)
+        a, b, m = delta.triple
         d = delta.xi.d
         lo = hi = (points[0] * a, points[0] * b)
         for i, y in enumerate(points[1:], 1):
@@ -152,7 +148,7 @@ def _residue_extrema(points: tuple[Exact, ...], delta: Exact) -> tuple[Exact, Ex
                 hi = cand
             elif pair_sign(cand[0] - lo[0], cand[1] - lo[1], d) < 0:
                 lo = cand
-        return unscale_pair(delta.xi, m, lo), unscale_pair(delta.xi, m, hi)
+        return XiReal.from_triple(*lo, m, delta.xi), XiReal.from_triple(*hi, m, delta.xi)
     if all_int and isinstance(delta, (int, Fraction)):
         delta = Fraction(delta)
         num, den = delta.numerator, delta.denominator

@@ -18,9 +18,7 @@ never proof: the exact verdict comes from the boundary-class criteria.
 
 from __future__ import annotations
 
-import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Optional, Sequence, Union
@@ -44,8 +42,6 @@ __all__ = [
 ]
 
 Exact = Union[int, Fraction, XiReal]
-
-_log = logging.getLogger(__name__)
 
 _CHUNK_SPAN = 131_072  # fixed so results never depend on the worker count
 
@@ -179,8 +175,8 @@ def profile(
         rows = _scan_rows(ss, records, workers)
     else:
         rows, teeth, events = _scaled.closed_form_rows(ss, witness.ks, records)
-        _log.debug(
-            "profile n_max=%d: closed form, %d teeth, %d record events, %d samples",
+        _scaled.debug(
+            __name__, "profile n_max=%d: closed form, %d teeth, %d record events, %d samples",
             n_max, teeth, events, len(rows),
         )
 
@@ -218,11 +214,13 @@ def _scan_rows(
 
     args = [(ss, k_from, k_to, rs) for k_from, k_to, rs in chunks]
     pooled = workers > 1 and len(chunks) > 1
-    _log.debug(
-        "profile n_max=%d: three-gap scan, %d chunks, %d workers, %d samples",
+    _scaled.debug(
+        __name__, "profile n_max=%d: three-gap scan, %d chunks, %d workers, %d samples",
         n_max, len(chunks), workers if pooled else 1, len(records),
     )
     if pooled:
+        from concurrent.futures import ProcessPoolExecutor  # loads logging: only for a pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_rows = list(pool.map(_scaled.scan_chunk, *zip(*args)))
     else:

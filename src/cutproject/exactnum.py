@@ -8,18 +8,24 @@ membership test exactly decidable with integer arithmetic; no floating
 point enters any decision path.  Floats appear only in ``__float__``,
 which exists for display purposes.
 
-Because xi is irrational, the pair (a, b) of reduced fractions is a
-unique representation of the real value, so structural equality equals
-value equality.
+An ``XiReal`` is the integer radical triple (A, B, D), standing for the
+value (A + B*sqrt(d)) / D, with D > 0 and gcd(A, B, D) = 1; ``XiSpec``
+keeps xi once as a triple (P, Q, R) of the same kind.  As sqrt(d) is
+irrational, a value fixes the rationals A/D and B/D; D > 0 and the gcd
+condition then make D their least common denominator, so the triple is
+unique and structural equality is value equality.  A sign is one
+``pair_sign`` on (A, B), a floor one ``floor_pair``, and a sum, product
+or inverse integer work followed by one gcd.  The coefficients a, b over
+the basis (1, xi) are ``Fraction``s built from the triple when read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, lcm
+from math import gcd, isqrt
 from typing import Optional, Union
 
 __all__ = [
@@ -90,17 +96,23 @@ def floor_pair(a: int, b: int, m: int, d: int) -> int:
     return n0 + 1 if pair_sign(a - (n0 + 1) * m, b, d) >= 0 else n0
 
 
+Triple = tuple[int, int, int]  # (A, B, D): the value (A + B*sqrt(d)) / D, D > 0
+
+
 @dataclass(frozen=True)
 class XiSpec:
     """The ambient quadratic irrational xi = p + q*sqrt(d).
 
     d is reduced to its squarefree core at construction (the extracted
     square factor is folded into q), so equal values always compare equal.
+    ``triple`` holds xi once as integers (P, Q, R) with
+    xi = (P + Q*sqrt(d)) / R, R > 0 and gcd(P, Q, R) = 1.
     """
 
     p: Fraction
     q: Fraction
     d: int
+    triple: Triple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = Fraction(self.p)
@@ -114,6 +126,9 @@ class XiSpec:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", core)
+        pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+        g = gcd(pn * qd, qn * pd, pd * qd)
+        object.__setattr__(self, "triple", (pn * qd // g, qn * pd // g, pd * qd // g))
 
     @classmethod
     def sqrt(cls, d: int) -> "XiSpec":
@@ -121,20 +136,20 @@ class XiSpec:
 
     def real(self, a: Rational, b: Rational = 0) -> "XiReal":
         """The field element a + b*xi."""
-        return XiReal(Fraction(a), Fraction(b), self)
+        return XiReal(a, b, self)
 
     @property
     def zero(self) -> "XiReal":
-        return self.real(0)
+        return XiReal.from_triple(0, 0, 1, self)
 
     @property
     def one(self) -> "XiReal":
-        return self.real(1)
+        return XiReal.from_triple(1, 0, 1, self)
 
     @property
     def xi_real(self) -> "XiReal":
         """The value xi itself as a field element (0 + 1*xi)."""
-        return self.real(0, 1)
+        return XiReal.from_triple(*self.triple, self)
 
     def __float__(self) -> float:
         return float(self.xi_real)
@@ -151,63 +166,94 @@ class XiSpec:
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
 class XiReal:
-    """An exact element a + b*xi of Q(xi), with reduced-fraction components."""
+    """An exact element a + b*xi of Q(xi), stored as (A + B*sqrt(d)) / D.
 
-    a: Fraction
-    b: Fraction
-    xi: XiSpec
+    ``XiReal(a, b, xi)`` (or ``xi.real(a, b)``) builds it from rationals and
+    ``from_triple`` from integers; ``a``, ``b`` and ``triple`` read it back.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    __slots__ = ("_A", "_B", "_D", "_xi")
 
-    # -- internals ---------------------------------------------------------
+    def __init__(self, a: Rational, b: Rational, xi: XiSpec) -> None:
+        a, b = Fraction(a), Fraction(b)
+        P, Q, R = xi.triple
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        # a + b*(P + Q*sqrt(d))/R over the denominator ad*bd*R
+        self._set(an * bd * R + bn * ad * P, bn * ad * Q, ad * bd * R, xi)
 
-    def _check(self, other: "XiReal") -> None:
-        if self.xi != other.xi:
-            raise XiMismatchError(f"ambient fields differ: {self.xi} vs {other.xi}")
+    def _set(self, A: int, B: int, D: int, xi: XiSpec) -> "XiReal":
+        g = gcd(A, B, D) if D > 0 else -gcd(A, B, D)
+        self._A, self._B, self._D, self._xi = A // g, B // g, D // g, xi
+        return self
 
-    def _coerce(self, other: object) -> Optional["XiReal"]:
+    @staticmethod
+    def from_triple(A: int, B: int, D: int, xi: XiSpec) -> "XiReal":
+        """The value (A + B*sqrt(d)) / D for integers A, B and D != 0."""
+        return object.__new__(XiReal)._set(A, B, D, xi)
+
+    def __reduce__(self) -> tuple:
+        return XiReal.from_triple, (self._A, self._B, self._D, self._xi)
+
+    @property
+    def xi(self) -> XiSpec:
+        return self._xi
+
+    @property
+    def triple(self) -> Triple:
+        """(A, B, D) with value (A + B*sqrt(d)) / D, D > 0 and gcd(A, B, D) = 1."""
+        return self._A, self._B, self._D
+
+    @property
+    def a(self) -> Fraction:
+        """The coefficient of 1 over the basis (1, xi), as sqrt(d) = (R*xi - P)/Q."""
+        P, Q, _ = self._xi.triple
+        return Fraction(self._A * Q - self._B * P, self._D * Q)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of xi over the basis (1, xi)."""
+        _, Q, R = self._xi.triple
+        return Fraction(self._B * R, self._D * Q)
+
+    def _coerce(self, other: object) -> Optional[Triple]:
+        """The triple of a rational or of an XiReal of the same field, else None."""
         if isinstance(other, XiReal):
-            self._check(other)
-            return other
+            if other._xi is not self._xi and other._xi != self._xi:
+                raise XiMismatchError(f"ambient fields differ: {self._xi} vs {other._xi}")
+            return other._A, other._B, other._D
         if isinstance(other, (int, Fraction)):
-            return XiReal(Fraction(other), Fraction(0), self.xi)
+            return other.numerator, 0, other.denominator
         return None
-
-    def radical_pair(self) -> tuple[Fraction, Fraction]:
-        """Coefficients (A, B) of the value over the basis (1, sqrt(d))."""
-        return self.a + self.b * self.xi.p, self.b * self.xi.q
 
     # -- ordering ----------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of the real value: -1, 0 or +1."""
-        A, B = self.radical_pair()
-        return pair_sign(A, B, self.xi.d)
+        return pair_sign(self._A, self._B, self._xi.d)
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return bool(self._A or self._B)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, XiReal) and other.xi != self.xi:
-            return False  # rational values of two fields share a hash; == must not raise
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, XiReal):  # values of two fields may share a hash; == must not raise
+            return (self._A, self._B, self._D) == (other._A, other._B, other._D) and (
+                self._xi is other._xi or self._xi == other._xi
+            )
+        if isinstance(other, (int, Fraction)):
+            return not self._B and self._A == other.numerator and self._D == other.denominator
+        return NotImplemented
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        A, B, D = o  # the sign of self - other, with no XiReal built for it
+        return pair_sign(self._A * D - A * self._D, self._B * D - B * self._D, self._xi.d) < 0
 
     def __hash__(self) -> int:
         # a rational value equals its int/Fraction, so it must hash like one
-        return hash((self.a, self.b, self.xi)) if self.b else hash(self.a)
+        return hash((self._A, self._B, self._D)) if self._B else hash(Fraction(self._A, self._D))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -215,115 +261,98 @@ class XiReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return XiReal(self.a + o.a, self.b + o.b, self.xi)
+        A, B, D = o
+        sd = self._D
+        if D == sd:
+            return XiReal.from_triple(self._A + A, self._B + B, D, self._xi)
+        return XiReal.from_triple(self._A * D + A * sd, self._B * D + B * sd, sd * D, self._xi)
 
     __radd__ = __add__
 
     def __neg__(self) -> "XiReal":
-        return XiReal(-self.a, -self.b, self.xi)
+        return XiReal.from_triple(-self._A, -self._B, self._D, self._xi)
 
     def __sub__(self, other: object) -> "XiReal":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return XiReal(self.a - o.a, self.b - o.b, self.xi)
+        A, B, D = o
+        sd = self._D
+        if D == sd:
+            return XiReal.from_triple(self._A - A, self._B - B, D, self._xi)
+        return XiReal.from_triple(self._A * D - A * sd, self._B * D - B * sd, sd * D, self._xi)
 
     def __rsub__(self, other: object) -> "XiReal":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: object) -> "XiReal":
-        if isinstance(other, (int, Fraction)):
-            return XiReal(self.a * other, self.b * other, self.xi)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # xi^2 = 2p*xi + (q^2 d - p^2)
-        p, q, d = self.xi.p, self.xi.q, self.xi.d
-        t = self.b * o.b
-        return XiReal(
-            self.a * o.a + t * (q * q * d - p * p),
-            self.a * o.b + o.a * self.b + 2 * p * t,
-            self.xi,
-        )
+        A, B, D = o
+        sa, sb, xi = self._A, self._B, self._xi
+        return XiReal.from_triple(sa * A + xi.d * sb * B, sa * B + A * sb, self._D * D, xi)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "XiReal":
-        A, B = self.radical_pair()
-        nrm = A * A - B * B * self.xi.d
-        if nrm == 0:  # only when A = B = 0
+        A, B, D = self._A, self._B, self._D
+        # D/(A + B sqrt d) = D*(A - B sqrt d)/nrm, and nrm = 0 only for A = B = 0
+        nrm = A * A - B * B * self._xi.d
+        if nrm == 0:
             raise ZeroDivisionError("division by zero XiReal")
-        # 1/(A + B sqrt d) = (A - B sqrt d)/nrm; back to the (1, xi) basis
-        # via sqrt(d) = (xi - p)/q.
-        X, Y = A / nrm, -B / nrm
-        p, q = self.xi.p, self.xi.q
-        return XiReal(X - Y * p / q, Y / q, self.xi)
+        return XiReal.from_triple(D * A, -D * B, nrm, self._xi)
 
     def __truediv__(self, other: object) -> "XiReal":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return XiReal(self.a / other, self.b / other, self.xi)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * XiReal.from_triple(*o, self._xi).inverse()
 
     def __rtruediv__(self, other: object) -> "XiReal":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse().__mul__(other)
 
     def __abs__(self) -> "XiReal":
         return -self if self.sign() < 0 else self
 
     # -- floor and friends ---------------------------------------------------
 
-    def _cleared(self) -> tuple[int, int, int]:
-        """Integers (a, b, m) with value (a + b*sqrt(d)) / m, m > 0."""
-        A, B = self.radical_pair()
-        m = lcm(A.denominator, B.denominator)
-        return A.numerator * (m // A.denominator), B.numerator * (m // B.denominator), m
-
     def floor(self) -> int:
         """Exact floor, via integer square roots (no floating point)."""
-        return floor_pair(*self._cleared(), self.xi.d)
+        return floor_pair(self._A, self._B, self._D, self._xi.d)
 
     def fractional_part(self) -> tuple["XiReal", int]:
         """Split into (frac, floor) with value = floor + frac, 0 <= frac < 1."""
         n = self.floor()
-        return self - n, n
+        return XiReal.from_triple(self._A - n * self._D, self._B, self._D, self._xi), n
 
     # -- rendering -----------------------------------------------------------
 
     def decimal(self, digits: int = 30) -> str:
         """Exact decimal rendering, truncated toward zero after `digits` places."""
         neg = self.sign() < 0
-        u = -self if neg else self
-        scaled = (u * 10**digits).floor()
+        A, B = (-self._A, -self._B) if neg else (self._A, self._B)
+        scaled = floor_pair(A * 10**digits, B * 10**digits, self._D, self._xi.d)
         s = str(scaled).rjust(digits + 1, "0")
         out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
         return "-" + out if neg else out
 
     def __float__(self) -> float:
         """The value within 1 ulp, from an exact floor of value * 2^s."""
-        a, b, m = self._cleared()
-        d = self.xi.d
+        a, b, m = self._A, self._B, self._D
+        d = self._xi.d
         # |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) unless a = b = 0, so this s
         # makes |value * 2^s| >= 2^54 and the floor costs under 2^-54 relative
         s = 54 + m.bit_length() + (abs(a) + abs(b) * (isqrt(d) + 1)).bit_length()
         return floor_pair(a << s, b << s, m, d) / (1 << s)
 
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        head = str(self.a) if self.a else ""
-        sgn = "-" if self.b < 0 else ("+" if head else "")
-        return f"{head}{sgn}{abs(self.b)}*xi"
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
+        head = str(a) if a else ""
+        sgn = "-" if b < 0 else ("+" if head else "")
+        return f"{head}{sgn}{abs(b)}*xi"
 
     def __repr__(self) -> str:
         return f"XiReal({self}, xi={self.xi})"
@@ -334,9 +363,12 @@ class XiReal:
 
 def decompose_Z_plus_Zxi(u: XiReal) -> Optional[tuple[int, int]]:
     """Return (k, m) with u = k*xi + m when both exist in Z, else None."""
-    if u.a.denominator == 1 and u.b.denominator == 1:
-        return int(u.b), int(u.a)
-    return None
+    A, B, D = u.triple
+    P, Q, R = u.xi.triple
+    # u = (A*Q - B*P)/(D*Q) + (B*R/(D*Q))*xi, as in XiReal.a and XiReal.b
+    k, r = divmod(B * R, D * Q)
+    m, s = divmod(A * Q - B * P, D * Q)
+    return None if r or s else (k, m)
 
 
 # -- parsing -------------------------------------------------------------------

@@ -67,25 +67,23 @@ class Window:
         for lo, hi in ivs:
             if lo.xi != hi.xi or lo.xi != ivs[0][0].xi:
                 raise ValueError("window endpoints live in different fields")
-            if lo.sign() < 0 or (hi - 1).sign() > 0:
+            if lo < 0 or hi > 1:
                 raise ValueError(f"interval [{lo}, {hi}) leaves [0, 1]")
-            if (hi - lo).sign() <= 0:
+            if hi <= lo:
                 raise ValueError(f"empty or reversed interval [{lo}, {hi})")
         merged: list[tuple[XiReal, XiReal]] = []
         for lo, hi in ivs:
             if merged:
                 prev_lo, prev_hi = merged[-1]
-                gap = (lo - prev_hi).sign()
-                if gap < 0:
+                if lo < prev_hi:
                     raise ValueError(f"overlapping intervals at [{lo}, {hi})")
-                if gap == 0:
+                if lo == prev_hi:
                     merged[-1] = (prev_lo, hi)
                     continue
             merged.append((lo, hi))
         object.__setattr__(self, "intervals", tuple(merged))
         if merged:
-            total = self.total_length()
-            if (total - 1).sign() >= 0:
+            if self.total_length() >= 1:
                 raise ValueError("window must have total length < 1")
 
     @classmethod
@@ -108,21 +106,14 @@ class Window:
         return self.intervals[0][0].xi
 
     def total_length(self) -> XiReal:
-        self._require_nonempty()
-        total = self.intervals[0][1] - self.intervals[0][0]
-        for lo, hi in self.intervals[1:]:
-            total = total + (hi - lo)
-        return total
+        return sum((hi - lo for lo, hi in self.intervals), self.xi.zero)
 
     def endpoints(self) -> tuple[XiReal, ...]:
         """Flat endpoint sequence (a1, b1, a2, b2, ...)."""
         return tuple(e for iv in self.intervals for e in iv)
 
     def contains(self, x: XiReal) -> bool:
-        for lo, hi in self.intervals:
-            if (x - lo).sign() >= 0 and (x - hi).sign() < 0:
-                return True
-        return False
+        return any(lo <= x < hi for lo, hi in self.intervals)
 
     def hull(self) -> "Window":
         """Single interval from the least to the greatest endpoint."""
@@ -138,39 +129,24 @@ class Window:
         for lo, hi in self.intervals:
             lo2, _ = (lo + t).fractional_part()
             hi2 = lo2 + (hi - lo)
-            if (hi2 - 1).sign() <= 0:
-                pieces.append((lo2, hi2))
-            else:
-                one = lo2.xi.one
-                pieces.append((lo2, one))
-                pieces.append((lo2.xi.zero, hi2 - 1))
+            pieces += [(lo2, hi2)] if hi2 <= 1 else [(lo2, lo2.xi.one), (lo2.xi.zero, hi2 - 1)]
         return Window(pieces)
 
     def complement(self) -> "Window":
-        """Complement within [0, 1), again a union of half-open intervals."""
-        self._require_nonempty()
-        spec = self.xi
-        zero, one = spec.zero, spec.one
-        pieces: list[tuple[XiReal, XiReal]] = []
-        prev = zero
-        for lo, hi in self.intervals:
-            if (lo - prev).sign() > 0:
-                pieces.append((prev, lo))
-            prev = hi
-        if (one - prev).sign() > 0:
-            pieces.append((prev, one))
-        return Window(pieces)
+        """Complement within [0, 1), again a union of half-open intervals:
+        [0, a1), [b1, a2), ..., [bL, 1), the empty ones left out."""
+        ends = (self.xi.zero, *self.endpoints(), self.xi.one)
+        return Window([(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi])
 
     def intersect(self, other: "Window") -> "Window":
         a, b = self.intervals, other.intervals
         i = j = 0
         pieces: list[tuple[XiReal, XiReal]] = []
         while i < len(a) and j < len(b):
-            lo = a[i][0] if (a[i][0] - b[j][0]).sign() >= 0 else b[j][0]
-            hi = a[i][1] if (a[i][1] - b[j][1]).sign() <= 0 else b[j][1]
-            if (hi - lo).sign() > 0:
+            lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+            if lo < hi:
                 pieces.append((lo, hi))
-            if (a[i][1] - b[j][1]).sign() <= 0:
+            if a[i][1] <= b[j][1]:
                 i += 1
             else:
                 j += 1

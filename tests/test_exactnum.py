@@ -1,7 +1,9 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
-from math import isqrt, prod, ulp
+from math import gcd, isqrt, prod, ulp
 
 import mpmath
 import pytest
@@ -360,3 +362,99 @@ class TestFloat:
             want = mp_value(xi.xi_real, 100)
             assert abs(mpmath.mpf(float(xi)) - want) <= ulp(float(xi))
 
+
+# the five test fields of tests/test_threegap.py, and an xi below 0
+FIELDS = [
+    XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
+    SQRT2,
+    SQRT3,
+    XiSpec(Fraction(-1, 3), Fraction(2, 3), 7),
+    XiSpec(Fraction(0), Fraction(1), 19),
+    XiSpec(-2, 1, 2),
+]
+components = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+)
+same_field = st.sampled_from(FIELDS).flatmap(
+    lambda xi: st.tuples(st.just(xi), components, components, components, components)
+)
+
+
+def normalised(x):
+    A, B, D = x.triple
+    return D > 0 and gcd(A, B, D) == 1
+
+
+def rendering(a, b):
+    """``str`` of a + b*xi, spelled out from the two Fractions."""
+    if not b:
+        return str(a)
+    head = str(a) if a else ""
+    return f"{head}{'-' if b < 0 else ('+' if head else '')}{abs(b)}*xi"
+
+
+class TestTripleRepresentation:
+    """XiReal is the normalised integer triple (A, B, D); its a and b are the
+    Fractions it was built from, and every route to one value gives one triple."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_field)
+    def test_coefficients_round_trip(self, args):
+        xi, a, b, _, _ = args
+        x = XiReal(a, b, xi)
+        assert (x.a, x.b) == (a, b)
+        assert normalised(x)
+        assert XiReal(x.a, x.b, xi) == x
+        assert XiReal.from_triple(*x.triple, xi) == x
+        assert str(x) == rendering(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_field)
+    def test_field_operations_invert(self, args):
+        xi, a, b, c, e = args
+        x, y = xi.real(a, b), xi.real(c, e)
+        s = x + y
+        assert s == xi.real(a + c, b + e) and normalised(s)
+        assert (x + y) - y == x
+        assert normalised(x - y) and normalised(x * y)
+        if y:
+            assert x * y / y == x
+        if x:
+            inv = x.inverse()
+            assert normalised(inv)
+            assert x * inv == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_field)
+    def test_equal_values_hash_equal(self, args):
+        xi, a, b, c, e = args
+        x, y = xi.real(a, b), xi.real(c, e)
+        routes = [x, (x + y) - y, y + x - y, XiReal(x.a, x.b, xi), -(-x)]
+        if y:
+            routes.append(x * y / y)
+        for r in routes:
+            assert r == x and r.triple == x.triple and hash(r) == hash(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_field)
+    def test_rational_values_hash_like_fractions(self, args):
+        xi, a, b, _, _ = args
+        for r in (xi.real(a), xi.real(a, b) - b * xi.xi_real, xi.real(a.numerator)):
+            want = r.a
+            assert not r.b and r == want and hash(r) == hash(want)
+        assert hash(xi.real(a.numerator)) == hash(a.numerator)
+
+    @settings(max_examples=100, deadline=None)
+    @given(same_field)
+    def test_pickle_and_deepcopy(self, args):
+        xi, a, b, _, _ = args
+        x = xi.real(a, b)
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            for v in (x, xi):
+                back = pickle.loads(pickle.dumps(v, proto))
+                assert back == v and hash(back) == hash(v)
+        back = copy.deepcopy((x, xi))
+        assert back == (x, xi) and back[0].triple == x.triple and back[1].triple == xi.triple
+        assert back[0] + x == 2 * x  # the copied field is the same field

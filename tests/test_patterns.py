@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cutproject.exactnum import XiReal, XiSpec
 from cutproject.patterns import (
@@ -154,6 +156,60 @@ class TestWindow:
             parse_window("(0, 1/2)", SQRT2)
         with pytest.raises(ValueError):
             parse_window("[0, 1/2) junk", SQRT2)
+
+
+FIELDS = [
+    XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
+    SQRT2,
+    XiSpec.sqrt(3),
+    XiSpec(Fraction(-1, 3), Fraction(2, 3), 7),
+    XiSpec(Fraction(0), Fraction(1), 19),
+    XiSpec(-2, 1, 2),
+]
+
+
+@st.composite
+def surds(draw, xi):
+    """a + b*xi with a rational and b a small integer, anywhere on the line."""
+    a = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 9)))
+    return xi.real(a, draw(st.integers(-7, 7)))
+
+
+@st.composite
+def windows(draw, xi):
+    """1-4 intervals cut at points of [0, 1), 0 and 1 included."""
+    n = draw(st.integers(1, 4))
+    ends = st.one_of(
+        surds(xi).map(lambda u: u.fractional_part()[0]), st.sampled_from([xi.zero, xi.one])
+    )
+    cuts = sorted(set(draw(st.lists(ends, min_size=2 * n, max_size=2 * n))))
+    cuts = cuts[: len(cuts) // 2 * 2]
+    assume(cuts and cuts[:2] != [xi.zero, xi.one])  # [0, 1) is no window
+    return Window([(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)])
+
+
+@st.composite
+def set_identity_cases(draw):
+    """Two windows, a point x of [0, 1) and a shift t; x sometimes on an
+    endpoint, and t sometimes moving one endpoint onto another."""
+    xi = draw(st.sampled_from(FIELDS))
+    w, v = draw(windows(xi)), draw(windows(xi))
+    ends = w.endpoints() + v.endpoints()
+    x = draw(st.one_of(surds(xi), st.sampled_from(ends))).fractional_part()[0]
+    if draw(st.booleans()):
+        t = draw(surds(xi))
+    else:  # one endpoint onto another, up to an integer
+        t = draw(st.sampled_from(ends)) - draw(st.sampled_from(ends)) + draw(st.integers(-2, 2))
+    return w, v, x, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_identity_cases())
+def test_window_set_identities(case):
+    w, v, x, t = case
+    assert w.intersect(v).contains(x) == (w.contains(x) and v.contains(x))
+    assert w.complement().contains(x) == (not w.contains(x))
+    assert w.shift_mod1(t).contains((x + t).fractional_part()[0]) == w.contains(x)
 
 
 class TestOrbitHits:

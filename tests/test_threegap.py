@@ -255,11 +255,7 @@ def test_floor_sum_count_matches_strip_route(system, rng):
 def test_floor_sum_matches_brute_force(xi, a, b, n):
     av = xi.real(Fraction(a[0], a[1]), a[2])  # irrational: nonzero xi part
     bv = xi.real(Fraction(b[0], b[1]), b[2])
-    triples = []
-    for v in (av, bv):
-        A, B = v.radical_pair()
-        m = A.denominator * B.denominator
-        triples.append((int(A * m), int(B * m), m))
+    triples = [v.triple for v in (av, bv)]
     want = sum((av * k + bv).floor() for k in range(n + 1))
     assert _scaled.floor_sum(n, triples[0], triples[1], xi.d) == want
 
