@@ -75,6 +75,17 @@ records (``_walk``); for a quadratic xi the chains hold O(teeth * log N)
 records, and the profile merges them with its samples at one exact
 comparison each.
 
+Profiles of other windows are scanned hit by hit (``scan_chunk``).  D(N) =
+(hits over 0 <= k <= N) - N*len, scaled by M the pair (h*M - N*len_a,
+-N*len_b), falls strictly between hits, so its running max moves only at
+a hit and its running min only right before one, at D(k) - (M - len), or
+at a record.  From one hit to the next, g indices on, D moves by
+M - g*len, whose sign g fixes against F = floor(M/len): a hit moves the
+max or the min, never both, at one sign test.  A chunk [k_from, k_to]
+counts the hits before k_from by floor sums, so its rows are absolute and
+need nothing from the other chunks: for any cut of [0, N], a running max
+over the rows of the chunks gives the rows of one scan.
+
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
@@ -116,26 +127,22 @@ class ScaledSystem:
     d: int
     m: int
     base: tuple[int, int]  # reduced basepoint, scaled radical pair
-    step: tuple[int, int]  # frac(xi), scaled radical pair
-    xi_pair: tuple[int, int]  # xi itself, scaled radical pair
+    step: tuple[int, int]  # frac(xi), scaled radical pair: k*step = k*xi mod 1
     ivals: tuple[Interval, ...]
     length: tuple[int, int]  # total window length, scaled radical pair
     xi: XiSpec
 
-    def state_at(self, k: int) -> tuple[int, int]:
-        """Scaled radical pair of frac(basepoint + k*xi)."""
-        a = self.base[0] + k * self.xi_pair[0]
-        b = self.base[1] + k * self.xi_pair[1]
+    def frac(self, a: int, b: int) -> tuple[int, int]:
+        """Scaled radical pair of frac((a + b*sqrt(d)) / m)."""
         return a - floor_pair(a, b, self.m, self.d) * self.m, b
 
+    def state_at(self, k: int) -> tuple[int, int]:
+        """Scaled radical pair of frac(basepoint + k*xi)."""
+        return self.frac(self.base[0] + k * self.step[0], self.base[1] + k * self.step[1])
+
     def unscale(self, pair: tuple[int, int]) -> XiReal:
-        """Convert a scaled radical pair back to an exact field element."""
-        return unscale_pair(self.xi, self.m, pair)
-
-
-def unscale_pair(xi: XiSpec, m: int, pair: tuple[int, int]) -> XiReal:
-    """Exact field element for the scaled radical pair (A + B*sqrt(d)) / m."""
-    return XiReal.from_triple(pair[0], pair[1], m, xi)
+        """The exact field element (A + B*sqrt(d)) / m of a scaled radical pair."""
+        return XiReal.from_triple(pair[0], pair[1], self.m, self.xi)
 
 
 def _floor_ratio(d: int, x: Pair, y: Pair) -> int:
@@ -152,10 +159,10 @@ def scale_system(
     xi: XiSpec, basepoint: XiReal, intervals: Sequence[tuple[XiReal, XiReal]]
 ) -> ScaledSystem:
     step_frac, _ = xi.xi_real.fractional_part()
-    triples = [v.triple for v in (basepoint, step_frac, xi.xi_real, *chain(*intervals))]
+    triples = [v.triple for v in (basepoint, step_frac, *chain(*intervals))]
     m = lcm(*(D for _, _, D in triples))
     scaled = [(A * (m // D), B * (m // D)) for A, B, D in triples]
-    epairs = scaled[3:]
+    epairs = scaled[2:]
     ivals = tuple(
         (epairs[2 * i][0], epairs[2 * i][1], epairs[2 * i + 1][0], epairs[2 * i + 1][1])
         for i in range(len(intervals))
@@ -169,7 +176,6 @@ def scale_system(
         m=m,
         base=scaled[0],
         step=scaled[1],
-        xi_pair=scaled[2],
         ivals=ivals,
         length=length,
         xi=xi,
@@ -194,7 +200,7 @@ def find_singular(ss: ScaledSystem, k_min: int, k_max: int) -> Optional[int]:
 
 def _orbit_index(ss: ScaledSystem, pair: Pair) -> Optional[int]:
     """The k with frac(basepoint + k*xi) equal to the reduced pair, if any."""
-    k, r = divmod(pair[1] - ss.base[1], ss.xi_pair[1])
+    k, r = divmod(pair[1] - ss.base[1], ss.step[1])
     return k if r == 0 and ss.state_at(k) == pair else None
 
 
@@ -436,13 +442,13 @@ def count_hits(ss: ScaledSystem, k_min: int, k_max: int) -> int:
 
     Per interval [lo, hi): the floor sums of y_k - lo and y_k - hi over the
     range, y_k = basepoint + k*xi, differ by the hit count.  Stepping by
-    frac(xi) in place of xi shifts both sums by the same amount.
+    frac(xi) in place of xi shifts both sums by the same integer.
     """
     n = k_max - k_min
     m = ss.m
     step = (ss.step[0], ss.step[1], m)
-    ya = ss.base[0] + k_min * ss.xi_pair[0]
-    yb = ss.base[1] + k_min * ss.xi_pair[1]
+    ya = ss.base[0] + k_min * ss.step[0]
+    yb = ss.base[1] + k_min * ss.step[1]
     return sum(
         floor_sum(n, step, (ya - lo_a, yb - lo_b, m), ss.d)
         - floor_sum(n, step, (ya - hi_a, yb - hi_b, m), ss.d)
@@ -476,30 +482,19 @@ def collect_colored(
     return reduce(iadd, ks), reduce(iadd, colors)
 
 
-# -- discrepancy scan ----------------------------------------------------------
-#
-# D(N) = (hits over 0 <= k <= N) - N * Length(window); scaled by M it is the
-# pair (h*M - N*len_a, -N*len_b).  Between hits D decreases strictly, so the
-# running maximum can only move right after a hit and the running minimum only
-# right before a hit or at a segment end: only those values are compared, and
-# the value right before a hit at k is D(k) - (M - len).  From one hit to the
-# next, g indices on, D moves by M - g*len, whose sign is fixed by g against
-# F = floor(M/len): a hit can move the max or the min, never both, so it
-# costs one sign test.
+# -- discrepancy scan (module docstring) ------------------------------------------
 
 
 def scan_chunk(
     ss: ScaledSystem, k_from: int, k_to: int, records: Sequence[int]
-) -> list[tuple[int, int, int, int, int, int]]:
-    """Scan k in [k_from, k_to] and report per-record-segment data.
+) -> list[tuple[int, XiReal, XiReal]]:
+    """Profile rows (n, D(n), max |D|) at each record, scanned over [k_from, k_to].
 
-    `records` is an increasing sequence with records[-1] == k_to; segment i
-    covers (records[i-1], records[i]] (the first one starts at k_from).
-    Returns one tuple per record: (N, hits_so_far_in_chunk, max_a, max_b,
-    min_a, min_b), where the extrema pairs describe the chunk-relative
-    discrepancy R(N) = h*M - (N - k_from + 1)*len over the segment, scaled
-    by M.  Absolute values are recovered by adding the pair for
-    D(k_from - 1), which the caller tracks via cumulative hit counts.
+    `records` is an increasing sequence with records[-1] == k_to.  h starts
+    at the hits before k_from, by floor sums (minus those in [k_from, -1]
+    when k_from < 0, so D(N) - D(N - 1) is 1 - len at a hit and -len
+    elsewhere on all of Z).  The max runs over k_from <= N <= n, and over
+    D(k_from - 1) too when k_from is a hit.
     """
     if not records:
         return []
@@ -511,16 +506,16 @@ def scan_chunk(
     f_sign = pair_sign(m - big_f * la, -big_f * lb, d)  # at g == F: 1 or 0
     hits = chain.from_iterable(ks for ks, _ in hit_blocks(ss, k_from, k_to))
     out = []
-    h = 0
+    h = count_hits(ss, 0, k_from - 1) - count_hits(ss, k_from, -1)
     kp = 0  # the previous hit
     mx_a = mx_b = mn_a = mn_b = None  # extrema of D(k) over the segment's hits
+    sup: Optional[Pair] = None
     ri = 0
     rec = records[0]
     for k in chain(hits, (records[-1] + 1,)):  # the sentinel closes the last segments
         while k > rec:
             # the segment ends at rec: D(rec) joins both extrema
-            n = rec - k_from + 1
-            da, db = h * m - n * la, -n * lb
+            da, db = h * m - rec * la, -rec * lb
             if mx_a is None:
                 mx_a, mx_b, mn_a, mn_b = da, db, da, db
             else:
@@ -529,16 +524,19 @@ def scan_chunk(
                     mx_a, mx_b = da, db
                 if pair_sign(da - mn_a, db - mn_b, d) < 0:
                     mn_a, mn_b = da, db
-            out.append((rec, h, mx_a, mx_b, mn_a, mn_b))
+            # |D| over the segment peaks at its max or at minus its min
+            for ca, cb in ((mx_a, mx_b), (-mn_a, -mn_b)):
+                if sup is None or pair_sign(ca - sup[0], cb - sup[1], d) > 0:
+                    sup = (ca, cb)
+            out.append((rec, ss.unscale((da, db)), ss.unscale(sup)))
             mx_a = mx_b = mn_a = mn_b = None
             ri += 1
             if ri == len(records):
                 return out
             rec = records[ri]
         h += 1
-        n = k - k_from + 1
-        da = h * m - n * la
-        db = -n * lb
+        da = h * m - k * la
+        db = -k * lb
         g = k - kp
         kp = k
         if mx_a is None:
@@ -563,24 +561,22 @@ def scan_chunk(
 
 def closed_form_rows(
     ss: ScaledSystem, kappas: Sequence[int], records: Sequence[int]
-) -> tuple[list[tuple[int, Pair, Pair]], int, int]:
+) -> tuple[list[tuple[int, XiReal, XiReal]], int, int]:
     """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, with no scan.
 
     kappas[l] is the xi-coefficient of b_sigma(l) - a_l in an Oren matching
-    of the window.  Returns the rows as scaled pairs, the number of
-    distinct teeth of G and the number of record events merged.
+    of the window.  Returns the rows, the number of distinct teeth of G and
+    the number of record events merged.
     """
     d = ss.d
     m = ss.m
-    xa, xb = ss.xi_pair
+    frac = ss.frac
+    xa, xb = ss.step  # xi mod 1: every use of G reduces mod 1
     teeth = []  # (e_a, e_b, s): G(y) = sum of s*frac(y - e)
     for (lo_a, lo_b, _, _), kappa in zip(ss.ivals, kappas):
         js = range(kappa) if kappa > 0 else range(-1, kappa - 1, -1)
         teeth += [(lo_a + j * xa, lo_b + j * xb, 1 if kappa > 0 else -1) for j in js]
     beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
-
-    def frac(a: int, b: int) -> Pair:
-        return a - floor_pair(a, b, m, d) * m, b
 
     def big_g(ya: int, yb: int) -> Pair:
         ga = gb = 0
@@ -652,5 +648,5 @@ def closed_form_rows(
         up = (ca - lo[0], cb - lo[1])  # max of D
         down = (hi[0] - ca, hi[1] - cb)  # max of -D
         sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
-        rows.append((r, (ca - ga, cb - gb), sup))
+        rows.append((r, ss.unscale((ca - ga, cb - gb)), ss.unscale(sup)))
     return rows, len(pts), len(events)

@@ -102,10 +102,10 @@ class AcceptanceDomain:
         return "\n".join(lines)
 
 
-def _check_offsets(pattern: PatternSpec, bound: int) -> None:
+def _check_offsets(pattern: PatternSpec) -> None:
     worst = max(abs(o) for o in pattern.offsets())
-    if worst > bound:
-        raise ValueError(f"pattern offset {worst} exceeds the bound {bound}")
+    if worst > DEFAULT_OFFSET_BOUND:
+        raise ValueError(f"pattern offset {worst} exceeds the bound {DEFAULT_OFFSET_BOUND}")
 
 
 @lru_cache(maxsize=512)
@@ -143,14 +143,9 @@ def _provenance(base: Window, endpoint: XiReal) -> tuple[int, int]:
     return j, k
 
 
-def acceptance_domain(
-    system: RotationSystem,
-    pattern: PatternSpec,
-    *,
-    offset_bound: int = DEFAULT_OFFSET_BOUND,
-) -> AcceptanceDomain:
+def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> AcceptanceDomain:
     """Exact sub-window where the pattern occurs; possibly empty."""
-    _check_offsets(pattern, offset_bound)
+    _check_offsets(pattern)
     win = _domain_window(system, pattern)
     prov = tuple(_provenance(system.window, e) for e in win.endpoints())
     return AcceptanceDomain(win, prov)
@@ -161,25 +156,18 @@ def indicator_hits(
     pattern: PatternSpec,
     k_min: int,
     k_max: int,
-    *,
-    offset_bound: int = DEFAULT_OFFSET_BOUND,
 ) -> PointPattern:
     """The k in range whose internal coordinate lies in the acceptance domain."""
-    _check_offsets(pattern, offset_bound)
+    _check_offsets(pattern)
     win = _domain_window(system, pattern)
     if not win:
         return PointPattern(())
     return orbit_hits(system.with_window(win), k_min, k_max)
 
 
-def pattern_density(
-    system: RotationSystem,
-    pattern: PatternSpec,
-    *,
-    offset_bound: int = DEFAULT_OFFSET_BOUND,
-) -> XiReal:
+def pattern_density(system: RotationSystem, pattern: PatternSpec) -> XiReal:
     """Total acceptance-window length: the pattern's occurrence density."""
-    _check_offsets(pattern, offset_bound)
+    _check_offsets(pattern)
     win = _domain_window(system, pattern)
     return win.total_length() if win else system.xi.zero
 

@@ -34,20 +34,12 @@ class EmptyPattern(ValueError):
     """A matching witness needs at least two points."""
 
 
-def _exact_floor(x: Exact) -> int:
-    return x.floor() if isinstance(x, XiReal) else math.floor(Fraction(x))
-
-
-def _is_positive(x: Exact) -> bool:
-    return x.sign() > 0 if isinstance(x, XiReal) else x > 0
-
-
 def _as_points(points: Union[PointPattern, Iterable[Exact]]) -> tuple[Exact, ...]:
     if isinstance(points, PointPattern):
         return points.points
     pts = tuple(points)
     for u, v in zip(pts, pts[1:]):
-        if not _is_positive(v - u):
+        if not u < v:
             raise ValueError("points must be strictly increasing")
     return pts
 
@@ -178,10 +170,10 @@ def build_witness(
         raise EmptyPattern(f"need at least 2 points, got {len(pts)}")
     if isinstance(delta, int):  # keep all later divisions exact
         delta = Fraction(delta)
-    if not _is_positive(delta):
+    if not delta > 0:
         raise ValueError("delta must be positive")
     r_lo, r_hi = _residue_extrema(pts, delta)
-    c0 = _exact_floor((r_lo + r_hi) / 2)
+    c0 = math.floor((r_lo + r_hi) / 2)
     best: Optional[tuple[Exact, int]] = None
     for c in (c0, c0 + 1):
         sup = max(r_hi - c, c - r_lo) / delta
@@ -192,21 +184,16 @@ def build_witness(
     )
 
 
-def optimality_check(
-    points: Union[PointPattern, Iterable[Exact]],
-    delta: Exact,
-    *,
-    size_cap: int = 12,
-) -> bool:
+def optimality_check(points: Union[PointPattern, Iterable[Exact]], delta: Exact) -> bool:
     """True iff no bijection to the same lattice points beats the monotone one.
 
     Brute force over permutations (depth-first with sup-cost pruning);
-    capped at size_cap points.
+    capped at 12 points.
     """
     witness = build_witness(points, delta)
     n = len(witness.points)
-    if n > size_cap:
-        raise ValueError(f"optimality_check is capped at {size_cap} points, got {n}")
+    if n > 12:
+        raise ValueError(f"optimality_check is capped at 12 points, got {n}")
     lattice = [witness.lattice_point(i) for i in range(n)]
     sup = witness.sup_displacement
     used = [False] * n

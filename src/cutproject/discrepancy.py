@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
 from .acceptance import PatternSpec, _domain_window, pattern_density
 from .criteria import oren_condition
-from .exactnum import XiReal, pair_sign
+from .exactnum import XiReal
 from .patterns import PointPattern, RotationSystem
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
 
 Exact = Union[int, Fraction, XiReal]
 
-_CHUNK_SPAN = 131_072  # fixed so results never depend on the worker count
+_CHUNK_SPAN = 131_072  # the pool's grain: chunks stand alone, so any cut gives the same rows
 
 
 class TooFewPoints(ValueError):
@@ -159,11 +160,12 @@ def profile(
     closed form D(N) = C - G(y_N) and follows the records of the orbit
     near each tooth of G (``_scaled.closed_form_rows``): nothing is
     scanned, so the profile is exact at any n_max.  An empty or unbounded
-    window is scanned hit by hit with the three-gap core over fixed
-    chunks, sharded over ``workers`` processes when workers > 1; chunk
-    boundaries do not depend on the worker count and the merge is exact,
-    so results are identical for any sharding.  ``workers`` matters only
-    on the scan route.
+    window is scanned hit by hit with the three-gap core in chunks
+    (``_scaled.scan_chunk``), sharded over ``workers`` processes when
+    workers > 1.  Each chunk counts the hits before it by floor sums and
+    returns exact rows, so the merge is a running max and the rows are the
+    same for any cut and any worker count.  ``workers`` matters only on the
+    scan route.
     """
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
@@ -180,25 +182,22 @@ def profile(
             n_max, teeth, events, len(rows),
         )
 
-    samples: list[ProfileSample] = []
-    decade_maxima: list[tuple[int, XiReal]] = []
-    for n, d_pair, sup_pair in rows:
-        sup_val = ss.unscale(sup_pair)
-        samples.append(ProfileSample(n, ss.unscale(d_pair), sup_val))
-        if _is_pow10(n) and n >= 100 or n == n_max:
-            decade_maxima.append((n, sup_val))
+    samples = tuple(ProfileSample(*row) for row in rows)
+    decade_maxima = tuple(
+        (s.n, s.running_sup) for s in samples if _is_pow10(s.n) and s.n >= 100 or s.n == n_max
+    )
     return DiscrepancyProfile(
         system=system,
         n_max=n_max,
-        samples=tuple(samples),
-        decade_maxima=tuple(decade_maxima),
+        samples=samples,
+        decade_maxima=decade_maxima,
         sup_seen=decade_maxima[-1][1],
     )
 
 
 def _scan_rows(
     ss: _scaled.ScaledSystem, records: list[int], workers: int
-) -> list[tuple[int, _scaled.Pair, _scaled.Pair]]:
+) -> list[tuple[int, XiReal, XiReal]]:
     """Rows (n, D(n), max |D(N)| over N <= n) of a three-gap scan over 0..records[-1]."""
     n_max = records[-1]
     # chunks are runs of record segments covering at least _CHUNK_SPAN steps
@@ -225,34 +224,12 @@ def _scan_rows(
             chunk_rows = list(pool.map(_scaled.scan_chunk, *zip(*args)))
     else:
         chunk_rows = [_scaled.scan_chunk(*a) for a in args]
-
-    m = ss.m
-    la, lb = ss.length
-    d = ss.d
-    out = []
-    sup_pair: Optional[_scaled.Pair] = None
-    h_before = 0
-    for (k_from, _k_to, _rs), rows in zip(chunks, chunk_rows):
-        off_a = h_before * m - (k_from - 1) * la
-        off_b = -(k_from - 1) * lb
-        for n, h_rel, mx_a, mx_b, mn_a, mn_b in rows:
-            # |D| over the segment peaks at its max or at minus its min
-            for ca, cb in ((off_a + mx_a, off_b + mx_b), (-off_a - mn_a, -off_b - mn_b)):
-                if sup_pair is None or pair_sign(ca - sup_pair[0], cb - sup_pair[1], d) > 0:
-                    sup_pair = (ca, cb)
-            out.append((n, ((h_before + h_rel) * m - n * la, -n * lb), sup_pair))
-        h_before += rows[-1][1]
-    return out
+    rows = [row for chunk in chunk_rows for row in chunk]
+    sups = accumulate((sup for _, _, sup in rows), max)  # each chunk's max starts afresh
+    return [(n, value, sup) for (n, value, _), sup in zip(rows, sups)]
 
 
 # -- interval discrepancy ------------------------------------------------------
-
-
-def _exact_ceil(x: Exact) -> int:
-    if isinstance(x, XiReal):
-        f = x.floor()
-        return f if x == f else f + 1
-    return math.ceil(Fraction(x))
 
 
 def disc(
@@ -270,8 +247,8 @@ def disc(
 
     x0, x1 = interval
     pts = points.points if isinstance(points, PointPattern) else points
-    lo = _exact_ceil(x0)
-    hi = _exact_ceil(x1)
+    lo = math.ceil(x0)
+    hi = math.ceil(x1)
     count = bisect.bisect_left(pts, hi) - bisect.bisect_left(pts, lo)
     value = count - delta * (x1 - x0)
     if signed:
@@ -348,8 +325,8 @@ def cochain_discrepancy(
     and counts are floor sums on those windows (``_scaled.count_hits``).
     """
     x0, x1 = interval
-    lo = _exact_ceil(x0)
-    hi = _exact_ceil(x1) - 1
+    lo = math.ceil(x0)
+    hi = math.ceil(x1) - 1
     length = x1 - x0
     total = system.xi.zero
     for coeff, pat in cochain.terms:

@@ -321,6 +321,11 @@ class XiReal:
         """Exact floor, via integer square roots (no floating point)."""
         return floor_pair(self._A, self._B, self._D, self._xi.d)
 
+    __floor__ = floor  # math.floor is exact too: without it, it would round through a float
+
+    def __ceil__(self) -> int:
+        return -floor_pair(-self._A, -self._B, self._D, self._xi.d)
+
     def fractional_part(self) -> tuple["XiReal", int]:
         """Split into (frac, floor) with value = floor + frac, 0 <= frac < 1."""
         n = self.floor()

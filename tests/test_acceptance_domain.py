@@ -57,10 +57,9 @@ class TestPatternSpec:
 
     def test_offset_bound(self):
         sys = kesten_system()
-        big = PatternSpec(frozenset({0, 100}))
-        with pytest.raises(ValueError):
-            acceptance_domain(sys, big)
-        acceptance_domain(sys, big, offset_bound=128)
+        acceptance_domain(sys, PatternSpec(frozenset({0, 64})))
+        with pytest.raises(ValueError, match="offset 65 exceeds the bound 64"):
+            acceptance_domain(sys, PatternSpec(frozenset({0}), frozenset({-65})))
 
 
 class TestAcceptanceDomain:

@@ -1,8 +1,11 @@
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cutproject.bdmatch import (
     EmptyPattern,
@@ -15,6 +18,7 @@ from cutproject.exactnum import XiSpec
 from cutproject.patterns import RotationSystem, Window, orbit_hits
 
 SQRT2 = XiSpec.sqrt(2)
+FIELDS = [SQRT2, XiSpec(Fraction(1, 2), Fraction(1, 2), 5), XiSpec(-2, 1, 2)]
 
 
 def kesten_system():
@@ -155,3 +159,43 @@ class TestSerialization:
         text = buf.getvalue().replace("# sup_displacement = ", "# sup_displacement = 7+", 1)
         with pytest.raises(ValueError):
             MatchingWitness.from_csv(io.StringIO(text))
+
+
+small_fractions = st.builds(Fraction, st.integers(-150, 150), st.integers(1, 6))
+
+
+@st.composite
+def matching_cases(draw):
+    """2-9 strictly increasing ints, Fractions or values a + b*xi of one field,
+    and a delta in (0, 4), rational or a surd of that field."""
+    xi = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(["int", "fraction", "surd"]))
+    value = {
+        "int": st.integers(-40, 40),
+        "fraction": small_fractions,
+        "surd": st.builds(xi.real, small_fractions, st.integers(-9, 9)),
+    }[kind]
+    pts = sorted(set(draw(st.lists(value, min_size=2, max_size=9))))
+    if len(pts) < 2:
+        pts.append(pts[0] + 1)
+    if draw(st.booleans()):
+        delta = Fraction(draw(st.integers(1, 39)), 10)
+    else:
+        frac, _ = xi.real(draw(small_fractions), draw(st.integers(-5, 5).filter(bool))).fractional_part()
+        delta = frac + draw(st.integers(0, 3))
+    return pts, delta
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matching_cases())
+def test_witness_matches_brute_force(case):
+    """The witness's offset is optimal among all integer offsets, and no
+    bijection to its lattice points beats the monotone matching."""
+    pts, delta = case
+    assert optimality_check(pts, delta)
+    r = [y * delta - i for i, y in enumerate(pts)]
+    offsets = range(math.floor(min(r)) - 2, math.ceil(max(r)) + 3)
+    want = min(
+        max(abs(y - Fraction(i + c) / delta) for i, y in enumerate(pts)) for c in offsets
+    )
+    assert build_witness(pts, delta).sup_displacement == want

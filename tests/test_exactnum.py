@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import time
@@ -458,3 +459,35 @@ class TestTripleRepresentation:
         back = copy.deepcopy((x, xi))
         assert back == (x, xi) and back[0].triple == x.triple and back[1].triple == xi.triple
         assert back[0] + x == 2 * x  # the copied field is the same field
+
+
+UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1), 7: (8, 3), 19: (170, 39)}  # t + s*sqrt(d), norm +-1
+
+
+@st.composite
+def near_integers(draw):
+    """An a + b*xi with components up to 2^200, or n + (t - s*sqrt(d))^k: the
+    power of a unit's conjugate puts it within 2^-60 of the integer n."""
+    xi = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        return xi.real(draw(components), draw(components))
+    t, s = UNITS[xi.d]
+    bits = draw(st.integers(62, 199))  # |A - B*sqrt(d)| < 1/|B| <= 2^-62
+    A, B = 1, 0
+    while abs(B) < 2**bits:
+        A, B = A * t - B * s * xi.d, B * t - A * s
+    n = draw(st.integers(-(2**200), 2**200))
+    return XiReal.from_triple(n + A, B, 1, xi) * draw(st.sampled_from([1, -1]))
+
+
+class TestMathFloor:
+    def test_near_two_to_the_sixty(self):
+        x = XiSpec.sqrt(5).real(2**60 + 2, -1)  # 2^60 + 2 - sqrt(5): a float rounds it to 2^60
+        assert (math.floor(x), math.ceil(x)) == (2**60 - 1, 2**60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_integers())
+    @example(XiSpec.sqrt(5).real(2**60 + 2, -1))
+    def test_math_floor_and_ceil_are_exact(self, x):
+        assert math.floor(x) == x.floor()
+        assert math.ceil(x) == -(-x).floor()

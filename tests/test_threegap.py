@@ -10,6 +10,7 @@ closed form, the three-gap scan of ``scan_chunk``.
 
 import logging
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -115,8 +116,8 @@ def test_return_gaps_are_least_returns(xi, den, num, surd):
     want_a = next(k for k in range(1, 10**4) if (frac(k) - ell).sign() < 0)
     want_b = next(k for k in range(1, 10**4) if (1 - frac(k) - ell).sign() < 0)
     assert (a, b) == (want_a, want_b)
-    assert _scaled.unscale_pair(xi, ss.m, alpha) == frac(a)
-    assert _scaled.unscale_pair(xi, ss.m, beta) == 1 - frac(b)
+    assert ss.unscale(alpha) == frac(a)
+    assert ss.unscale(beta) == 1 - frac(b)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -204,10 +205,11 @@ def test_closed_form_rows_match_scan(case, n_max, trace_limit):
     assert rows == _scan_rows(ss, records, 1)
 
 
-def assert_profile_matches_strip_route(system, n_max):
+def strip_rows(system, n_max):
+    """(D(n), max |D(N)| over N <= n) for every 0 <= n <= n_max, one floor per index."""
     hits = set(_scaled.collect_hits_direct(system._scaled, 0, n_max))
     length = system.window_length()
-    got = {s.n: s for s in profile(system, n_max, trace_limit=64).samples}
+    out = {}
     h = 0
     sup = None
     for n in range(n_max + 1):
@@ -215,9 +217,14 @@ def assert_profile_matches_strip_route(system, n_max):
         value = system.xi.real(h) - n * length
         if sup is None or (abs(value) - sup).sign() > 0:
             sup = abs(value)
-        if n in got:
-            assert got[n].value == value
-            assert got[n].running_sup == sup
+        out[n] = (value, sup)
+    return out
+
+
+def assert_profile_matches_strip_route(system, n_max):
+    want = strip_rows(system, n_max)
+    for s in profile(system, n_max, trace_limit=64).samples:
+        assert (s.value, s.running_sup) == want[s.n]
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -287,30 +294,55 @@ def test_kesten_bound_up_to_a_googol():
 @SETTINGS
 @given(systems(FIELDS + [NEGATIVE_XI]), ranges, st.lists(st.integers(0, 1500), max_size=6))
 def test_scan_chunk_rows_match_strip_route(system, rng, cuts):
-    """Each row: hits so far, max of D over the segment's hits and its end,
-    min over the values right before those hits and the end."""
+    """Each row: D at the record, and the running max over the chunk's
+    segments of max D over the segment's hits and its end and of -min D over
+    the values right before those hits and its end (so D(k_from - 1) counts
+    when k_from is a hit).  Hits before k_from count, negatively below 0."""
     k_from, span = rng
     k_to = k_from + span
     records = sorted({k_from + c for c in cuts if c < span} | {k_to})
     ss = system._scaled
+    before = _scaled.collect_hits_direct(ss, min(k_from, 0), max(k_from, 0) - 1)
+    h = len(before) if k_from > 0 else -len(before)
     hits = set(_scaled.collect_hits_direct(ss, k_from, k_to))
     length = system.window_length()
     want = []
-    h = 0
+    sup = None
     start = k_from
     for rec in records:
         at_hits = []
         for k in range(start, rec + 1):
             if k in hits:
                 h += 1
-                at_hits.append(h - (k - k_from + 1) * length)
-        end = system.xi.real(h) - (rec - k_from + 1) * length
+                at_hits.append(h - k * length)
+        end = system.xi.real(h) - rec * length
         before_hits = [v - (1 - length) for v in at_hits]
-        want.append((rec, h, max(at_hits + [end]), min(before_hits + [end])))
+        seg = max(max(at_hits + [end]), -min(before_hits + [end]))
+        sup = seg if sup is None else max(sup, seg)
+        want.append((rec, end, sup))
         start = rec + 1
-    rows = _scaled.scan_chunk(ss, k_from, k_to, records)
-    got = [(n, hn, ss.unscale((a, b)), ss.unscale((c, e))) for n, hn, a, b, c, e in rows]
-    assert got == want
+    assert _scaled.scan_chunk(ss, k_from, k_to, records) == want
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(FIELDS + [NEGATIVE_XI]), st.integers(0, 5000), st.data())
+def test_scan_chunks_merge_to_one_scan(system, n, data):
+    """Profile sharding invariance: [0, n] cut at record points into 1-5
+    chunks, each scanned alone and merged by a running max, gives the rows
+    of one scan over [0, n] and of the strip route."""
+    records = sorted(set(data.draw(st.lists(st.integers(0, n), max_size=12))) | {n})
+    ends = sorted(set(data.draw(st.lists(st.sampled_from(records), max_size=4))) | {n})
+    ss = system._scaled
+    rows = []
+    start = 0
+    for end in ends:
+        rows += _scaled.scan_chunk(ss, start, end, [r for r in records if start <= r <= end])
+        start = end + 1
+    sups = accumulate((sup for _, _, sup in rows), max)
+    merged = [(r, value, sup) for (r, value, _), sup in zip(rows, sups)]
+    assert merged == _scaled.scan_chunk(ss, 0, n, records)
+    want = strip_rows(system, n)
+    assert merged == [(r, *want[r]) for r in records]
 
 
 # -- the block-shift stream ------------------------------------------------------------
