@@ -15,9 +15,11 @@ with alpha = frac(k*xi) < l and b the least k >= 1 with beta =
 1 - frac(k*xi) < l (``return_gaps``, a subtractive Euclid walk).  By
 Slater's three-gap theorem the return times to the interval are a, b and
 a + b: from a hit y at index k the next hit is k + a if y < hi - alpha,
-else k + b if y >= lo + beta, else k + a + b.  Any a + b consecutive
-indices hold a hit, so one call costs O(#hits + a + b): at most a + b
-steps to find the first hit, then at most two sign tests per hit.
+else k + b if y >= lo + beta, else k + a + b.  The first hit is the first
+record of v = frac(y_k - lo) (the orbit closer to lo from the right than
+ever before) below l, by one Euclid walk over the shrinking records
+(``_records``, below): as xi has bounded partial quotients, it takes
+O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).
 
 Long ranges copy hits forward by blocks (``hit_blocks``).  For a walk
 time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
@@ -63,17 +65,16 @@ beta = sum kappa_l, never 0 as len = beta*xi + integer, and jumps at its
 teeth a_l + j*xi.  So max |D| over n <= N is the larger of
 C - min G(y_n) and max G(y_n) - C, and on a piece [p, p') between sorted
 teeth these extremes sit at the orbit points nearest each end.  Those
-nearest p from the right are the records of v = frac(y_n - p): from a
-record v at n the next is at n + b with value v - beta_b, (b, beta_b) the
-return gap for length v, unless the orbit meets p exactly before (at
-most once, at the k that the sqrt(d) coefficient fixes, as for
-``find_singular``), where v drops to 0 and the chain ends.  Those nearest
-p' from the left are the records of u = p' - y_n in (0, 1], next at n + a
-with value u - alpha.  A record counts once it lies in the piece.  The
-lengths of one chain shrink, so one Euclid walk goes on across its
-records (``_walk``); for a quadratic xi the chains hold O(teeth * log N)
-records, and the profile merges them with its samples at one exact
-comparison each.
+nearest p from the right are the records of v = frac(y_n - p), the chain
+that finds a first hit: the next is at n + b with value v - beta, unless
+the orbit meets p exactly before (at most once, at the k that the
+sqrt(d) coefficient fixes, as for ``find_singular``), where v drops to 0
+and the chain ends.  Those nearest p' from the left are the records of
+u = p' - y_n in (0, 1], next at n + a with value u - alpha.  Both chains
+are ``_records``, each with one Euclid walk (``_walk``), and a record
+counts once it lies in the piece.  For a quadratic xi the chains hold
+O(teeth * log N) records, and the profile merges them with its samples
+at one exact comparison each.
 
 Profiles of other windows are scanned hit by hit (``scan_chunk``).  D(N) =
 (hits over 0 <= k <= N) - N*len, scaled by M the pair (h*M - N*len_a,
@@ -249,27 +250,44 @@ def _walk(d: int, gaps: Gaps, ell: Pair) -> Gaps:
         sides[i] = (k + t * k2, (v[0] - t * v2[0], v[1] - t * v2[1]))
 
 
-def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Iterator[int]:
-    """Increasing k in [k_min, k_max] with frac(basepoint + k*xi) in [lo, hi)."""
-    d = ss.d
-    m = ss.m
-    p, q = ss.step
-    lo_a, lo_b, hi_a, hi_b = iv
-    ga, (al_a, al_b), gb, (be_a, be_b) = return_gaps(d, m, ss.step, (hi_a - lo_a, hi_b - lo_b))
-    if k_min > k_max:
-        return
-    # first hit: any ga + gb consecutive indices hold one
-    ya, yb = ss.state_at(k_min)
-    k = k_min
-    last = min(k_max, k_min + ga + gb - 1)
-    while pair_sign(ya - lo_a, yb - lo_b, d) < 0 or pair_sign(ya - hi_a, yb - hi_b, d) >= 0:
-        if k == last:
+def _records(
+    ss: ScaledSystem, p: Pair, k0: int, n_max: int, left: bool = True
+) -> Iterator[tuple[int, Pair]]:
+    """(n, v) at each strict record over 0 <= n <= n_max of v = frac(y_{k0+n} - p), or
+    with left=False of u = p - y_{k0+n} in (0, 1]; p is reduced (module docstring)."""
+    ya, yb = ss.state_at(k0)
+    fa, fb = ss.frac(ya - p[0], yb - p[1])
+    v = (fa, fb) if left else (ss.m - fa, -fb)
+    k_hit = _orbit_index(ss, p) if left else None
+    gaps = (1, ss.step, 1, (ss.m - ss.step[0], -ss.step[1]))
+    n = 0
+    while n <= n_max:
+        yield n, v
+        if n == n_max or v == (0, 0):
             return
-        k += 1
-        ya += p
-        yb += q
-        if pair_sign(ya - m, yb, d) >= 0:
-            ya -= m
+        a, alpha, b, beta = gaps = _walk(ss.d, gaps, v)
+        if not left:
+            n, v = n + a, (v[0] - alpha[0], v[1] - alpha[1])
+        elif k_hit is not None and n < k_hit - k0 < n + b:  # v drops to 0 exactly there
+            n, v = k_hit - k0, (0, 0)
+        else:
+            n, v = n + b, (v[0] - beta[0], v[1] - beta[1])
+
+
+def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Iterator[int]:
+    """Increasing k in [k_min, k_max] with frac(basepoint + k*xi) in [lo, hi): three-gap
+    steps from the first record of frac(y_k - lo) below hi - lo (``_records``)."""
+    d = ss.d
+    lo_a, lo_b, hi_a, hi_b = iv
+    la, lb = hi_a - lo_a, hi_b - lo_b
+    ga, (al_a, al_b), gb, (be_a, be_b) = return_gaps(d, ss.m, ss.step, (la, lb))
+    for n, (va, vb) in _records(ss, (lo_a, lo_b), k_min, k_max - k_min):
+        if pair_sign(va - la, vb - lb, d) < 0:
+            break
+    else:
+        return
+    k = k_min + n
+    ya, yb = lo_a + va, lo_b + vb
     t1_a, t1_b = hi_a - al_a, hi_b - al_b  # step by a below hi - alpha
     t2_a, t2_b = lo_a + be_a, lo_b + be_b  # else by b from lo + beta on
     gab = ga + gb
@@ -569,7 +587,6 @@ def closed_form_rows(
     the number of record events merged.
     """
     d = ss.d
-    m = ss.m
     frac = ss.frac
     xa, xb = ss.step  # xi mod 1: every use of G reduces mod 1
     teeth = []  # (e_a, e_b, s): G(y) = sum of s*frac(y - e)
@@ -591,45 +608,23 @@ def closed_form_rows(
     ca, cb = ss.length[0] + ga, ss.length[1] + gb  # D(n) = C - G(y_n)
 
     n_max = records[-1]
-    # each chain goes on with one Euclid walk as its length shrinks, and keeps
-    # its one-off lengths out of return_gaps' cache
-    start = (1, ss.step, 1, (m - ss.step[0], -ss.step[1]))
     pts = sorted(
         {frac(ea, eb) for ea, eb, _ in teeth},
         key=cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d)),
     )
     events = []  # (n, updates the min, candidate G(y_n))
     for i, (pa, pb) in enumerate(pts):
-        qa, qb = pts[i + 1] if i + 1 < len(pts) else (pts[0][0] + m, pts[0][1])
+        qa, qb = pts[i + 1] if i + 1 < len(pts) else (pts[0][0] + ss.m, pts[0][1])
         la, lb = qa - pa, qb - pb  # the piece [p, p') of G
         g0a, g0b = big_g(pa, pb)
         # left chain: records of v = frac(y_n - p); G(y_n) = G(p) + beta*v
-        k_hit = _orbit_index(ss, (pa, pb))
-        n = 0
-        v = frac(ya - pa, yb - pb)
-        gaps = start
-        while n <= n_max:
+        for n, v in _records(ss, (pa, pb), 0, n_max):
             if pair_sign(v[0] - la, v[1] - lb, d) < 0:
                 events.append((n, beta > 0, (g0a + beta * v[0], g0b + beta * v[1])))
-            if v == (0, 0):
-                break
-            gaps = _walk(d, gaps, v)
-            _, _, b, (be_a, be_b) = gaps
-            if k_hit is not None and n < k_hit < n + b:  # v drops to 0 exactly there
-                n, v = k_hit, (0, 0)
-            else:
-                n, v = n + b, (v[0] - be_a, v[1] - be_b)
         # right chain: records of u = p' - y_n in (0, 1]; G(y_n) = G(p) + beta*(l - u)
-        n = 0
-        fa, fb = frac(ya - qa, yb - qb)
-        u = (m - fa, -fb)
-        gaps = start
-        while n <= n_max:
+        for n, u in _records(ss, pts[(i + 1) % len(pts)], 0, n_max, left=False):
             if pair_sign(u[0] - la, u[1] - lb, d) <= 0:
                 events.append((n, beta < 0, (g0a + beta * (la - u[0]), g0b + beta * (lb - u[1]))))
-            gaps = _walk(d, gaps, u)
-            a, (al_a, al_b), _, _ = gaps
-            n, u = n + a, (u[0] - al_a, u[1] - al_b)
     events.sort(key=itemgetter(0))
 
     rows = []

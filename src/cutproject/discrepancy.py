@@ -246,7 +246,7 @@ def disc(
     import bisect
 
     x0, x1 = interval
-    pts = points.points if isinstance(points, PointPattern) else points
+    pts = (points if isinstance(points, PointPattern) else PointPattern(tuple(points))).points
     lo = math.ceil(x0)
     hi = math.ceil(x1)
     count = bisect.bisect_left(pts, hi) - bisect.bisect_left(pts, lo)
@@ -273,7 +273,7 @@ def estimate_density(
     length, by unique ergodicity.  For raw ingested points it is
     count/span, with the half-window spread reported as sensitivity.
     """
-    pts = points.points if isinstance(points, PointPattern) else tuple(points)
+    pts = (points if isinstance(points, PointPattern) else PointPattern(tuple(points))).points
     if len(pts) < 100:
         raise TooFewPoints(f"need >= 100 points, got {len(pts)}")
     if system is not None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from typing import IO, Iterable, Optional, Union

@@ -42,6 +42,17 @@ def half_system():
     )
 
 
+def unsorted_points(kind, n):
+    """n raw integer points that are not strictly increasing."""
+    pts = list(range(n))
+    if kind == "descending":
+        return pts[::-1]
+    if kind == "shuffled":
+        random.Random(n).shuffle(pts)
+        return pts if pts != sorted(pts) else pts[::-1]
+    return pts[: n // 2] + pts[n // 2 - 1 : -1]  # one point twice
+
+
 class TestDisc:
     def test_integer_lattice_examples(self):
         integers = PointPattern(tuple(range(-5, 30)))
@@ -72,6 +83,12 @@ class TestDisc:
         right = disc(pts, (1234, 3000), delta, signed=True)
         assert whole == left + right
 
+    @pytest.mark.parametrize("kind", ["descending", "shuffled", "duplicated"])
+    def test_unsorted_raw_points_raise(self, kind):
+        # bisect on such a list miscounts: descending 9..0 gave 5 for [0, 5), not 0
+        with pytest.raises(ValueError, match="strictly increasing"):
+            disc(unsorted_points(kind, 10), (0, 5), 1)
+
 
 class TestEstimateDensity:
     def test_exact_for_cut_and_project(self):
@@ -89,6 +106,12 @@ class TestEstimateDensity:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             estimate_density(PointPattern(tuple(range(10))))
+
+    @pytest.mark.parametrize("kind", ["descending", "shuffled", "duplicated"])
+    def test_unsorted_raw_points_raise(self, kind):
+        # the span came from the ends: [0, 101..199, 100] gave 101/100, not 101/199
+        with pytest.raises(ValueError, match="strictly increasing"):
+            estimate_density(unsorted_points(kind, 200))
 
 
 class TestProfile:

@@ -1,6 +1,6 @@
-"""Property tests of the three-gap stepping core, the block-shift hit
-stream, the floor-sum count and the closed-form profile of bounded
-windows in ``cutproject._scaled``.
+"""Property tests of the three-gap stepping core, the record walk, the
+block-shift hit stream, the floor-sum count and the closed-form profile
+of bounded windows in ``cutproject._scaled``.
 
 Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
@@ -135,6 +135,63 @@ def test_colors_match_interval_membership(system, rng):
     pat = colored_hits(system, k_min, k_min + span)
     assert dict(zip(pat.points, pat.colors)) == want
     assert list(pat.points) == sorted(want)
+
+
+def strict_records(ss, p, k0, n_max, left):
+    """The strict records of frac(y_{k0+n} - p), or of p - y_{k0+n} in (0, 1],
+    over 0 <= n <= n_max, by one explicit floor per index."""
+    out = []
+    for n in range(n_max + 1):
+        ya, yb = ss.state_at(k0 + n)
+        fa, fb = ss.frac(ya - p[0], yb - p[1])
+        v = (fa, fb) if left else (ss.m - fa, -fb)
+        if not out or pair_sign(v[0] - out[-1][1][0], v[1] - out[-1][1][1], ss.d) < 0:
+            out.append((n, v))
+    return out
+
+
+@SETTINGS
+@given(
+    systems(FIELDS + [NEGATIVE_XI]),
+    st.integers(-3000, 3000),
+    st.integers(-1, 2000),
+    st.data(),
+)
+def test_records_match_index_by_index(system, k0, n_max, data):
+    xi = system.xi
+    p = data.draw(st.sampled_from([xi.zero, *system.window.endpoints()])).fractional_part()[0]
+    j = data.draw(st.one_of(st.none(), st.integers(0, 2100)))
+    if j is not None:  # the orbit meets p exactly at n = j
+        system = RotationSystem(xi, p - (k0 + j) * xi.xi_real, system.window)
+    ss = system._scaled
+    A, B, D = p.triple
+    pair = (A * (ss.m // D), B * (ss.m // D))
+    for left in (True, False):
+        got = list(_scaled._records(ss, pair, k0, n_max, left))
+        assert got == strict_records(ss, pair, k0, n_max, left)
+        if left:
+            event("meets p" if got and got[-1][1] == (0, 0) else "misses p")
+
+
+def test_sparse_window_needs_no_search(monkeypatch):
+    """No hit of [1/3, 1/3 + 10^-12) over 0..10^5: the first-hit record walk
+    makes O(log) sign tests, where an index-by-index search made 266,855."""
+    xi = FIELDS[0]
+    lo = xi.real(Fraction(1, 3))
+    system = RotationSystem(
+        xi, xi.real(Fraction(1, 7)), Window.single(lo, lo + xi.real(Fraction(1, 10**12)))
+    )
+    want = _scaled.count_hits(system._scaled, 0, 10**5)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pair_sign(*args)
+
+    monkeypatch.setattr(_scaled, "pair_sign", counted)
+    assert len(orbit_hits(system, 0, 10**5)) == want
+    assert calls < 1000
 
 
 KAPPAS = st.sampled_from([-3, -2, -1, 1, 2, 3])
