@@ -76,23 +76,21 @@ counts once it lies in the piece.  For a quadratic xi the chains hold
 O(teeth * log N) records, and the profile merges them with its samples
 at one exact comparison each.
 
-Profiles of other windows are scanned hit by hit (``scan_chunk``).  D(N) =
-(hits over 0 <= k <= N) - N*len, scaled by M the pair (h*M - N*len_a,
--N*len_b), falls strictly between hits, so its running max moves only at
-a hit and its running min only right before one, at D(k) - (M - len), or
-at a record.  From one hit to the next, g indices on, D moves by
-M - g*len, whose sign g fixes against F = floor(M/len): a hit moves the
-max or the min, never both, at one sign test.  A chunk [k_from, k_to]
-counts the hits before k_from by floor sums, so its rows are absolute and
-need nothing from the other chunks: for any cut of [0, N], a running max
-over the rows of the chunks gives the rows of one scan.
+Profiles of other windows are scanned hit by hit from k = 0
+(``scan_rows``).  D(N) = (hits over 0 <= k <= N) - N*len, scaled by M the
+pair (h*M - N*len_a, -N*len_b), falls strictly between hits, so its
+running max moves only at a hit and its running min only right before
+one, at D(k) - (M - len), or at a record.  From one hit to the next, g
+indices on, D moves by M - g*len, whose sign g fixes against
+F = floor(M/len): a hit moves the max or the min, never both, at one sign
+test.
 
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every
 floor ``exactnum.floor_pair``, except the per-hit tests in the loops of
-``interval_hits`` and ``scan_chunk``, which inline ``pair_sign``: a call
+``interval_hits`` and ``scan_rows``, which inline ``pair_sign``: a call
 per hit there made the benchmark's ``enumerate`` round 18 % slower and its
 ``discrepancy`` round 17 % slower (median ``wall_s`` of 4 alternating
 pairs each, 2 cores, CPython 3.11).
@@ -503,28 +501,18 @@ def collect_colored(
 # -- discrepancy scan (module docstring) ------------------------------------------
 
 
-def scan_chunk(
-    ss: ScaledSystem, k_from: int, k_to: int, records: Sequence[int]
-) -> list[tuple[int, XiReal, XiReal]]:
-    """Profile rows (n, D(n), max |D|) at each record, scanned over [k_from, k_to].
-
-    `records` is an increasing sequence with records[-1] == k_to.  h starts
-    at the hits before k_from, by floor sums (minus those in [k_from, -1]
-    when k_from < 0, so D(N) - D(N - 1) is 1 - len at a hit and -len
-    elsewhere on all of Z).  The max runs over k_from <= N <= n, and over
-    D(k_from - 1) too when k_from is a hit.
-    """
-    if not records:
-        return []
+def scan_rows(ss: ScaledSystem, records: Sequence[int]) -> list[tuple[int, XiReal, XiReal]]:
+    """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, scanned over
+    0..records[-1]; `records` is increasing and nonempty."""
     d = ss.d
     m = ss.m
     la, lb = ss.length
     # a gap g between hits moves D by M - g*len: up for g < F, down for g > F
     big_f = _floor_ratio(d, (m, 0), ss.length) if ss.ivals else 0  # no window, no hits
     f_sign = pair_sign(m - big_f * la, -big_f * lb, d)  # at g == F: 1 or 0
-    hits = chain.from_iterable(ks for ks, _ in hit_blocks(ss, k_from, k_to))
+    hits = chain.from_iterable(ks for ks, _ in hit_blocks(ss, 0, records[-1]))
     out = []
-    h = count_hits(ss, 0, k_from - 1) - count_hits(ss, k_from, -1)
+    h = 0
     kp = 0  # the previous hit
     mx_a = mx_b = mn_a = mn_b = None  # extrema of D(k) over the segment's hits
     sup: Optional[Pair] = None

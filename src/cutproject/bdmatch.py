@@ -82,8 +82,7 @@ class MatchingWitness:
     @classmethod
     def from_csv(cls, fp: IO[str]) -> "MatchingWitness":
         header: dict[str, str] = {}
-        points: list[Exact] = []
-        xi: Optional[XiSpec] = None
+        ys: list[str] = []
         for line in fp:
             line = line.strip()
             if not line or line == "y,lattice_point,displacement":
@@ -91,15 +90,13 @@ class MatchingWitness:
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 header[key.strip()] = val.strip()
-                continue
-            y_text = line.split(",", 1)[0]
-            if xi is None and "xi" in header:
-                xi = parse_xi(header["xi"])
-            points.append(_parse_exact(y_text, xi))
+            else:
+                ys.append(line.split(",", 1)[0])
         if "delta" not in header or "offset" not in header:
             raise ValueError("witness CSV is missing its header lines")
-        if xi is None and "xi" in header:
-            xi = parse_xi(header["xi"])
+        if len(ys) < 2:
+            raise EmptyPattern(f"need at least 2 points, got {len(ys)}")
+        xi = parse_xi(header["xi"]) if "xi" in header else None
         delta = _parse_exact(header["delta"], xi)
         if isinstance(delta, int):
             delta = Fraction(delta)
@@ -107,7 +104,7 @@ class MatchingWitness:
             delta=delta,
             offset=int(header["offset"]),
             sup_displacement=_parse_exact(header["sup_displacement"], xi),
-            points=tuple(points),
+            points=tuple(_parse_exact(y, xi) for y in ys),
         )
         if witness.recompute_sup() != witness.sup_displacement:
             raise ValueError("witness CSV sup_displacement does not recompute")

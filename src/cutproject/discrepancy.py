@@ -8,9 +8,9 @@ maxima at decade boundaries (N <= 10^j) plus a logarithmically spaced
 trace.  A window with an Oren matching takes the closed form of the
 Kesten/Oren coboundary and merges the orbit's record events near the
 teeth of its transfer function, so its profile is exact at any n_max;
-an empty or unbounded window is scanned hit by hit, sharded over worker
-processes on request.  All stored values are exact field elements
-compared by exact sign tests; decimal output is rendering only.
+an empty or unbounded window is scanned hit by hit.  All stored values
+are exact field elements compared by exact sign tests; decimal output
+is rendering only.
 
 The empirical boundedness verdict derived from a profile is evidence,
 never proof: the exact verdict comes from the boundary-class criteria.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
@@ -43,8 +42,6 @@ __all__ = [
 ]
 
 Exact = Union[int, Fraction, XiReal]
-
-_CHUNK_SPAN = 131_072  # the pool's grain: chunks stand alone, so any cut gives the same rows
 
 
 class TooFewPoints(ValueError):
@@ -160,12 +157,9 @@ def profile(
     closed form D(N) = C - G(y_N) and follows the records of the orbit
     near each tooth of G (``_scaled.closed_form_rows``): nothing is
     scanned, so the profile is exact at any n_max.  An empty or unbounded
-    window is scanned hit by hit with the three-gap core in chunks
-    (``_scaled.scan_chunk``), sharded over ``workers`` processes when
-    workers > 1.  Each chunk counts the hits before it by floor sums and
-    returns exact rows, so the merge is a running max and the rows are the
-    same for any cut and any worker count.  ``workers`` matters only on the
-    scan route.
+    window is scanned hit by hit with the three-gap core, in one pass from
+    N = 0 (``_scaled.scan_rows``).  ``workers`` has no effect; it is kept so
+    that callers passing it still run.
     """
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
@@ -174,7 +168,8 @@ def profile(
     records = _record_points(n_max, trace_limit)
     witness = oren_condition(system.window) if system.window else None
     if witness is None:
-        rows = _scan_rows(ss, records, workers)
+        rows = _scaled.scan_rows(ss, records)
+        _scaled.debug(__name__, "profile n_max=%d: three-gap scan, %d samples", n_max, len(rows))
     else:
         rows, teeth, events = _scaled.closed_form_rows(ss, witness.ks, records)
         _scaled.debug(
@@ -195,40 +190,6 @@ def profile(
     )
 
 
-def _scan_rows(
-    ss: _scaled.ScaledSystem, records: list[int], workers: int
-) -> list[tuple[int, XiReal, XiReal]]:
-    """Rows (n, D(n), max |D(N)| over N <= n) of a three-gap scan over 0..records[-1]."""
-    n_max = records[-1]
-    # chunks are runs of record segments covering at least _CHUNK_SPAN steps
-    chunks: list[tuple[int, int, list[int]]] = []  # (k_from, k_to, records)
-    start = 0
-    recs: list[int] = []
-    for r in records:
-        recs.append(r)
-        if r - start + 1 >= _CHUNK_SPAN or r == n_max:
-            chunks.append((start, r, recs))
-            start = r + 1
-            recs = []
-
-    args = [(ss, k_from, k_to, rs) for k_from, k_to, rs in chunks]
-    pooled = workers > 1 and len(chunks) > 1
-    _scaled.debug(
-        __name__, "profile n_max=%d: three-gap scan, %d chunks, %d workers, %d samples",
-        n_max, len(chunks), workers if pooled else 1, len(records),
-    )
-    if pooled:
-        from concurrent.futures import ProcessPoolExecutor  # loads logging: only for a pool
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_rows = list(pool.map(_scaled.scan_chunk, *zip(*args)))
-    else:
-        chunk_rows = [_scaled.scan_chunk(*a) for a in args]
-    rows = [row for chunk in chunk_rows for row in chunk]
-    sups = accumulate((sup for _, _, sup in rows), max)  # each chunk's max starts afresh
-    return [(n, value, sup) for (n, value, _), sup in zip(rows, sups)]
-
-
 # -- interval discrepancy ------------------------------------------------------
 
 
@@ -241,11 +202,14 @@ def disc(
 ) -> Exact:
     """|count of points in [x0, x1) - delta*(x1 - x0)|, all exact.
 
-    With signed=True the absolute value is skipped.
+    With signed=True the absolute value is skipped.  x1 < x0 raises
+    ValueError.
     """
     import bisect
 
     x0, x1 = interval
+    if x1 < x0:
+        raise ValueError(f"reversed interval [{x0}, {x1})")
     pts = (points if isinstance(points, PointPattern) else PointPattern(tuple(points))).points
     lo = math.ceil(x0)
     hi = math.ceil(x1)
@@ -323,8 +287,11 @@ def cochain_discrepancy(
 
     Linear in the terms; densities are exact acceptance-window lengths
     and counts are floor sums on those windows (``_scaled.count_hits``).
+    x1 < x0 raises ValueError.
     """
     x0, x1 = interval
+    if x1 < x0:
+        raise ValueError(f"reversed interval [{x0}, {x1})")
     lo = math.ceil(x0)
     hi = math.ceil(x1) - 1
     length = x1 - x0

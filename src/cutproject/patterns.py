@@ -50,6 +50,12 @@ class SingularOrbit(RuntimeError):
         self.k = k
 
 
+def _require_field(*values: object) -> None:
+    for v in values:
+        if not isinstance(v, XiReal):
+            raise TypeError(f"{v!r} is not a field element: build it with xi.real(...)")
+
+
 @dataclass(frozen=True)
 class Window:
     """Ordered disjoint union of half-open intervals with exact endpoints.
@@ -62,7 +68,10 @@ class Window:
     intervals: tuple[tuple[XiReal, XiReal], ...]
 
     def __init__(self, intervals: Iterable[tuple[XiReal, XiReal]]):
-        ivs = sorted(intervals, key=lambda iv: iv[0])
+        ivs = list(intervals)
+        for iv in ivs:
+            _require_field(*iv)
+        ivs.sort(key=lambda iv: iv[0])
         for lo, hi in ivs:
             if lo.xi != hi.xi or lo.xi != ivs[0][0].xi:
                 raise ValueError("window endpoints live in different fields")
@@ -187,6 +196,7 @@ class RotationSystem:
     strict: bool = False
 
     def __post_init__(self) -> None:
+        _require_field(self.basepoint)
         if self.basepoint.xi != self.xi:
             raise ValueError("basepoint does not live in the system's field")
         if self.window and self.window.xi != self.xi:

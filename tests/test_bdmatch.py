@@ -152,6 +152,14 @@ class TestSerialization:
         loaded = MatchingWitness.from_csv(io.StringIO(text))
         assert loaded == witness
 
+    def test_fewer_than_two_rows_rejected(self):
+        buf = io.StringIO()
+        build_witness([0, 2, 5, 9], Fraction(1, 2)).to_csv(buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        for rows in (0, 1):  # the header lines and no data row, or one
+            with pytest.raises(EmptyPattern, match=f"got {rows}"):
+                MatchingWitness.from_csv(io.StringIO("".join(lines[: 4 + rows])))
+
     def test_corrupt_sup_rejected(self):
         witness = build_witness([0, 2, 5, 9], Fraction(1, 2))
         buf = io.StringIO()

@@ -93,6 +93,17 @@ class TestWindow:
         with pytest.raises(ValueError):
             w(((Fraction(-1, 2),), (Fraction(1, 2),)))  # out of range
 
+    def test_values_outside_the_field_raise_type_error(self):
+        half = SQRT2.real(Fraction(1, 2))
+        for build in (
+            lambda: Window([(0.1, 0.2)]),
+            lambda: Window([(0, Fraction(1, 2))]),
+            lambda: Window([(SQRT2.zero, half), (Fraction(3, 4), SQRT2.one)]),
+            lambda: RotationSystem(SQRT2, 0, Window.single(SQRT2.zero, half)),
+        ):
+            with pytest.raises(TypeError, match=r"xi\.real\(\.\.\.\)"):
+                build()
+
     def test_total_length_and_contains(self):
         win = w(((0,), (Fraction(1, 3),)), ((Fraction(1, 2),), (Fraction(2, 3),)))
         assert win.total_length() == Fraction(1, 2)

@@ -1,16 +1,17 @@
 """Property tests of the three-gap stepping core, the record walk, the
-block-shift hit stream, the floor-sum count and the closed-form profile
-of bounded windows in ``cutproject._scaled``.
+block-shift hit stream, the floor-sum count, the profile scan and the
+closed-form profile of bounded windows in ``cutproject._scaled``.
 
 Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
-``XiReal`` arithmetic from ``exactnum``, brute force over k, or, for the
-closed form, the three-gap scan of ``scan_chunk``.
+``XiReal`` arithmetic from ``exactnum``, or brute force over k.  The
+profile scan ``scan_rows`` is checked against ``strip_rows`` (one
+explicit floor per index) and is in turn the reference for the closed
+form.
 """
 
 import logging
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from cutproject import _scaled
 from cutproject.criteria import oren_condition
-from cutproject.discrepancy import _record_points, _scan_rows, profile
+from cutproject.discrepancy import _record_points, profile
 from cutproject.exactnum import XiSpec, pair_sign
 from cutproject.patterns import (
     OMEGA,
@@ -259,7 +260,7 @@ def test_closed_form_rows_match_scan(case, n_max, trace_limit):
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
     rows, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
-    assert rows == _scan_rows(ss, records, 1)
+    assert rows == _scaled.scan_rows(ss, records)
 
 
 def strip_rows(system, n_max):
@@ -348,58 +349,13 @@ def test_kesten_bound_up_to_a_googol():
                 assert (abs(value) - (abs(k) + 1)).sign() < 0, (xi, j, value)
 
 
-@SETTINGS
-@given(systems(FIELDS + [NEGATIVE_XI]), ranges, st.lists(st.integers(0, 1500), max_size=6))
-def test_scan_chunk_rows_match_strip_route(system, rng, cuts):
-    """Each row: D at the record, and the running max over the chunk's
-    segments of max D over the segment's hits and its end and of -min D over
-    the values right before those hits and its end (so D(k_from - 1) counts
-    when k_from is a hit).  Hits before k_from count, negatively below 0."""
-    k_from, span = rng
-    k_to = k_from + span
-    records = sorted({k_from + c for c in cuts if c < span} | {k_to})
-    ss = system._scaled
-    before = _scaled.collect_hits_direct(ss, min(k_from, 0), max(k_from, 0) - 1)
-    h = len(before) if k_from > 0 else -len(before)
-    hits = set(_scaled.collect_hits_direct(ss, k_from, k_to))
-    length = system.window_length()
-    want = []
-    sup = None
-    start = k_from
-    for rec in records:
-        at_hits = []
-        for k in range(start, rec + 1):
-            if k in hits:
-                h += 1
-                at_hits.append(h - k * length)
-        end = system.xi.real(h) - rec * length
-        before_hits = [v - (1 - length) for v in at_hits]
-        seg = max(max(at_hits + [end]), -min(before_hits + [end]))
-        sup = seg if sup is None else max(sup, seg)
-        want.append((rec, end, sup))
-        start = rec + 1
-    assert _scaled.scan_chunk(ss, k_from, k_to, records) == want
-
-
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(systems(FIELDS + [NEGATIVE_XI]), st.integers(0, 5000), st.data())
-def test_scan_chunks_merge_to_one_scan(system, n, data):
-    """Profile sharding invariance: [0, n] cut at record points into 1-5
-    chunks, each scanned alone and merged by a running max, gives the rows
-    of one scan over [0, n] and of the strip route."""
+def test_scan_rows_match_strip_route(system, n, data):
+    """Each row: D at the record and the running max of |D| up to it."""
     records = sorted(set(data.draw(st.lists(st.integers(0, n), max_size=12))) | {n})
-    ends = sorted(set(data.draw(st.lists(st.sampled_from(records), max_size=4))) | {n})
-    ss = system._scaled
-    rows = []
-    start = 0
-    for end in ends:
-        rows += _scaled.scan_chunk(ss, start, end, [r for r in records if start <= r <= end])
-        start = end + 1
-    sups = accumulate((sup for _, _, sup in rows), max)
-    merged = [(r, value, sup) for (r, value, _), sup in zip(rows, sups)]
-    assert merged == _scaled.scan_chunk(ss, 0, n, records)
     want = strip_rows(system, n)
-    assert merged == [(r, *want[r]) for r in records]
+    assert _scaled.scan_rows(system._scaled, records) == [(r, *want[r]) for r in records]
 
 
 # -- the block-shift stream ------------------------------------------------------------
