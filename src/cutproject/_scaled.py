@@ -76,24 +76,43 @@ counts once it lies in the piece.  For a quadratic xi the chains hold
 O(teeth * log N) records, and the profile merges them with its samples
 at one exact comparison each.
 
-Profiles of other windows are scanned hit by hit from k = 0
-(``scan_rows``).  D(N) = (hits over 0 <= k <= N) - N*len, scaled by M the
-pair (h*M - N*len_a, -N*len_b), falls strictly between hits, so its
-running max moves only at a hit and its running min only right before
-one, at D(k) - (M - len), or at a record.  From one hit to the next, g
-indices on, D moves by M - g*len, whose sign g fixes against
-F = floor(M/len): a hit moves the max or the min, never both, at one sign
-test.
+Profiles of other windows come from block tables (``table_rows``), a
+Rauzy induction of the rotation onto the nested intervals
+J_i = [-beta_i, alpha_i) that the walk of ``_walk`` passes through
+(a_i, b_i its times).  In the signed coordinate x = y, or y - 1 for
+y >= frac(xi), J_0 = [frac(xi) - 1, frac(xi)) is the circle, and the
+return rule is exact: x in [-beta, 0) comes back to J after a steps, at
+x + alpha, and x in [0, alpha) after b steps, at x - beta.  The table F_i
+maps x in J_i to the summary (sum, max prefix, min prefix) of
+f = chi_W - len over its return block, each an integer pair (h, k)
+standing for h - k*len.  Summaries multiply as
+
+    (s, hi, lo)(s', hi', lo') = (s + s', max(hi, s + hi'), min(lo, s + lo'))
+
+at one sign test per max or min.  F_0 is (1, 1) or (0, 1) thrice, cut
+at 0 and the endpoints.  One walk step with alpha > beta gives
+J' = [-beta, alpha - beta), a' = a + b: a block from [-beta, 0) goes on
+from x + alpha, outside J', so F'(x) = F(x) F(x + alpha) there, and F
+is kept on [0, alpha - beta).  With beta > alpha it is the mirror image,
+b' = a + b and F'(x) = F(x) F(x - beta) on [0, alpha).  The tower floors
+of J_i cover the circle once and each endpoint lies in one floor, so
+F_i has at most 2L + 2 pieces once equal neighbours merge.  The n steps
+from x are a greedy climb: go up a level while x lies in the next J and
+its block fits, else take F_i(x) if it fits, else go down; at most two
+blocks a level, so O(log n) lookups as xi has bounded partial quotients.
+A profile multiplies the products from record to record: the prefix
+(h, k) of steps 0..n gives D(n) = h - (k - 1)*len, and max |D| reads
+max(hi, -lo) the same way.  Only the levels with a block of at most
+records[-1] + 1 steps are built, in each call.
 
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every
-floor ``exactnum.floor_pair``, except the per-hit tests in the loops of
-``interval_hits`` and ``scan_rows``, which inline ``pair_sign``: a call
-per hit there made the benchmark's ``enumerate`` round 18 % slower and its
-``discrepancy`` round 17 % slower (median ``wall_s`` of 4 alternating
-pairs each, 2 cores, CPython 3.11).
+floor ``exactnum.floor_pair``, except the per-hit tests in the loop of
+``interval_hits``, which inline ``pair_sign``: a call per hit there made
+the benchmark's ``enumerate`` round 18 % slower (median ``wall_s`` of 4
+alternating pairs, 2 cores, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -498,68 +517,124 @@ def collect_colored(
     return reduce(iadd, ks), reduce(iadd, colors)
 
 
-# -- discrepancy scan (module docstring) ------------------------------------------
+# -- block tables (module docstring) --------------------------------------------------
+
+Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and the min prefix
+Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary]]  # a, alpha, b, beta, table
 
 
-def scan_rows(ss: ScaledSystem, records: Sequence[int]) -> list[tuple[int, XiReal, XiReal]]:
-    """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, scanned over
-    0..records[-1]; `records` is increasing and nonempty."""
+def table_rows(
+    ss: ScaledSystem, records: Sequence[int]
+) -> tuple[list[tuple[int, XiReal, XiReal]], int]:
+    """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, from the block
+    tables of the levels whose blocks fit in 0..records[-1]; `records` is increasing
+    and nonempty.  Returns the rows and the number of levels."""
     d = ss.d
     m = ss.m
     la, lb = ss.length
-    # a gap g between hits moves D by M - g*len: up for g < F, down for g > F
-    big_f = _floor_ratio(d, (m, 0), ss.length) if ss.ivals else 0  # no window, no hits
-    f_sign = pair_sign(m - big_f * la, -big_f * lb, d)  # at g == F: 1 or 0
-    hits = chain.from_iterable(ks for ks, _ in hit_blocks(ss, 0, records[-1]))
-    out = []
-    h = 0
-    kp = 0  # the previous hit
-    mx_a = mx_b = mn_a = mn_b = None  # extrema of D(k) over the segment's hits
-    sup: Optional[Pair] = None
-    ri = 0
-    rec = records[0]
-    for k in chain(hits, (records[-1] + 1,)):  # the sentinel closes the last segments
-        while k > rec:
-            # the segment ends at rec: D(rec) joins both extrema
-            da, db = h * m - rec * la, -rec * lb
-            if mx_a is None:
-                mx_a, mx_b, mn_a, mn_b = da, db, da, db
+
+    def sign(a: int, b: int) -> int:
+        return pair_sign(a, b, d)
+
+    def inside(x: Pair, al: Pair, be: Pair) -> bool:  # x in J = [-beta, alpha)
+        return sign(x[0] + be[0], x[1] + be[1]) >= 0 and sign(x[0] - al[0], x[1] - al[1]) < 0
+
+    def mul(s: Summary, t: Summary) -> Summary:
+        h, k, hh, hk, lh, lk = s
+        th, tk, thh, thk, tlh, tlk = t
+        ch, ck = h + thh, k + thk  # max(hi, s + hi'): the sign of (ch - ck*len) - (hh - hk*len)
+        if sign((ch - hh) * m - (ck - hk) * la, (hk - ck) * lb) > 0:
+            hh, hk = ch, ck
+        ch, ck = h + tlh, k + tlk
+        if sign((ch - lh) * m - (ck - lk) * la, (lk - ck) * lb) < 0:
+            lh, lk = ch, ck
+        return h + th, k + tk, hh, hk, lh, lk
+
+    def find(cuts: list[Pair], x: Pair) -> int:  # the piece [cuts[j], cuts[j + 1]) holding x
+        lo, hi = 0, len(cuts)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if sign(x[0] - cuts[mid][0], x[1] - cuts[mid][1]) >= 0:
+                lo = mid
             else:
-                mn_a, mn_b = mn_a - m + la, mn_b + lb  # D(k-1) = D(k) - (M - len)
-                if pair_sign(da - mx_a, db - mx_b, d) > 0:
-                    mx_a, mx_b = da, db
-                if pair_sign(da - mn_a, db - mn_b, d) < 0:
-                    mn_a, mn_b = da, db
-            # |D| over the segment peaks at its max or at minus its min
-            for ca, cb in ((mx_a, mx_b), (-mn_a, -mn_b)):
-                if sup is None or pair_sign(ca - sup[0], cb - sup[1], d) > 0:
-                    sup = (ca, cb)
-            out.append((rec, ss.unscale((da, db)), ss.unscale(sup)))
-            mx_a = mx_b = mn_a = mn_b = None
-            ri += 1
-            if ri == len(records):
-                return out
-            rec = records[ri]
-        h += 1
-        da = h * m - k * la
-        db = -k * lb
-        g = k - kp
-        kp = k
-        if mx_a is None:
-            mx_a, mx_b, mn_a, mn_b = da, db, da, db
-        elif g < big_f or g == big_f and f_sign:  # D rose: only the max can move
-            a2 = da - mx_a
-            b2 = db - mx_b
-            # pair_sign inlined (module docstring): D(k) > max
-            if (b2 > 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
-                mx_a, mx_b = da, db
-        elif g > big_f:  # D fell: only the min can move
-            a2 = da - mn_a
-            b2 = db - mn_b
-            # pair_sign inlined: D(k) < min
-            if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
-                mn_a, mn_b = da, db
-    return out
+                hi = mid
+        return lo
+
+    def ordered(pts: set[Pair]) -> list[Pair]:
+        return sorted(pts, key=cmp_to_key(lambda u, v: sign(u[0] - v[0], u[1] - v[1])))
+
+    def merged(cuts: list[Pair], vals: list[Summary]) -> tuple[list[Pair], list[Summary]]:
+        keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]
+        return [cuts[j] for j in keep], [vals[j] for j in keep]
+
+    sa, sb = ss.step
+    ends = {e if e != (m, 0) else (0, 0) for iv in ss.ivals for e in (iv[:2], iv[2:])}
+    signed = {e if sign(e[0] - sa, e[1] - sb) < 0 else (e[0] - m, e[1]) for e in ends}
+    cuts = ordered({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
+    vals = []
+    for c in cuts:  # one step from the circle point of c
+        ya, yb = c if sign(*c) >= 0 else (c[0] + m, c[1])
+        hit = any(
+            sign(ya - lo_a, yb - lo_b) >= 0 and sign(ya - hi_a, yb - hi_b) < 0
+            for lo_a, lo_b, hi_a, hi_b in ss.ivals
+        )
+        vals.append((int(hit), 1) * 3)
+    levels: list[Level] = [(1, ss.step, 1, (m - sa, -sb), *merged(cuts, vals))]
+    while True:
+        a, al, b, be, cuts, vals = levels[-1]
+        left = sign(al[0] - be[0], al[1] - be[1]) > 0
+        if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
+            nxt = (a + b, (al[0] - be[0], al[1] - be[1]), b, be)
+            shift = al
+        else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
+            nxt = (a, al, a + b, (be[0] - al[0], be[1] - al[1]))
+            shift = (-be[0], -be[1])
+        if min(nxt[0], nxt[2]) > records[-1] + 1:
+            break
+        _, al2, _, be2 = nxt
+        # a cut of J outside J' comes back as its preimage, on the doubling side
+        pts = {c if inside(c, al2, be2) else (c[0] - shift[0], c[1] - shift[1]) for c in cuts}
+        new_cuts = ordered(pts | {(-be2[0], -be2[1]), (0, 0)})
+        new_vals = []
+        for c in new_cuts:
+            v = vals[find(cuts, c)]
+            if (sign(*c) < 0) == left:  # the block doubles
+                v = mul(v, vals[find(cuts, (c[0] + shift[0], c[1] + shift[1]))])
+            new_vals.append(v)
+        levels.append((*nxt, *merged(new_cuts, new_vals)))
+
+    top = len(levels) - 1
+    x = ss.base if sign(ss.base[0] - sa, ss.base[1] - sb) < 0 else (ss.base[0] - m, ss.base[1])
+    neg = sign(*x) < 0
+    acc: Optional[Summary] = None
+    rows = []
+    prev = -1
+    for rec in records:
+        n = rec - prev  # the steps prev + 1..rec: climb while the blocks fit, then go down
+        prev = rec
+        i = 0
+        while n:
+            if i < top:
+                a, al, b, be, _, _ = levels[i + 1]
+                if (a if neg else b) <= n and inside(x, al, be):
+                    i += 1
+                    continue
+            a, al, b, be, cuts, vals = levels[i]
+            r = a if neg else b
+            if r > n:
+                i -= 1
+                continue
+            v = vals[find(cuts, x)]
+            acc = v if acc is None else mul(acc, v)
+            x = (x[0] + al[0], x[1] + al[1]) if neg else (x[0] - be[0], x[1] - be[1])
+            neg = sign(*x) < 0
+            n -= r
+        h, k, hh, hk, lh, lk = acc  # k = rec + 1 steps, so D(rec) = h - rec*len
+        up = (hh * m - (hk - 1) * la, (1 - hk) * lb)  # max D
+        down = ((lk - 1) * la - lh * m, (lk - 1) * lb)  # -min D
+        sup = up if sign(up[0] - down[0], up[1] - down[1]) >= 0 else down
+        rows.append((rec, ss.unscale((h * m - rec * la, -rec * lb)), ss.unscale(sup)))
+    return rows, len(levels)
 
 
 # -- closed form for bounded windows (module docstring) ------------------------------

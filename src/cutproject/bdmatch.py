@@ -92,7 +92,7 @@ class MatchingWitness:
                 header[key.strip()] = val.strip()
             else:
                 ys.append(line.split(",", 1)[0])
-        if "delta" not in header or "offset" not in header:
+        if not {"delta", "offset", "sup_displacement"} <= header.keys():
             raise ValueError("witness CSV is missing its header lines")
         if len(ys) < 2:
             raise EmptyPattern(f"need at least 2 points, got {len(ys)}")

@@ -7,10 +7,11 @@ Profiles track |D| exactly over 0 <= N <= n_max, retaining the running
 maxima at decade boundaries (N <= 10^j) plus a logarithmically spaced
 trace.  A window with an Oren matching takes the closed form of the
 Kesten/Oren coboundary and merges the orbit's record events near the
-teeth of its transfer function, so its profile is exact at any n_max;
-an empty or unbounded window is scanned hit by hit.  All stored values
-are exact field elements compared by exact sign tests; decimal output
-is rendering only.
+teeth of its transfer function; an empty or unbounded window takes the
+block tables of a Rauzy induction, O(log n) table lookups per sample.
+Neither steps the orbit, so every profile is exact at any n_max.  All
+stored values are exact field elements compared by exact sign tests;
+decimal output is rendering only.
 
 The empirical boundedness verdict derived from a profile is evidence,
 never proof: the exact verdict comes from the boundary-class criteria.
@@ -155,11 +156,12 @@ def profile(
 
     A window with an Oren matching (``criteria.oren_condition``) takes the
     closed form D(N) = C - G(y_N) and follows the records of the orbit
-    near each tooth of G (``_scaled.closed_form_rows``): nothing is
-    scanned, so the profile is exact at any n_max.  An empty or unbounded
-    window is scanned hit by hit with the three-gap core, in one pass from
-    N = 0 (``_scaled.scan_rows``).  ``workers`` has no effect; it is kept so
-    that callers passing it still run.
+    near each tooth of G (``_scaled.closed_form_rows``).  An empty or
+    unbounded window takes block tables: the rotation induced on the
+    intervals of the Euclid walk, with the summary of each return block,
+    and O(log n) lookups per sample (``_scaled.table_rows``).  Neither
+    route scans, so the profile is exact at any n_max.  ``workers`` has no
+    effect; it is kept so that callers passing it still run.
     """
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
@@ -168,8 +170,11 @@ def profile(
     records = _record_points(n_max, trace_limit)
     witness = oren_condition(system.window) if system.window else None
     if witness is None:
-        rows = _scaled.scan_rows(ss, records)
-        _scaled.debug(__name__, "profile n_max=%d: three-gap scan, %d samples", n_max, len(rows))
+        rows, levels = _scaled.table_rows(ss, records)
+        _scaled.debug(
+            __name__, "profile n_max=%d: block tables, %d levels, %d samples",
+            n_max, levels, len(rows),
+        )
     else:
         rows, teeth, events = _scaled.closed_form_rows(ss, witness.ks, records)
         _scaled.debug(

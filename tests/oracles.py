@@ -140,6 +140,35 @@ def exhaustive_oren(window) -> "list[tuple[tuple[int, ...], tuple[int, ...], tup
     return out
 
 
+def exact_sup(system, ks) -> XiReal:
+    """sup of |D(N)| over all N >= 0 for a window with an Oren matching whose
+    xi-coefficients are ks, from the teeth alone (no orbit point is visited).
+
+    D(N) = C - G(y_N), where G(y) is the signed sum of frac(y - e) over the
+    teeth e = a_l + j*xi, 0 <= j < kappa_l (sign +1) or kappa_l <= j < 0
+    (sign -1), with slope beta = sum(ks), and C = len + G(y_0 - xi).  The
+    orbit is dense, so on each piece [p, p') between sorted teeth G(y_N)
+    comes arbitrarily close to G(p) and to the left limit
+    G(p) + beta*(p' - p), and G takes nothing beyond them there.
+    """
+    xi = system.xi.xi_real
+    teeth = []
+    for (lo, _), kappa in zip(system.window.intervals, ks):
+        js = range(kappa) if kappa > 0 else range(kappa, 0)
+        teeth += [((lo + j * xi).fractional_part()[0], 1 if kappa > 0 else -1) for j in js]
+
+    def big_g(y: XiReal) -> XiReal:
+        return sum((s * (y - e).fractional_part()[0] for e, s in teeth), system.xi.zero)
+
+    c = system.window.total_length() + big_g(system.basepoint - xi)
+    pts = sorted({e for e, _ in teeth})
+    values = []
+    for p, q in zip(pts, pts[1:] + [pts[0] + 1]):
+        g = big_g(p)
+        values += [g, g + sum(ks) * (q - p)]
+    return max(c - min(values), max(values) - c)
+
+
 def brute_profile(system, n_max, checkpoints):
     """Running sup of |D(N)| at the given checkpoints, by direct enumeration.
 

@@ -160,6 +160,15 @@ class TestSerialization:
             with pytest.raises(EmptyPattern, match=f"got {rows}"):
                 MatchingWitness.from_csv(io.StringIO("".join(lines[: 4 + rows])))
 
+    @pytest.mark.parametrize("key", ["delta", "offset", "sup_displacement"])
+    def test_missing_header_line_rejected(self, key):
+        buf = io.StringIO()
+        build_witness([0, 2, 5, 9], Fraction(1, 2)).to_csv(buf)
+        lines = [line for line in buf.getvalue().splitlines(keepends=True)
+                 if not line.startswith(f"# {key} =")]
+        with pytest.raises(ValueError, match="missing its header lines"):
+            MatchingWitness.from_csv(io.StringIO("".join(lines)))
+
     def test_corrupt_sup_rejected(self):
         witness = build_witness([0, 2, 5, 9], Fraction(1, 2))
         buf = io.StringIO()

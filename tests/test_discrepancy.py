@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,13 +223,27 @@ class TestProfile:
             assert s.value == local_discrepancy(system, s.n)
         assert p.verdict() == "bounded-consistent"
 
+    def test_unbounded_profile_at_1e30(self):
+        # length 1/2 is not in Z + Z*xi: no Oren matching, so the block tables
+        half = RotationSystem(GOLDEN, GOLDEN.zero, parse_window("[1/7, 9/14)", GOLDEN))
+        start = time.process_time()
+        p = profile(half, 10**30)
+        assert time.process_time() - start < 5
+        for s in p.samples[::50] + p.samples[-1:]:
+            assert s.value == local_discrepancy(half, s.n), s.n  # floor sums
+        sups = [s.running_sup for s in p.samples]
+        assert all((b - a).sign() >= 0 for a, b in zip(sups, sups[1:]))
+        assert all((abs(s.value) - s.running_sup).sign() <= 0 for s in p.samples)
+        assert p.verdict() == "unbounded-consistent"
+
     def test_route_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cutproject.discrepancy"):
             profile(kesten_system(), 1000)
             profile(half_system(), 1000)
-        closed, scan = [r.getMessage() for r in caplog.records]
+        closed, tables = [r.getMessage() for r in caplog.records]
         assert "closed form, 1 teeth, " in closed and " record events" in closed
-        assert scan.startswith("profile n_max=1000: three-gap scan, ") and scan.endswith(" samples")
+        assert tables.startswith("profile n_max=1000: block tables, ")
+        assert " levels, " in tables and tables.endswith(" samples")
 
     def test_empty_window(self):
         sys = RotationSystem(SQRT2, SQRT2.zero, Window([]))

@@ -1,13 +1,14 @@
 """Property tests of the three-gap stepping core, the record walk, the
-block-shift hit stream, the floor-sum count, the profile scan and the
-closed-form profile of bounded windows in ``cutproject._scaled``.
+block-shift hit stream, the floor-sum count, the block-table profile and
+the closed-form profile of bounded windows in ``cutproject._scaled``.
 
 Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
 ``XiReal`` arithmetic from ``exactnum``, or brute force over k.  The
-profile scan ``scan_rows`` is checked against ``strip_rows`` (one
-explicit floor per index) and is in turn the reference for the closed
-form.
+block tables ``table_rows`` are checked against ``strip_rows`` (one
+explicit floor per index) and are in turn the reference for the closed
+form up to N = 10^30, where both stay below the exact supremum of a
+bounded window (``oracles.exact_sup``).
 """
 
 import logging
@@ -31,6 +32,7 @@ from cutproject.patterns import (
     parse_window,
     strip_points,
 )
+from oracles import exact_sup
 
 FIELDS = [
     XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
@@ -252,15 +254,36 @@ ON_A_TOOTH = _case(
 @example(ON_A_TOOTH, 100, 4096)
 @given(
     bounded_systems(),
-    st.sampled_from([100, 101, 997, 4096, 10**5]),
+    st.sampled_from([100, 101, 997, 4096, 10**5, 10**12, 10**30]),
     st.sampled_from([1, 16, 64, 4096]),
 )
 def test_closed_form_rows_match_scan(case, n_max, trace_limit):
+    """The closed form against the block tables, two routes that share no step."""
     system, witness = case
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
     rows, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
-    assert rows == _scaled.scan_rows(ss, records)
+    assert rows == _scaled.table_rows(ss, records)[0]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(ON_A_TOOTH, 10**30, 64)
+@given(
+    bounded_systems(),
+    st.sampled_from([100, 10**5, 10**12, 10**30]),
+    st.sampled_from([1, 16, 64]),
+)
+def test_running_sups_stay_below_exact_sup(case, n_max, trace_limit):
+    """No running sup of a bounded window exceeds sup |D(N)| over all N."""
+    system, witness = case
+    ss = system._scaled
+    records = _record_points(n_max, trace_limit)
+    bound = exact_sup(system, witness.ks)
+    closed, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
+    for rows in (closed, _scaled.table_rows(ss, records)[0]):
+        assert all((sup - bound).sign() <= 0 for _, _, sup in rows), bound
+    if n_max == 10**30:  # by then the orbit has come within about 10^-29 of every tooth
+        assert (bound - closed[-1][2] - Fraction(1, 10**20)).sign() < 0, bound
 
 
 def strip_rows(system, n_max):
@@ -351,11 +374,23 @@ def test_kesten_bound_up_to_a_googol():
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(systems(FIELDS + [NEGATIVE_XI]), st.integers(0, 5000), st.data())
-def test_scan_rows_match_strip_route(system, n, data):
+def test_table_rows_match_strip_route(system, n, data):
     """Each row: D at the record and the running max of |D| up to it."""
     records = sorted(set(data.draw(st.lists(st.integers(0, n), max_size=12))) | {n})
     want = strip_rows(system, n)
-    assert _scaled.scan_rows(system._scaled, records) == [(r, *want[r]) for r in records]
+    rows, _ = _scaled.table_rows(system._scaled, records)
+    assert rows == [(r, *want[r]) for r in records]
+
+
+def test_table_rows_keep_prefix_extremes_apart():
+    """Neighbouring pieces whose blocks have one sum but other prefix extremes stay two."""
+    xi = FIELDS[0]
+    lo = xi.real(Fraction(-10, 7), 1)
+    system = RotationSystem(xi, lo, Window.single(lo, xi.real(Fraction(4, 7))))
+    want = strip_rows(system, 15)
+    for records in ([15], list(range(16))):  # one climb to the top, and one step at a time
+        rows, _ = _scaled.table_rows(system._scaled, records)
+        assert rows == [(r, *want[r]) for r in records]
 
 
 # -- the block-shift stream ------------------------------------------------------------
