@@ -154,6 +154,14 @@ class ScaledSystem:
         """Scaled radical pair of frac((a + b*sqrt(d)) / m)."""
         return a - floor_pair(a, b, self.m, self.d) * self.m, b
 
+    def contains(self, ya: int, yb: int) -> bool:
+        """Whether the scaled radical pair of a point of [0, 1) lies in the window."""
+        d = self.d
+        for lo_a, lo_b, hi_a, hi_b in self.ivals:
+            if pair_sign(ya - lo_a, yb - lo_b, d) >= 0 and pair_sign(ya - hi_a, yb - hi_b, d) < 0:
+                return True
+        return False
+
     def state_at(self, k: int) -> tuple[int, int]:
         """Scaled radical pair of frac(basepoint + k*xi)."""
         return self.frac(self.base[0] + k * self.step[0], self.base[1] + k * self.step[1])
@@ -497,15 +505,8 @@ def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
     Independent of the stepping core above (no carried state), so the two
     routes cross-check each other.
     """
-    d = ss.d
-    out = []
-    for k in range(k_min, k_max + 1):
-        ya, yb = ss.state_at(k)
-        for lo_a, lo_b, hi_a, hi_b in ss.ivals:
-            if pair_sign(ya - lo_a, yb - lo_b, d) >= 0 and pair_sign(ya - hi_a, yb - hi_b, d) < 0:
-                out.append(k)
-                break
-    return out
+    contains, state_at = ss.contains, ss.state_at
+    return [k for k in range(k_min, k_max + 1) if contains(*state_at(k))]
 
 
 def collect_colored(
@@ -573,11 +574,7 @@ def table_rows(
     cuts = ordered({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
     vals = []
     for c in cuts:  # one step from the circle point of c
-        ya, yb = c if sign(*c) >= 0 else (c[0] + m, c[1])
-        hit = any(
-            sign(ya - lo_a, yb - lo_b) >= 0 and sign(ya - hi_a, yb - hi_b) < 0
-            for lo_a, lo_b, hi_a, hi_b in ss.ivals
-        )
+        hit = ss.contains(*(c if sign(*c) >= 0 else (c[0] + m, c[1])))
         vals.append((int(hit), 1) * 3)
     levels: list[Level] = [(1, ss.step, 1, (m - sa, -sb), *merged(cuts, vals))]
     while True:

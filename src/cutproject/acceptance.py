@@ -1,27 +1,39 @@
 """Acceptance domains of finite local patterns.
 
-A pattern demands that certain offsets around an anchor point be
-occupied and others empty.  The anchor's internal coordinate then has
-to fall in a sub-window: the intersection of backward-rotated copies of
-the window (for required offsets) with complements of such copies (for
-forbidden offsets).  The result is again a finite union of half-open
-intervals, and every one of its endpoints differs from an endpoint of
-the original window by an element of Z + Z*xi; the provenance records
-that witness for each endpoint.
+A pattern requires some offsets o around an anchor and forbids others.
+With W the window and y_o(x) = frac(x + o*xi), the anchor's internal
+coordinate x in [0, 1) must have y_o(x) in W for each required o and not
+for each forbidden o: again a finite union of half-open intervals.
 
-All circle arithmetic is exact: shifted windows that wrap are split at
-1 into two half-open pieces, degenerate tangencies are resolved by the
-half-open convention, and no epsilon appears anywhere.
+One sweep finds it (``acceptance_domain``).  As x runs over [0, 1), y_o(x)
+enters W at x = frac(a_j - o*xi) for each left endpoint a_j and leaves at
+x = frac(b_j - o*xi) for each right endpoint b_j: 2L events per offset, an
+exact floor each on the system's scaled pairs.  A left end counts +1 and
+a right end -1, on the required or on the forbidden counter.  Both start
+at x = 0 from whether frac(o*xi) lies in W, so events at 0 are skipped;
+x is in the domain iff the required counter is the number of required
+offsets and the forbidden one is 0.  As y_o(x) = a_j lies in [a_j, b_j)
+and y_o(x) = b_j does not, membership just right of an event equals that
+at it, once every event at that position is applied (a right and a left
+end may meet there).  The events are sorted once by ``pair_sign``, and
+the cuts are unscaled once, into one Window.
+
+A cut x = frac(e_j - o*xi) has origin (j, -o); a cut at 0 or 1 is an
+endpoint of W (offset 0 is required), origin (j, 0).  If e_j' - e_j =
+s*xi + n with integers s, n (e_j' in the boundary class of e_j; s is
+unique as xi is irrational), then x = frac(e_j' + (-o - s)*xi), so the
+provenance, the least (|k|, j, k) over all endpoints, is the least over
+the class, whose shifts s are found once per window.  No epsilon appears.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Iterable, Union
 
-from .exactnum import XiReal, decompose_Z_plus_Zxi
+from .exactnum import XiReal, decompose_Z_plus_Zxi, pair_sign
 from .patterns import PointPattern, RotationSystem, Window, orbit_hits
 
 __all__ = [
@@ -78,9 +90,9 @@ class PatternSpec:
 class AcceptanceDomain:
     """The sub-window of internal coordinates at which a pattern occurs.
 
-    `provenance` parallels window.endpoints(): entry (j, k) states that
-    the endpoint equals frac(w_j + k*xi) for endpoint j of the defining
-    window, i.e. the two differ by an element of Z + Z*xi.
+    `provenance` parallels window.endpoints(): entry (j, k) states that the
+    endpoint equals frac(w_j + k*xi) for endpoint j of the defining window,
+    with the least (|k|, j) where several window endpoints are congruent.
     """
 
     window: Window
@@ -102,53 +114,47 @@ class AcceptanceDomain:
         return "\n".join(lines)
 
 
-def _check_offsets(pattern: PatternSpec) -> None:
-    worst = max(abs(o) for o in pattern.offsets())
-    if worst > DEFAULT_OFFSET_BOUND:
-        raise ValueError(f"pattern offset {worst} exceeds the bound {DEFAULT_OFFSET_BOUND}")
+@lru_cache(maxsize=64)
+def _class_shifts(window: Window) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per endpoint e_j, the (j', s) with e_j' - e_j in s*xi + Z: its boundary class."""
+    eps = window.endpoints()
+    kms = [[decompose_Z_plus_Zxi(f - e) for f in eps] for e in eps]
+    return tuple(tuple((jj, km[0]) for jj, km in enumerate(row) if km is not None) for row in kms)
 
 
 @lru_cache(maxsize=512)
-def _domain_window(system: RotationSystem, pattern: PatternSpec) -> Window:
+def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> AcceptanceDomain:
+    """Exact sub-window where the pattern occurs, possibly empty, by one sweep."""
+    worst = max(abs(o) for o in pattern.offsets())
+    if worst > DEFAULT_OFFSET_BOUND:
+        raise ValueError(f"pattern offset {worst} exceeds the bound {DEFAULT_OFFSET_BOUND}")
     w = system.window
     if not w:
-        return w
-    xi_val = system.xi.xi_real
-    dom: Window = w  # offset 0 is always required
-    for r in sorted(pattern.required):
-        if r == 0:
-            continue
-        dom = dom.intersect(w.shift_mod1(xi_val * (-r)))
-        if not dom:
-            return dom
-    for f in sorted(pattern.forbidden):
-        dom = dom.intersect(w.shift_mod1(xi_val * (-f)).complement())
-        if not dom:
-            return dom
-    return dom
-
-
-def _provenance(base: Window, endpoint: XiReal) -> tuple[int, int]:
-    # several base endpoints may be congruent; report the smallest shift
-    found: list[tuple[int, int, int]] = []
-    for j, wj in enumerate(base.endpoints()):
-        km = decompose_Z_plus_Zxi(endpoint - wj)
-        if km is not None:
-            found.append((abs(km[0]), j, km[0]))
-    if not found:
-        raise AssertionError(
-            f"acceptance-domain endpoint {endpoint} not congruent to any window endpoint"
-        )
-    _, j, k = min(found)
-    return j, k
-
-
-def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> AcceptanceDomain:
-    """Exact sub-window where the pattern occurs; possibly empty."""
-    _check_offsets(pattern)
-    win = _domain_window(system, pattern)
-    prov = tuple(_provenance(system.window, e) for e in win.endpoints())
-    return AcceptanceDomain(win, prov)
+        return AcceptanceDomain(w, ())
+    ss, need = system._scaled, len(pattern.required)
+    d, (sa, sb) = ss.d, ss.step
+    ends = [e for iv in ss.ivals for e in (iv[:2], iv[2:])]
+    counts = [0, 0]  # required and forbidden offsets o with y_o(x) in W
+    events = []  # (x, j, o)
+    for o in pattern.offsets():
+        counts[o in pattern.forbidden] += ss.contains(*ss.frac(o * sa, o * sb))
+        for j, (ea, eb) in enumerate(ends):
+            if (x := ss.frac(ea - o * sa, eb - o * sb)) != (0, 0):
+                events.append((x, j, o))
+    events.sort(key=cmp_to_key(lambda u, v: pair_sign(u[0][0] - v[0][0], u[0][1] - v[0][1], d)))
+    cuts = [((0, 0), 0, 0)] if counts == [need, 0] else []  # inside iff len(cuts) is odd
+    for i, (x, j, o) in enumerate(events):
+        counts[o in pattern.forbidden] += -1 if j % 2 else 1
+        last_at_x = i + 1 == len(events) or events[i + 1][0] != x
+        if last_at_x and (counts == [need, 0]) != len(cuts) % 2:
+            cuts.append((x, j, o))
+    if len(cuts) % 2:
+        cuts.append(((ss.m, 0), len(ends) - 1, 0))
+    shifts = _class_shifts(w)
+    return AcceptanceDomain(
+        Window((ss.unscale(lo[0]), ss.unscale(hi[0])) for lo, hi in zip(cuts[::2], cuts[1::2])),
+        tuple(min((abs(o + s), jj, -o - s) for jj, s in shifts[j])[1:] for _, j, o in cuts),
+    )
 
 
 def indicator_hits(
@@ -158,8 +164,7 @@ def indicator_hits(
     k_max: int,
 ) -> PointPattern:
     """The k in range whose internal coordinate lies in the acceptance domain."""
-    _check_offsets(pattern)
-    win = _domain_window(system, pattern)
+    win = acceptance_domain(system, pattern).window
     if not win:
         return PointPattern(())
     return orbit_hits(system.with_window(win), k_min, k_max)
@@ -167,8 +172,7 @@ def indicator_hits(
 
 def pattern_density(system: RotationSystem, pattern: PatternSpec) -> XiReal:
     """Total acceptance-window length: the pattern's occurrence density."""
-    _check_offsets(pattern)
-    win = _domain_window(system, pattern)
+    win = acceptance_domain(system, pattern).window
     return win.total_length() if win else system.xi.zero
 
 

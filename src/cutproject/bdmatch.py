@@ -67,7 +67,9 @@ class MatchingWitness:
             yield y, lat, y - lat
 
     def recompute_sup(self) -> Exact:
-        return max(abs(disp) for _, _, disp in self.pairs())
+        """max |displacement|: the displacements are (r_i - offset)/delta (build_witness)."""
+        r_lo, r_hi = _residue_extrema(self.points, self.delta)
+        return max(r_hi - self.offset, self.offset - r_lo) / abs(self.delta)
 
     def to_csv(self, fp: IO[str]) -> None:
         if isinstance(self.delta, XiReal):
@@ -100,11 +102,13 @@ class MatchingWitness:
         delta = _parse_exact(header["delta"], xi)
         if isinstance(delta, int):
             delta = Fraction(delta)
+        if not delta > 0:
+            raise ValueError("delta must be positive")
         witness = cls(
             delta=delta,
             offset=int(header["offset"]),
             sup_displacement=_parse_exact(header["sup_displacement"], xi),
-            points=tuple(_parse_exact(y, xi) for y in ys),
+            points=_as_points(_parse_exact(y, xi) for y in ys),
         )
         if witness.recompute_sup() != witness.sup_displacement:
             raise ValueError("witness CSV sup_displacement does not recompute")
@@ -139,16 +143,9 @@ def _residue_extrema(points: tuple[Exact, ...], delta: Exact) -> tuple[Exact, Ex
                 lo = cand
         return XiReal.from_triple(*lo, m, delta.xi), XiReal.from_triple(*hi, m, delta.xi)
     if all_int and isinstance(delta, (int, Fraction)):
-        delta = Fraction(delta)
         num, den = delta.numerator, delta.denominator
-        lo = hi = points[0] * num
-        for i, y in enumerate(points[1:], 1):
-            cand = y * num - i * den
-            if cand > hi:
-                hi = cand
-            elif cand < lo:
-                lo = cand
-        return Fraction(lo, den), Fraction(hi, den)
+        cands = [y * num - i * den for i, y in enumerate(points)]
+        return Fraction(min(cands), den), Fraction(max(cands), den)
     residues = [y * delta - i for i, y in enumerate(points)]
     return min(residues), max(residues)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
-from .acceptance import PatternSpec, _domain_window, pattern_density
+from .acceptance import PatternSpec, acceptance_domain, pattern_density
 from .criteria import oren_condition
 from .exactnum import XiReal
 from .patterns import PointPattern, RotationSystem
@@ -303,7 +303,7 @@ def cochain_discrepancy(
     total = system.xi.zero
     for coeff, pat in cochain.terms:
         dens = pattern_density(system, pat)
-        domain = system.with_window(_domain_window(system, pat))
+        domain = system.with_window(acceptance_domain(system, pat).window)
         domain.guard_singular(lo, hi)
         count = _scaled.count_hits(domain._scaled, lo, hi)
         total = total + coeff * (system.xi.real(count) - dens * length)

@@ -16,7 +16,8 @@ condition then make D their least common denominator, so the triple is
 unique and structural equality is value equality.  A sign is one
 ``pair_sign`` on (A, B), a floor one ``floor_pair``, and a sum, product
 or inverse integer work followed by one gcd.  The coefficients a, b over
-the basis (1, xi) are ``Fraction``s built from the triple when read.
+the basis (1, xi) are ``Fraction``s built from the triple when read;
+``str`` spells them from the triple with one gcd each, and builds none.
 """
 
 from __future__ import annotations
@@ -352,15 +353,23 @@ class XiReal:
         return floor_pair(a << s, b << s, m, d) / (1 << s)
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if not b:
-            return str(a)
-        head = str(a) if a else ""
-        sgn = "-" if b < 0 else ("+" if head else "")
-        return f"{head}{sgn}{abs(b)}*xi"
+        P, Q, R = self._xi.triple
+        A, B, D = self._A, self._B, self._D
+        num = A * Q - B * P  # a = num/(D*Q) and b = B*R/(D*Q), as in .a and .b
+        if not B:
+            return _ratio_text(num, D * Q)
+        head = _ratio_text(num, D * Q) if num else ""
+        sgn = "-" if (B < 0) != (Q < 0) else ("+" if head else "")
+        return f"{head}{sgn}{_ratio_text(abs(B) * R, D * abs(Q))}*xi"
 
     def __repr__(self) -> str:
         return f"XiReal({self}, xi={self.xi})"
+
+
+def _ratio_text(n: int, m: int) -> str:
+    """``str(Fraction(n, m))`` for m != 0, by one gcd and with no Fraction built."""
+    g = gcd(n, m) if m > 0 else -gcd(n, m)
+    return str(n // g) if m == g else f"{n // g}/{m // g}"
 
 
 # -- lattice membership ---------------------------------------------------------

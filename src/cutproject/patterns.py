@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -329,9 +330,7 @@ def dump_pattern(
     system: Optional[RotationSystem] = None,
 ) -> None:
     """Line-oriented text: one `k[,color]` per line, `#` header comments."""
-    own = isinstance(fp, str)
-    out = open(fp, "w") if own else fp
-    try:
+    with open(fp, "w") if isinstance(fp, str) else nullcontext(fp) as out:
         if system is not None:
             out.write(f"# xi = {system.xi}\n")
             out.write(f"# basepoint = {system.basepoint}\n")
@@ -342,20 +341,15 @@ def dump_pattern(
         else:
             for k, c in zip(pattern.points, pattern.colors):
                 out.write(f"{k},{'w' if c == OMEGA else c}\n")
-    finally:
-        if own:
-            out.close()
 
 
 def load_pattern(fp: Union[IO[str], str]) -> tuple[PointPattern, dict[str, str]]:
     """Inverse of dump_pattern; returns the pattern and the header fields."""
-    own = isinstance(fp, str)
-    inp = open(fp) if own else fp
-    try:
-        header: dict[str, str] = {}
-        points: list[int] = []
-        colors: list[int] = []
-        saw_color = False
+    header: dict[str, str] = {}
+    points: list[int] = []
+    colors: list[int] = []
+    saw_color = False
+    with open(fp) if isinstance(fp, str) else nullcontext(fp) as inp:
         for line in inp:
             line = line.strip()
             if not line:
@@ -372,9 +366,6 @@ def load_pattern(fp: Union[IO[str], str]) -> tuple[PointPattern, dict[str, str]]
                 colors.append(OMEGA if c_text.strip() == "w" else int(c_text))
             else:
                 points.append(int(line))
-        if saw_color and len(colors) != len(points):
-            raise ValueError("mixed colored and uncolored lines")
-        return PointPattern(tuple(points), tuple(colors) if saw_color else None), header
-    finally:
-        if own:
-            inp.close()
+    if saw_color and len(colors) != len(points):
+        raise ValueError("mixed colored and uncolored lines")
+    return PointPattern(tuple(points), tuple(colors) if saw_color else None), header

@@ -194,3 +194,34 @@ def brute_profile(system, n_max, checkpoints):
         if n in checkpoints:
             out[n] = sup
     return out
+
+
+def chain_domain(system, pattern):
+    """The acceptance domain as a chain of Window set operations: the window,
+    intersected with its copy rotated by -o*xi for each required offset o and
+    with the complement of that copy for each forbidden one."""
+    w = system.window
+    if not w:
+        return w
+    xi = system.xi.xi_real
+    dom = w
+    for r in sorted(pattern.required - {0}):
+        dom = dom.intersect(w.shift_mod1(xi * (-r)))
+    for f in sorted(pattern.forbidden):
+        dom = dom.intersect(w.shift_mod1(xi * (-f)).complement())
+    return dom
+
+
+def search_provenance(base, endpoint) -> tuple[int, int]:
+    """(j, k) with endpoint = frac(e_j + k*xi) for the endpoints e_j of base, the
+    least (|k|, j) among them, by one membership test per endpoint."""
+    from cutproject.exactnum import decompose_Z_plus_Zxi
+
+    found = []
+    for j, e in enumerate(base.endpoints()):
+        km = decompose_Z_plus_Zxi(endpoint - e)
+        if km is not None:
+            found.append((abs(km[0]), j, km[0]))
+    assert found, f"{endpoint} is congruent to no window endpoint"
+    _, j, k = min(found)
+    return j, k

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from cutproject.acceptance import (
     AcceptanceDomain,
@@ -13,6 +15,8 @@ from cutproject.acceptance import (
 )
 from cutproject.exactnum import XiSpec, decompose_Z_plus_Zxi
 from cutproject.patterns import RotationSystem, Window, orbit_hits, strip_points
+from oracles import chain_domain, search_provenance
+from test_threegap import FIELDS, NEGATIVE_XI, systems
 
 SQRT2 = XiSpec.sqrt(2)
 
@@ -171,3 +175,62 @@ class TestPatternDensity:
             freq = Fraction(len(indicator_hits(sys, pat, 0, n - 1)), n)
             # empirical tolerance 10/sqrt(N)
             assert abs(dens - freq) < Fraction(10, 316)
+
+
+offsets = st.lists(st.integers(-64, 64), max_size=5)
+
+
+@st.composite
+def patterns(draw):
+    """The anchor, up to 5 more required offsets and up to 5 forbidden ones."""
+    required = frozenset(draw(offsets)) | {0}
+    return PatternSpec(required, frozenset(draw(offsets)) - required)
+
+
+@st.composite
+def congruent_systems(draw):
+    """Windows whose endpoints share boundary classes: frac(c + k*xi) for one
+    rational c and a few k, sometimes with the endpoint 0 or 1 (congruent to
+    frac(k*xi) when c = 0)."""
+    xi = draw(st.sampled_from(FIELDS + [NEGATIVE_XI]))
+    c = Fraction(draw(st.sampled_from([0, 1, 5, 17])), 31)
+    ks = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=7, unique=True))
+    cuts = {xi.real(c, k).fractional_part()[0] for k in ks}
+    cuts |= {xi.real(e) for e in draw(st.lists(st.sampled_from([0, 1]), max_size=2))}
+    cuts = sorted(cuts)[: len(cuts) // 2 * 2]
+    if cuts == [xi.zero, xi.one]:  # [0, 1) is no window
+        cuts = cuts[:1] + [xi.real(Fraction(1, 2))]
+    window = Window([(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)])
+    return RotationSystem(xi, xi.zero, window)
+
+
+def one_class_system():
+    """All four endpoints in one class: frac(3*xi), frac(xi), frac(-xi), frac(2*xi)."""
+    ends = [SQRT2.real(0, k).fractional_part()[0] for k in (3, 1, -1, 2)]
+    return RotationSystem(SQRT2, SQRT2.zero, Window([tuple(ends[:2]), tuple(ends[2:])]))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(systems(FIELDS + [NEGATIVE_XI]), congruent_systems()), patterns())
+@example(one_class_system(), PatternSpec(frozenset({0, 1}), frozenset({-2})))
+@example(kesten_system(), PatternSpec(frozenset({0, 2})))
+def test_sweep_matches_chain_of_set_operations(system, pattern):
+    """The one-sweep domain is the chain of Window.intersect / complement calls,
+    and each provenance is the least shift over all congruent window endpoints."""
+    dom = acceptance_domain(system, pattern)
+    want = chain_domain(system, pattern)
+    event("empty" if not want else f"{len(want)} intervals")
+    assert dom.window == want
+    ends = dom.window.endpoints() if dom.window else ()
+    assert dom.provenance == tuple(search_provenance(system.window, e) for e in ends)
+
+
+def test_provenance_takes_the_least_shift_in_a_class():
+    sys = one_class_system()
+    dom = acceptance_domain(sys, PatternSpec(frozenset({0, 1})))
+    ends = dom.window.endpoints()
+    assert dom.window and len(ends) == len(dom.provenance)
+    base = sys.window.endpoints()
+    for e, (j, k) in zip(ends, dom.provenance):
+        shifts = [decompose_Z_plus_Zxi(e - b)[0] for b in base]  # all four are congruent
+        assert abs(k) == min(abs(s) for s in shifts) and shifts[j] == k

@@ -169,6 +169,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing its header lines"):
             MatchingWitness.from_csv(io.StringIO("".join(lines)))
 
+    def test_unsorted_points_rejected(self):
+        # the sup recomputes (displacements 1, -2, 0, -2), but no monotone matching has these rows
+        text = "# delta = 1/2\n# offset = 1\n# sup_displacement = 2\n" + "".join(
+            f"{y},0,0\n" for y in (3, 2, 6, 6)
+        )
+        with pytest.raises(ValueError, match="points must be strictly increasing"):
+            MatchingWitness.from_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("delta", ["0", "-1/2"])
+    def test_nonpositive_delta_rejected(self, delta):
+        buf = io.StringIO()
+        build_witness([0, 2, 5, 9], Fraction(1, 2)).to_csv(buf)
+        text = buf.getvalue().replace("# delta = 1/2", f"# delta = {delta}")
+        with pytest.raises(ValueError, match="delta must be positive"):
+            MatchingWitness.from_csv(io.StringIO(text))
+
     def test_corrupt_sup_rejected(self):
         witness = build_witness([0, 2, 5, 9], Fraction(1, 2))
         buf = io.StringIO()
@@ -216,3 +232,21 @@ def test_witness_matches_brute_force(case):
         max(abs(y - Fraction(i + c) / delta) for i, y in enumerate(pts)) for c in offsets
     )
     assert build_witness(pts, delta).sup_displacement == want
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    matching_cases(),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from([1, -1]),
+    st.integers(-60, 60),
+)
+def test_recompute_sup_is_the_largest_displacement(case, int_delta, use_int, sign, offset):
+    """recompute_sup, from the residue extremes, equals the largest |displacement|
+    over the pairs, for int, Fraction and surd points and deltas of either sign,
+    and for any offset, optimal or not."""
+    pts, delta = case
+    delta = sign * (int_delta if use_int else delta)
+    witness = MatchingWitness(delta, offset, None, tuple(pts))
+    assert witness.recompute_sup() == max(abs(disp) for _, _, disp in witness.pairs())

@@ -364,7 +364,7 @@ class TestFloat:
             assert abs(mpmath.mpf(float(xi)) - want) <= ulp(float(xi))
 
 
-# the five test fields of tests/test_threegap.py, and an xi below 0
+# the five test fields of tests/test_threegap.py, an xi below 0, and one with q < 0
 FIELDS = [
     XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
     SQRT2,
@@ -372,6 +372,7 @@ FIELDS = [
     XiSpec(Fraction(-1, 3), Fraction(2, 3), 7),
     XiSpec(Fraction(0), Fraction(1), 19),
     XiSpec(-2, 1, 2),
+    XiSpec(2, -1, 2),  # 2 - sqrt(2): str reads a and b off a triple with Q < 0
 ]
 components = st.one_of(
     st.integers(-3, 3).map(Fraction),
