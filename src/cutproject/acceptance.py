@@ -23,7 +23,8 @@ endpoint of W (offset 0 is required), origin (j, 0).  If e_j' - e_j =
 s*xi + n with integers s, n (e_j' in the boundary class of e_j; s is
 unique as xi is irrational), then x = frac(e_j' + (-o - s)*xi), so the
 provenance, the least (|k|, j, k) over all endpoints, is the least over
-the class, whose shifts s are found once per window.  No epsilon appears.
+the class.  ``criteria`` writes each e_j as r + k_j*xi + m_j, r naming its
+class, so s = k_j' - k_j, found once per window.  No epsilon appears.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Iterable, Union
 
-from .exactnum import XiReal, decompose_Z_plus_Zxi, pair_sign
+from .criteria import _classes
+from .exactnum import XiReal, pair_sign
 from .patterns import PointPattern, RotationSystem, Window, orbit_hits
 
 __all__ = [
@@ -117,9 +119,10 @@ class AcceptanceDomain:
 @lru_cache(maxsize=64)
 def _class_shifts(window: Window) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per endpoint e_j, the (j', s) with e_j' - e_j in s*xi + Z: its boundary class."""
-    eps = window.endpoints()
-    kms = [[decompose_Z_plus_Zxi(f - e) for f in eps] for e in eps]
-    return tuple(tuple((jj, km[0]) for jj, km in enumerate(row) if km is not None) for row in kms)
+    cls = _classes(window)
+    return tuple(
+        tuple((jj, kk - k) for jj, (cc, kk, _) in enumerate(cls) if cc == c) for c, k, _ in cls
+    )
 
 
 @lru_cache(maxsize=512)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -34,24 +34,28 @@ class EmptyPattern(ValueError):
     """A matching witness needs at least two points."""
 
 
-def _as_points(points: Union[PointPattern, Iterable[Exact]]) -> tuple[Exact, ...]:
-    if isinstance(points, PointPattern):
-        return points.points
-    pts = tuple(points)
-    for u, v in zip(pts, pts[1:]):
-        if not u < v:
-            raise ValueError("points must be strictly increasing")
-    return pts
-
-
 @dataclass(frozen=True)
 class MatchingWitness:
-    """Monotone matching y_i <-> (i + offset)/delta with its sup displacement."""
+    """Monotone matching y_i <-> (i + offset)/delta with its sup displacement.
+
+    Needs at least two strictly increasing points and delta > 0; an int
+    delta is kept as a Fraction, so that every division stays exact.
+    """
 
     delta: Exact
     offset: int
     sup_displacement: Exact
     points: tuple[Exact, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.points) < 2:
+            raise EmptyPattern(f"need at least 2 points, got {len(self.points)}")
+        if not all(u < v for u, v in zip(self.points, self.points[1:])):
+            raise ValueError("points must be strictly increasing")
+        if isinstance(self.delta, int):
+            object.__setattr__(self, "delta", Fraction(self.delta))
+        if not self.delta > 0:
+            raise ValueError("delta must be positive")
 
     @cached_property
     def _spacing(self) -> Exact:
@@ -69,7 +73,7 @@ class MatchingWitness:
     def recompute_sup(self) -> Exact:
         """max |displacement|: the displacements are (r_i - offset)/delta (build_witness)."""
         r_lo, r_hi = _residue_extrema(self.points, self.delta)
-        return max(r_hi - self.offset, self.offset - r_lo) / abs(self.delta)
+        return max(r_hi - self.offset, self.offset - r_lo) / self.delta
 
     def to_csv(self, fp: IO[str]) -> None:
         if isinstance(self.delta, XiReal):
@@ -96,19 +100,12 @@ class MatchingWitness:
                 ys.append(line.split(",", 1)[0])
         if not {"delta", "offset", "sup_displacement"} <= header.keys():
             raise ValueError("witness CSV is missing its header lines")
-        if len(ys) < 2:
-            raise EmptyPattern(f"need at least 2 points, got {len(ys)}")
         xi = parse_xi(header["xi"]) if "xi" in header else None
-        delta = _parse_exact(header["delta"], xi)
-        if isinstance(delta, int):
-            delta = Fraction(delta)
-        if not delta > 0:
-            raise ValueError("delta must be positive")
         witness = cls(
-            delta=delta,
+            delta=_parse_exact(header["delta"], xi),
             offset=int(header["offset"]),
             sup_displacement=_parse_exact(header["sup_displacement"], xi),
-            points=_as_points(_parse_exact(y, xi) for y in ys),
+            points=tuple(_parse_exact(y, xi) for y in ys),
         )
         if witness.recompute_sup() != witness.sup_displacement:
             raise ValueError("witness CSV sup_displacement does not recompute")
@@ -159,23 +156,12 @@ def build_witness(
     r_i = y_i*delta - i, so the optimal offset is an integer nearest to
     (min r + max r)/2; both rounding candidates are compared exactly.
     """
-    pts = _as_points(points)
-    if len(pts) < 2:
-        raise EmptyPattern(f"need at least 2 points, got {len(pts)}")
-    if isinstance(delta, int):  # keep all later divisions exact
-        delta = Fraction(delta)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    r_lo, r_hi = _residue_extrema(pts, delta)
+    pts = points.points if isinstance(points, PointPattern) else tuple(points)
+    trial = MatchingWitness(delta, 0, None, pts)  # checks the points and delta
+    r_lo, r_hi = _residue_extrema(pts, trial.delta)
     c0 = math.floor((r_lo + r_hi) / 2)
-    best: Optional[tuple[Exact, int]] = None
-    for c in (c0, c0 + 1):
-        sup = max(r_hi - c, c - r_lo) / delta
-        if best is None or sup < best[0]:
-            best = (sup, c)
-    return MatchingWitness(
-        delta=delta, offset=best[1], sup_displacement=best[0], points=pts
-    )
+    c = min((c0, c0 + 1), key=lambda o: max(r_hi - o, o - r_lo))  # c0 on a tie
+    return replace(trial, offset=c, sup_displacement=max(r_hi - c, c - r_lo) / trial.delta)
 
 
 def optimality_check(points: Union[PointPattern, Iterable[Exact]], delta: Exact) -> bool:

@@ -18,8 +18,14 @@ relation; with n classes the associated punctured-torus model has
 first-cohomology rank n + 1, the bounded-discrepancy subspace always
 has rank 2, and the unbounded quotient has dimension n - 1.  The
 verdict is "bounded" iff every class contains as many left endpoints
-as right endpoints, which happens iff the Oren matching exists; both
-characterizations are computed and cross-checked.
+as right endpoints, which happens iff the Oren matching exists.
+
+One pass (``exactnum.lattice_split``) writes each endpoint as
+r + k*xi + m, with r naming its class.  The matching is read off the
+classes: in each, the i-th left endpoint a pairs with the i-th right
+endpoint b counted from the end, and b - a = (k_b - k_a)*xi + m_b - m_a.
+``tests/test_criteria.py::test_classes_and_matching_match_references``
+checks this against the search-based references in ``tests/oracles.py``.
 
 Ranks are consequences of those counting formulas; no simplicial or
 cochain machinery is built.
@@ -30,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactnum import XiReal, decompose_Z_plus_Zxi
+from .exactnum import XiReal, lattice_split
 from .patterns import Window
 
 __all__ = [
@@ -102,101 +108,88 @@ class CohomologyReport:
     witness: Optional[OrenWitness]
 
 
+def _classes(w: Window) -> list[tuple[int, int, int]]:
+    """(c, k, m) per endpoint, flat as in ``Window.endpoints``: the endpoint is
+    r + k*xi + m with r the residue of class c, classes numbered by first
+    appearance."""
+    w._require_nonempty()
+    number: dict[tuple[int, int, int], int] = {}
+    out = []
+    for e in w.endpoints():
+        r, k, m = lattice_split(e)
+        out.append((number.setdefault(r, len(number)), k, m))
+    return out
+
+
+def _read(w: Window) -> tuple[BoundaryClassReport, Optional[OrenWitness]]:
+    """The boundary classes and the Oren matching (None if a class is unbalanced)."""
+    cls = _classes(w)
+    members: list[list[int]] = []
+    for i, (c, _, _) in enumerate(cls):
+        if c == len(members):
+            members.append([])
+        members[c].append(i)
+    report = BoundaryClassReport(
+        endpoints=w.endpoints(),
+        classes=tuple(map(tuple, members)),
+        n=len(members),
+        left_right_balance=tuple(
+            (sum(1 - i % 2 for i in mem), sum(i % 2 for i in mem)) for mem in members
+        ),
+    )
+    if not report.balanced():
+        return report, None
+    sigma = [0] * len(w)
+    for mem in members:  # the matching an augmenting-path search finds
+        rights = [i // 2 for i in reversed(mem) if i % 2]
+        for left, right in zip((i // 2 for i in mem if not i % 2), rights):
+            sigma[left] = right
+    return report, OrenWitness(
+        sigma=tuple(sigma),
+        ks=tuple(cls[2 * j + 1][1] - cls[2 * i][1] for i, j in enumerate(sigma)),
+        ms=tuple(cls[2 * j + 1][2] - cls[2 * i][2] for i, j in enumerate(sigma)),
+    )
+
+
 def kesten_condition(w: Window) -> Optional[KestenWitness]:
     """Witness that Length(I) lies in Z + Z*xi, for a single interval."""
+    w._require_nonempty()
     if len(w) != 1:
         raise MultiIntervalWindow(
             f"window has {len(w)} intervals; use oren_condition"
         )
-    lo, hi = w.intervals[0]
-    km = decompose_Z_plus_Zxi(hi - lo)
-    if km is None:
-        return None
-    return KestenWitness(k=km[0], m=km[1])
+    witness = oren_condition(w)
+    return None if witness is None else KestenWitness(k=witness.ks[0], m=witness.ms[0])
 
 
 def oren_condition(w: Window) -> Optional[OrenWitness]:
     """Perfect matching of left to right endpoints with differences in Z + Z*xi.
 
-    Found by augmenting paths on the bipartite endpoint graph; reduces to
-    kesten_condition when the window has a single interval.
+    Read off the boundary classes; reduces to kesten_condition when the
+    window has a single interval.
     """
-    w._require_nonempty()
-    lefts = [lo for lo, _ in w.intervals]
-    rights = [hi for _, hi in w.intervals]
-    size = len(lefts)
-    edges = [
-        [decompose_Z_plus_Zxi(rights[j] - lefts[i]) for j in range(size)]
-        for i in range(size)
-    ]
-    match_right = [-1] * size  # right index -> left index
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in range(size):
-            if edges[i][j] is not None and j not in seen:
-                seen.add(j)
-                if match_right[j] == -1 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(size):
-        if not augment(i, set()):
-            return None
-    sigma = [0] * size
-    for j, i in enumerate(match_right):
-        sigma[i] = j
-    ks = tuple(edges[i][sigma[i]][0] for i in range(size))
-    ms = tuple(edges[i][sigma[i]][1] for i in range(size))
-    return OrenWitness(sigma=tuple(sigma), ks=ks, ms=ms)
+    return _read(w)[1]
 
 
 def boundary_classes(w: Window) -> BoundaryClassReport:
     """Group the endpoints by congruence modulo Z + Z*xi."""
-    w._require_nonempty()
-    endpoints = w.endpoints()
-    classes: list[list[int]] = []
-    reps: list[XiReal] = []
-    for idx, e in enumerate(endpoints):
-        for c, rep in enumerate(reps):
-            if decompose_Z_plus_Zxi(e - rep) is not None:
-                classes[c].append(idx)
-                break
-        else:
-            classes.append([idx])
-            reps.append(e)
-    balance = tuple(
-        (sum(1 for i in cls if i % 2 == 0), sum(1 for i in cls if i % 2 == 1))
-        for cls in classes
-    )
-    return BoundaryClassReport(
-        endpoints=endpoints,
-        classes=tuple(tuple(cls) for cls in classes),
-        n=len(classes),
-        left_right_balance=balance,
-    )
+    return _read(w)[0]
 
 
 def bd_verdict(w: Window) -> CohomologyReport:
     """Boundedness verdict with rank report.
 
     bounded iff every boundary class has equal left and right endpoint
-    counts, equivalently iff the Oren matching exists; the two
-    characterizations are computed independently and cross-checked.
+    counts, equivalently iff the Oren matching exists; both are read off
+    one pass over the endpoints.
     """
-    report = boundary_classes(w)
-    witness = oren_condition(w)
-    balanced = report.balanced()
-    if balanced != (witness is not None):
-        raise RuntimeError(
-            "internal inconsistency: class balance and endpoint matching disagree"
-        )
+    report, witness = _read(w)
     return CohomologyReport(
         n=report.n,
         h1_rank=report.n + 1,
         bounded_subspace_rank=2,
         h1_ud_dim=report.n - 1,
-        verdict="bounded" if balanced else "unbounded",
+        verdict="unbounded" if witness is None else "bounded",
         classes=report,
         witness=witness,
     )

@@ -15,9 +15,10 @@ irrational, a value fixes the rationals A/D and B/D; D > 0 and the gcd
 condition then make D their least common denominator, so the triple is
 unique and structural equality is value equality.  A sign is one
 ``pair_sign`` on (A, B), a floor one ``floor_pair``, and a sum, product
-or inverse integer work followed by one gcd.  The coefficients a, b over
-the basis (1, xi) are ``Fraction``s built from the triple when read;
-``str`` spells them from the triple with one gcd each, and builds none.
+or inverse integer work followed by one gcd.  ``coordinates`` reads a
+value over the basis (1, xi), for ``a``, ``b``, ``str`` (one gcd each, no
+``Fraction``) and ``lattice_split``, whose residue names the value's
+class modulo Z + Z*xi.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "pair_sign",
     "floor_pair",
     "decompose_Z_plus_Zxi",
+    "lattice_split",
     "parse_rational",
     "parse_xi",
     "parse_xireal",
@@ -205,17 +207,24 @@ class XiReal:
         """(A, B, D) with value (A + B*sqrt(d)) / D, D > 0 and gcd(A, B, D) = 1."""
         return self._A, self._B, self._D
 
+    def coordinates(self) -> tuple[int, int, int]:
+        """(na, nb, den) with value (na + nb*xi)/den and den > 0, not reduced."""
+        P, Q, R = self._xi.triple  # sqrt(d) = (R*xi - P)/Q
+        if Q > 0:
+            return self._A * Q - self._B * P, self._B * R, self._D * Q
+        return self._B * P - self._A * Q, -self._B * R, -self._D * Q
+
     @property
     def a(self) -> Fraction:
-        """The coefficient of 1 over the basis (1, xi), as sqrt(d) = (R*xi - P)/Q."""
-        P, Q, _ = self._xi.triple
-        return Fraction(self._A * Q - self._B * P, self._D * Q)
+        """The coefficient of 1 over the basis (1, xi)."""
+        na, _, den = self.coordinates()
+        return Fraction(na, den)
 
     @property
     def b(self) -> Fraction:
         """The coefficient of xi over the basis (1, xi)."""
-        _, Q, R = self._xi.triple
-        return Fraction(self._B * R, self._D * Q)
+        _, nb, den = self.coordinates()
+        return Fraction(nb, den)
 
     def _coerce(self, other: object) -> Optional[Triple]:
         """The triple of a rational or of an XiReal of the same field, else None."""
@@ -353,36 +362,44 @@ class XiReal:
         return floor_pair(a << s, b << s, m, d) / (1 << s)
 
     def __str__(self) -> str:
-        P, Q, R = self._xi.triple
-        A, B, D = self._A, self._B, self._D
-        num = A * Q - B * P  # a = num/(D*Q) and b = B*R/(D*Q), as in .a and .b
-        if not B:
-            return _ratio_text(num, D * Q)
-        head = _ratio_text(num, D * Q) if num else ""
-        sgn = "-" if (B < 0) != (Q < 0) else ("+" if head else "")
-        return f"{head}{sgn}{_ratio_text(abs(B) * R, D * abs(Q))}*xi"
+        na, nb, den = self.coordinates()
+        if not nb:
+            return _ratio_text(na, den)
+        head = _ratio_text(na, den) if na else ""
+        sgn = "-" if nb < 0 else ("+" if head else "")
+        return f"{head}{sgn}{_ratio_text(abs(nb), den)}*xi"
 
     def __repr__(self) -> str:
         return f"XiReal({self}, xi={self.xi})"
 
 
 def _ratio_text(n: int, m: int) -> str:
-    """``str(Fraction(n, m))`` for m != 0, by one gcd and with no Fraction built."""
-    g = gcd(n, m) if m > 0 else -gcd(n, m)
+    """``str(Fraction(n, m))`` for m > 0, by one gcd and with no Fraction built."""
+    g = gcd(n, m)
     return str(n // g) if m == g else f"{n // g}/{m // g}"
 
 
 # -- lattice membership ---------------------------------------------------------
 
 
+def lattice_split(u: XiReal) -> tuple[tuple[int, int, int], int, int]:
+    """(residue, k, m) with u = residue + k*xi + m for integers k and m.
+
+    The residue is the reduced triple (ra, rb, den), standing for
+    (ra + rb*xi)/den with 0 <= ra, rb < den and gcd(ra, rb, den) = 1.  As
+    xi is irrational it is unique, so it names u's class modulo Z + Z*xi.
+    """
+    na, nb, den = u.coordinates()
+    m, ra = divmod(na, den)
+    k, rb = divmod(nb, den)
+    g = gcd(ra, rb, den)
+    return (ra // g, rb // g, den // g), k, m
+
+
 def decompose_Z_plus_Zxi(u: XiReal) -> Optional[tuple[int, int]]:
     """Return (k, m) with u = k*xi + m when both exist in Z, else None."""
-    A, B, D = u.triple
-    P, Q, R = u.xi.triple
-    # u = (A*Q - B*P)/(D*Q) + (B*R/(D*Q))*xi, as in XiReal.a and XiReal.b
-    k, r = divmod(B * R, D * Q)
-    m, s = divmod(A * Q - B * P, D * Q)
-    return None if r or s else (k, m)
+    (ra, rb, _), k, m = lattice_split(u)
+    return None if ra or rb else (k, m)
 
 
 # -- parsing -------------------------------------------------------------------

@@ -119,25 +119,97 @@ def fraction_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+def fraction_km(u: XiReal):
+    """(k, m) with u = k*xi + m for integers k and m, else None: the Fractions of
+    u = (A + B*sqrt(d))/D against xi = p + q*sqrt(d), with no library lattice test."""
+    A, B, D = u.triple
+    k = Fraction(B, D) / u.xi.q
+    m = Fraction(A, D) - k * u.xi.p
+    return (k.numerator, m.numerator) if k.denominator == m.denominator == 1 else None
+
+
 def exhaustive_oren(window) -> "list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]":
     """All endpoint matchings (sigma, ks, ms) found by trying every permutation.
 
-    Independent of the augmenting-path search; practical for <= 6 intervals.
+    Independent of the class-based matching and of the augmenting-path
+    search; practical for <= 6 intervals.
     """
     from itertools import permutations
-
-    from cutproject.exactnum import decompose_Z_plus_Zxi
 
     lefts = [lo for lo, _ in window.intervals]
     rights = [hi for _, hi in window.intervals]
     out = []
     for sigma in permutations(range(len(lefts))):
-        kms = [decompose_Z_plus_Zxi(rights[sigma[i]] - lefts[i]) for i in range(len(lefts))]
+        kms = [fraction_km(rights[sigma[i]] - lefts[i]) for i in range(len(lefts))]
         if all(km is not None for km in kms):
             out.append(
                 (tuple(sigma), tuple(km[0] for km in kms), tuple(km[1] for km in kms))
             )
     return out
+
+
+def augmenting_oren(window):
+    """The Oren matching (sigma, ks, ms) by augmenting paths on the bipartite graph
+    of left and right endpoints whose difference lies in Z + Z*xi, or None.
+
+    Left l takes the first free right endpoint it can reach, moving earlier
+    lefts along; the library reads the same matching off the boundary
+    classes.
+    """
+    lefts = [lo for lo, _ in window.intervals]
+    rights = [hi for _, hi in window.intervals]
+    size = len(lefts)
+    edges = [
+        [fraction_km(rights[j] - lefts[i]) for j in range(size)]
+        for i in range(size)
+    ]
+    match_right = [-1] * size  # right index -> left index
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in range(size):
+            if edges[i][j] is not None and j not in seen:
+                seen.add(j)
+                if match_right[j] == -1 or augment(match_right[j], seen):
+                    match_right[j] = i
+                    return True
+        return False
+
+    for i in range(size):
+        if not augment(i, set()):
+            return None
+    sigma = [0] * size
+    for j, i in enumerate(match_right):
+        sigma[i] = j
+    ks = tuple(edges[i][sigma[i]][0] for i in range(size))
+    ms = tuple(edges[i][sigma[i]][1] for i in range(size))
+    return tuple(sigma), ks, ms
+
+
+def scan_classes(window):
+    """(classes, balance) of the flat endpoints (a_1, b_1, ...) modulo Z + Z*xi,
+    by testing each endpoint against one representative of every class so far."""
+    classes: list[list[int]] = []
+    reps = []
+    for idx, e in enumerate(window.endpoints()):
+        for c, rep in enumerate(reps):
+            if fraction_km(e - rep) is not None:
+                classes[c].append(idx)
+                break
+        else:
+            classes.append([idx])
+            reps.append(e)
+    balance = tuple(
+        (sum(1 for i in cls if i % 2 == 0), sum(1 for i in cls if i % 2 == 1))
+        for cls in classes
+    )
+    return tuple(tuple(cls) for cls in classes), balance
+
+
+def grid_class_shifts(window):
+    """Per endpoint e_j, the (j', s) with e_j' - e_j in s*xi + Z, over all pairs."""
+    eps = window.endpoints()
+    kms = [[fraction_km(f - e) for f in eps] for e in eps]
+    return tuple(tuple((jj, km[0]) for jj, km in enumerate(row) if km is not None) for row in kms)
 
 
 def exact_sup(system, ks) -> XiReal:
@@ -215,11 +287,9 @@ def chain_domain(system, pattern):
 def search_provenance(base, endpoint) -> tuple[int, int]:
     """(j, k) with endpoint = frac(e_j + k*xi) for the endpoints e_j of base, the
     least (|k|, j) among them, by one membership test per endpoint."""
-    from cutproject.exactnum import decompose_Z_plus_Zxi
-
     found = []
     for j, e in enumerate(base.endpoints()):
-        km = decompose_Z_plus_Zxi(endpoint - e)
+        km = fraction_km(endpoint - e)
         if km is not None:
             found.append((abs(km[0]), j, km[0]))
     assert found, f"{endpoint} is congruent to no window endpoint"

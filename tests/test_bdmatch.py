@@ -132,6 +132,31 @@ class TestOptimality:
             optimality_check(list(range(13)), 1)
 
 
+class TestConstructor:
+    """The constructor is the one place a witness is checked."""
+
+    def test_unsorted_points_rejected(self):
+        # build_witness and from_csv would refuse these points too
+        with pytest.raises(ValueError, match="points must be strictly increasing"):
+            MatchingWitness(Fraction(1, 2), 1, 2, (3, 2, 6, 6))
+
+    @pytest.mark.parametrize("delta", [Fraction(0), 0, Fraction(-1, 2), SQRT2.real(1, -1)])
+    def test_nonpositive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            MatchingWitness(delta, 1, 2, (3, 4))
+
+    @pytest.mark.parametrize("points", [(), (3,)])
+    def test_fewer_than_two_points_rejected(self, points):
+        with pytest.raises(EmptyPattern, match=f"got {len(points)}"):
+            MatchingWitness(Fraction(1, 2), 0, 0, points)
+
+    def test_int_delta_kept_exact(self):
+        witness = MatchingWitness(2, 0, None, (0, 1, 3))
+        assert witness.delta == 2 and isinstance(witness.delta, Fraction)
+        sup = witness.recompute_sup()  # the lattice 0, 1/2, 1 against 0, 1, 3
+        assert sup == 2 and isinstance(sup, Fraction)
+
+
 class TestSerialization:
     def test_roundtrip_rational(self):
         witness = build_witness([0, 2, 5, 9], Fraction(1, 2))
@@ -235,18 +260,12 @@ def test_witness_matches_brute_force(case):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    matching_cases(),
-    st.integers(1, 4),
-    st.booleans(),
-    st.sampled_from([1, -1]),
-    st.integers(-60, 60),
-)
-def test_recompute_sup_is_the_largest_displacement(case, int_delta, use_int, sign, offset):
+@given(matching_cases(), st.integers(1, 4), st.booleans(), st.integers(-60, 60))
+def test_recompute_sup_is_the_largest_displacement(case, int_delta, use_int, offset):
     """recompute_sup, from the residue extremes, equals the largest |displacement|
-    over the pairs, for int, Fraction and surd points and deltas of either sign,
-    and for any offset, optimal or not."""
+    over the pairs, for int, Fraction and surd points, int, Fraction and surd
+    deltas, and any offset, optimal or not."""
     pts, delta = case
-    delta = sign * (int_delta if use_int else delta)
+    delta = int_delta if use_int else delta
     witness = MatchingWitness(delta, offset, None, tuple(pts))
     assert witness.recompute_sup() == max(abs(disp) for _, _, disp in witness.pairs())

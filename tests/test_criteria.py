@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
+from cutproject.acceptance import _class_shifts
 from cutproject.criteria import (
     MultiIntervalWindow,
     bd_verdict,
@@ -12,7 +15,8 @@ from cutproject.criteria import (
 )
 from cutproject.exactnum import XiSpec
 from cutproject.patterns import Window, parse_window
-from oracles import exhaustive_oren
+from oracles import augmenting_oren, exhaustive_oren, grid_class_shifts, scan_classes
+from test_threegap import FIELDS, NEGATIVE_XI
 
 SQRT2 = XiSpec.sqrt(2)
 SQRT3 = XiSpec.sqrt(3)
@@ -67,6 +71,11 @@ class TestKesten:
     def test_rejects_multi_interval(self):
         with pytest.raises(MultiIntervalWindow):
             kesten_condition(oren_example())
+
+    def test_rejects_empty_window_as_empty(self):
+        with pytest.raises(ValueError, match="nonempty window") as err:
+            kesten_condition(Window([]))
+        assert not isinstance(err.value, MultiIntervalWindow)
 
     def test_witness_recomputes(self):
         rng = random.Random(21)
@@ -175,12 +184,16 @@ class TestBdVerdict:
         assert rep.witness is not None
 
     def test_equivalent_characterizations_randomized(self):
+        """The verdict, the class balance of the representative scan and the
+        existence of an augmenting-path matching agree."""
         rng = random.Random(24)
         for _ in range(1000):
             w = random_window(rng, max_intervals=3)
             rep = bd_verdict(w)
-            balanced = rep.classes.balanced()
-            has_matching = oren_condition(w) is not None
+            _, balance = scan_classes(w)
+            assert rep.classes.left_right_balance == balance
+            balanced = all(left == right for left, right in balance)
+            has_matching = augmenting_oren(w) is not None
             assert balanced == has_matching == (rep.verdict == "bounded")
 
     def test_translation_invariance(self):
@@ -216,3 +229,48 @@ class TestBdVerdict:
         w4 = parse_window("[1/7, 1/3) [1/2, 4/5)", SQRT2)
         r4 = bd_verdict(w4)
         assert (r4.n, r4.h1_rank, r4.h1_ud_dim, r4.verdict) == (4, 5, 3, "unbounded")
+
+
+@st.composite
+def class_windows(draw):
+    """1-5 intervals with endpoints frac(c + k*xi) for c among at most three
+    residues (one with a xi part), so that a class often holds two or more left
+    endpoints; sometimes with the endpoint 0 or 1."""
+    xi = draw(st.sampled_from(FIELDS + [NEGATIVE_XI]))
+    n_iv = draw(st.integers(1, 5))
+    residues = st.sampled_from([(0, 0), (5, 0), (17, 0), (5, 1)])  # (c, h): c/31 + (h/2)*xi
+    bases = draw(st.lists(residues, min_size=1, max_size=3, unique=True))
+    end = st.tuples(st.sampled_from(bases), st.integers(-9, 9))
+    ends = draw(st.lists(end, min_size=2 * n_iv, max_size=2 * n_iv))
+    cuts = {xi.real(Fraction(c, 31), Fraction(h, 2) + k).fractional_part()[0] for (c, h), k in ends}
+    cuts |= {xi.real(e) for e in draw(st.lists(st.sampled_from([0, 1]), max_size=2))}
+    cuts = sorted(cuts)[: min(len(cuts) // 2 * 2, 10)]
+    assume(cuts and cuts != [xi.zero, xi.one])  # [0, 1) is no window
+    return Window([(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(class_windows())
+def test_classes_and_matching_match_references(w):
+    """The one-pass classes, their balance, the Oren matching and the acceptance
+    shifts equal the representative scan, the augmenting-path search and the
+    pairwise grid of tests/oracles.py; the matching is one the permutation search
+    finds."""
+    classes, balance = scan_classes(w)
+    rep = bd_verdict(w)
+    assert (rep.classes.classes, rep.classes.left_right_balance) == (classes, balance)
+    assert boundary_classes(w) == rep.classes
+    want = augmenting_oren(w)
+    got = oren_condition(w)
+    assert rep.witness == got
+    assert (None if got is None else (got.sigma, got.ks, got.ms)) == want
+    assert (rep.verdict == "bounded") == (want is not None)
+    assert (want is not None) == all(left == right for left, right in balance)
+    all_matchings = exhaustive_oren(w)
+    assert want in all_matchings if want is not None else not all_matchings
+    if len(w) == 1:
+        kesten = kesten_condition(w)
+        assert (None if kesten is None else ((0,), (kesten.k,), (kesten.m,))) == want
+    assert _class_shifts(w) == grid_class_shifts(w)
+    event(f"most lefts in a class: {max(left for left, _ in balance)}")
+    event("bounded" if want is not None else "unbounded")

@@ -17,6 +17,7 @@ from cutproject.exactnum import (
     XiSpec,
     decompose_Z_plus_Zxi,
     floor_pair,
+    lattice_split,
     pair_sign,
     parse_xi,
     parse_xireal,
@@ -492,3 +493,23 @@ class TestMathFloor:
     def test_math_floor_and_ceil_are_exact(self, x):
         assert math.floor(x) == x.floor()
         assert math.ceil(x) == -(-x).floor()
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_field, st.integers(-50, 50), st.integers(-50, 50))
+def test_lattice_split(case, k0, m0):
+    """u = residue + k*xi + m with both residue coordinates in [0, 1), and two
+    values have equal residues iff their differences of Fraction coordinates
+    are integers."""
+    xi, a, b, c, d = case
+    u, v = xi.real(a, b), xi.real(c, d)
+    (ra, rb, den), k, m = lattice_split(u)
+    assert 0 <= ra < den and 0 <= rb < den and gcd(ra, rb, den) == 1
+    assert (Fraction(ra, den), Fraction(rb, den), m, k) == (
+        a - fraction_floor(a), b - fraction_floor(b), fraction_floor(a), fraction_floor(b)
+    )
+    assert xi.real(Fraction(ra, den), Fraction(rb, den)) + k * xi.xi_real + m == u
+    congruent = (a - c).denominator == 1 and (b - d).denominator == 1
+    assert (lattice_split(v)[0] == (ra, rb, den)) == congruent
+    assert lattice_split(u + k0 * xi.xi_real + m0) == ((ra, rb, den), k + k0, m + m0)
+    assert decompose_Z_plus_Zxi(u) == ((k, m) if ra == rb == 0 else None)
