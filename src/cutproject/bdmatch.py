@@ -56,6 +56,8 @@ class MatchingWitness:
             object.__setattr__(self, "delta", Fraction(self.delta))
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if isinstance(self.sup_displacement, (type(None), float, complex, str)):
+            raise TypeError(f"sup_displacement must be exact, got {self.sup_displacement!r}")
 
     @cached_property
     def _spacing(self) -> Exact:
@@ -157,7 +159,7 @@ def build_witness(
     (min r + max r)/2; both rounding candidates are compared exactly.
     """
     pts = points.points if isinstance(points, PointPattern) else tuple(points)
-    trial = MatchingWitness(delta, 0, None, pts)  # checks the points and delta
+    trial = MatchingWitness(delta, 0, 0, pts)  # checks the points and delta
     r_lo, r_hi = _residue_extrema(pts, trial.delta)
     c0 = math.floor((r_lo + r_hi) / 2)
     c = min((c0, c0 + 1), key=lambda o: max(r_hi - o, o - r_lo))  # c0 on a tie

@@ -132,7 +132,7 @@ def _record_points(n_max: int, trace_limit: int) -> list[int]:
         mandatory.add(j)
         j *= 10
     shift = 6
-    while shift >= 0:
+    while True:
         recs = set(mandatory)
         n = 1
         # a walk past trace_limit is rejected: stop it there, unless it is the last
@@ -142,7 +142,6 @@ def _record_points(n_max: int, trace_limit: int) -> list[int]:
         if len(recs) <= trace_limit or shift == 0:
             return sorted(recs)
         shift -= 1
-    return sorted(mandatory)
 
 
 def profile(
@@ -161,10 +160,13 @@ def profile(
     intervals of the Euclid walk, with the summary of each return block,
     and O(log n) lookups per sample (``_scaled.table_rows``).  Neither
     route scans, so the profile is exact at any n_max.  ``workers`` has no
-    effect; it is kept so that callers passing it still run.
+    effect (kept for callers).  ``trace_limit`` >= 1 is soft: the decades,
+    n_max and a doubling walk are always sampled.
     """
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
+    if trace_limit < 1:
+        raise ValueError("trace_limit must be >= 1")
     system.guard_singular(0, n_max)
     ss = system._scaled
     records = _record_points(n_max, trace_limit)

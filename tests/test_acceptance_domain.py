@@ -14,7 +14,7 @@ from cutproject.acceptance import (
     pattern_density,
 )
 from cutproject.exactnum import XiSpec, decompose_Z_plus_Zxi
-from cutproject.patterns import RotationSystem, Window, orbit_hits, strip_points
+from cutproject.patterns import RotationSystem, Window, orbit_hits, parse_window, strip_points
 from oracles import chain_domain, search_provenance
 from test_threegap import FIELDS, NEGATIVE_XI, systems
 
@@ -156,6 +156,14 @@ class TestIndicatorHits:
             assert list(indicator_hits(sys, pat, k_min, k_max)) == match_pattern(
                 pts, pat, k_min, k_max
             )
+
+    def test_matches_sliding_window_on_three_intervals(self):
+        golden = FIELDS[0]
+        window = parse_window("[0, 2-1*xi) [1/2, 3/5) [-1+1*xi, 9/10)", golden)
+        sys = RotationSystem(golden, golden.zero, window)
+        pat = PatternSpec.parse("require 0,3 forbid 1")
+        hits = indicator_hits(sys, pat, 0, 10**4)
+        assert list(hits) == match_pattern(strip_points(sys, 0, 10**4 + 3), pat, 0, 10**4)
 
 
 class TestPatternDensity:

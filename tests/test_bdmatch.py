@@ -14,7 +14,7 @@ from cutproject.bdmatch import (
     optimality_check,
 )
 from cutproject.discrepancy import profile
-from cutproject.exactnum import XiSpec
+from cutproject.exactnum import XiReal, XiSpec
 from cutproject.patterns import RotationSystem, Window, orbit_hits
 
 SQRT2 = XiSpec.sqrt(2)
@@ -150,8 +150,14 @@ class TestConstructor:
         with pytest.raises(EmptyPattern, match=f"got {len(points)}"):
             MatchingWitness(Fraction(1, 2), 0, 0, points)
 
+    @pytest.mark.parametrize("sup", [None, 0.5, "1"])
+    def test_inexact_sup_rejected(self, sup):
+        # None would be written as "None", which from_csv cannot read back
+        with pytest.raises(TypeError, match="sup_displacement must be exact"):
+            MatchingWitness(Fraction(1, 2), 0, sup, (0, 2))
+
     def test_int_delta_kept_exact(self):
-        witness = MatchingWitness(2, 0, None, (0, 1, 3))
+        witness = MatchingWitness(2, 0, 0, (0, 1, 3))
         assert witness.delta == 2 and isinstance(witness.delta, Fraction)
         sup = witness.recompute_sup()  # the lattice 0, 1/2, 1 against 0, 1, 3
         assert sup == 2 and isinstance(sup, Fraction)
@@ -176,6 +182,16 @@ class TestSerialization:
         assert "y,lattice_point,displacement" in text
         loaded = MatchingWitness.from_csv(io.StringIO(text))
         assert loaded == witness
+
+    def test_golden_csv_reads_back_to_the_same_text(self):
+        golden = FIELDS[1]
+        system = RotationSystem(golden, golden.zero, Window.single(golden.zero, golden.real(-1, 1)))
+        witness = build_witness(orbit_hits(system, 0, 2000), system.window_length())
+        assert isinstance(witness.delta, XiReal)
+        first, again = io.StringIO(), io.StringIO()
+        witness.to_csv(first)
+        MatchingWitness.from_csv(io.StringIO(first.getvalue())).to_csv(again)
+        assert again.getvalue() == first.getvalue()
 
     def test_fewer_than_two_rows_rejected(self):
         buf = io.StringIO()
@@ -267,5 +283,5 @@ def test_recompute_sup_is_the_largest_displacement(case, int_delta, use_int, off
     deltas, and any offset, optimal or not."""
     pts, delta = case
     delta = int_delta if use_int else delta
-    witness = MatchingWitness(delta, offset, None, tuple(pts))
+    witness = MatchingWitness(delta, offset, 0, tuple(pts))
     assert witness.recompute_sup() == max(abs(disp) for _, _, disp in witness.pairs())

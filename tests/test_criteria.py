@@ -56,9 +56,9 @@ def random_window(rng, xi=SQRT2, max_intervals=4):
 
 class TestKesten:
     def test_flagship(self):
-        w = Window.single(SQRT2.zero, SQRT2.real(-1, 1))
-        witness = kesten_condition(w)
-        assert (witness.k, witness.m) == (1, -1)
+        for xi in (SQRT2, FIELDS[0]):  # [0, xi - 1) for sqrt(2) and the golden ratio
+            witness = kesten_condition(Window.single(xi.zero, xi.real(-1, 1)))
+            assert (witness.k, witness.m) == (1, -1)
 
     def test_rational_length_has_no_witness(self):
         assert kesten_condition(parse_window("[0, 1/2)", SQRT2)) is None
@@ -195,6 +195,17 @@ class TestBdVerdict:
             balanced = all(left == right for left, right in balance)
             has_matching = augmenting_oren(w) is not None
             assert balanced == has_matching == (rep.verdict == "bounded")
+
+    def test_one_class_of_two_lefts_and_two_rights(self):
+        xi = FIELDS[0]
+        ends = [(k * xi.xi_real).fractional_part()[0] for k in (2, -1, 1, 3)]  # the class of 0
+        w = Window([tuple(ends[:2]), tuple(ends[2:])])
+        rep = bd_verdict(w)
+        assert (rep.verdict, rep.n, rep.classes.left_right_balance) == ("bounded", 1, ((2, 2),))
+        match = rep.witness
+        assert sorted(match.sigma) == [0, 1]
+        for (lo, _), j, k, m in zip(w.intervals, match.sigma, match.ks, match.ms):
+            assert w.intervals[j][1] - lo == k * xi.xi_real + m  # b_sigma(l) - a_l = k*xi + m
 
     def test_translation_invariance(self):
         rng = random.Random(25)

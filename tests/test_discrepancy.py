@@ -172,6 +172,12 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile(kesten_system(), 50)
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_trace_limit_below_one_rejected(self, limit):
+        # the decades and a doubling walk are sampled whatever the limit
+        with pytest.raises(ValueError, match="trace_limit must be >= 1"):
+            profile(kesten_system(), 1000, trace_limit=limit)
+
     def test_csv_output(self):
         p = profile(kesten_system(), 200)
         buf = io.StringIO()
@@ -204,6 +210,7 @@ class TestProfile:
             # the benchmark's crossed Oren window: b2 - a1 = 4xi - 6,
             # b1 - a2 = -(5xi - 8), b3 - a3 = 2xi - 3
             "[9/200, 1/5) [-39/5+5*xi, -1191/200+4*xi) [-59/10+4*xi, -89/10+6*xi)",
+            "[0, -1+1*xi)",  # Kesten's golden window, kappa = 1
         ],
     )
     def test_bounded_profile_at_1e30(self, text):
@@ -219,6 +226,7 @@ class TestProfile:
             assert (abs(s.value) - kappa_sum - 1).sign() < 0
         sups = [s.running_sup for s in p.samples]
         assert all((b - a).sign() >= 0 for a, b in zip(sups, sups[1:]))
+        assert (p.sup_seen - kappa_sum - 1).sign() < 0  # over every N, not only the samples
         for s in p.samples[::97] + p.samples[-1:]:
             assert s.value == local_discrepancy(system, s.n)
         assert p.verdict() == "bounded-consistent"

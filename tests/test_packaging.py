@@ -5,6 +5,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import cutproject
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -17,11 +19,12 @@ def test_every_script_target_resolves():
 
 def test_import_does_not_load_logging():
     """Route lines go through ``_scaled.debug``, which finds ``logging`` only
-    if something else loaded it: importing the package must not."""
+    if something else loaded it: importing the package must not.  The child
+    imports the copy under test, from ``src`` or from an install."""
     code = (
         "import sys, cutproject, cutproject.acceptance, cutproject.bdmatch, cutproject.criteria, "
         "cutproject.discrepancy; assert 'logging' not in sys.modules, sys.modules['logging']"
     )
-    path = [str(PYPROJECT.parent / "src"), os.environ.get("PYTHONPATH")]
+    path = [str(Path(cutproject.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -284,6 +284,14 @@ class TestStripPoints:
             hi = lo + rng.randint(10, 300)
             assert list(strip_points(sys, lo, hi)) == list(orbit_hits(sys, lo, hi))
 
+    @pytest.mark.parametrize(
+        "text", ["[0, -1+1*xi)", "[0, 2-1*xi) [1/2, 3/5) [-1+1*xi, 9/10)"]
+    )
+    def test_matches_orbit_over_1e5(self, text):
+        golden = XiSpec(Fraction(1, 2), Fraction(1, 2), 5)
+        sys = RotationSystem(golden, golden.zero, parse_window(text, golden))
+        assert orbit_hits(sys, 0, 10**5) == strip_points(sys, 0, 10**5)
+
     def test_window_shift_recurrence(self):
         # shifting the window by +xi shifts hits by +1; by -xi, by -1
         sys = kesten_system()

@@ -197,6 +197,15 @@ def test_sparse_window_needs_no_search(monkeypatch):
     assert calls < 1000
 
 
+def test_sparse_window_hits_to_1e7():
+    """[1/3, 1/3 + 10^-6) over 0..10^7: N*len + D(N) hits, each on the strip route."""
+    xi = FIELDS[0]
+    sparse = RotationSystem(xi, xi.real(Fraction(1, 7)), parse_window("[1/3, 1/3 + 1/1000000)", xi))
+    hits = orbit_hits(sparse, 0, 10**7)
+    assert len(hits) == local_discrepancy(sparse, 10**7) + 10**7 * sparse.window_length() > 0
+    assert all(strip_points(sparse, k, k) for k in hits)
+
+
 KAPPAS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
 
@@ -361,7 +370,11 @@ def test_count_is_additive_at_scale(system, j):
 def test_kesten_bound_up_to_a_googol():
     """Windows of length frac(k*xi) have |D(N)| < |k| + 1 for every N (Kesten)."""
     golden, sqrt2 = FIELDS[0], FIELDS[1]
-    cases = [(golden, 1, golden.real(Fraction(1, 7))), (sqrt2, 3, sqrt2.real(0))]
+    cases = [
+        (golden, 1, golden.real(Fraction(1, 7))),
+        (golden, 1, golden.zero),
+        (sqrt2, 3, sqrt2.real(0)),
+    ]
     for xi, k, lo in cases:
         length = (k * xi.xi_real).fractional_part()[0]
         window = Window.single(lo, lo + length)
