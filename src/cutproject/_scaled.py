@@ -21,7 +21,7 @@ ever before) below l, by one Euclid walk over the shrinking records
 (``_records``, below): as xi has bounded partial quotients, it takes
 O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).
 
-Long ranges copy hits forward by blocks (``hit_blocks``).  For a walk
+Long ranges copy hits forward by blocks (``collect_hits``).  For a walk
 time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
 exactly with eps = alpha or -beta: k + q lies in k's piece (an interval,
 or a gap of the hull) unless y_k lies on the crossing arc [c - eps, c)
@@ -111,10 +111,7 @@ records[-1] + 1 steps are built, in each call.
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every
-floor ``exactnum.floor_pair``, except the per-hit tests in the loop of
-``interval_hits``, which inline ``pair_sign``: a call per hit there made
-the benchmark's ``enumerate`` round 18 % slower (median ``wall_s`` of 4
-alternating pairs, 2 cores, CPython 3.11).
+floor ``exactnum.floor_pair``.
 """
 
 from __future__ import annotations
@@ -122,10 +119,10 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cmp_to_key, lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import iadd, itemgetter
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import Triple, XiReal, XiSpec, floor_pair, pair_sign
@@ -321,25 +318,18 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
     ab_a, ab_b = al_a - be_a, al_b - be_b
     while True:
         yield k
-        a2 = ya - t1_a
-        b2 = yb - t1_b
-        # pair_sign inlined (module docstring): y < hi - alpha
-        if (b2 < 0 and b2 * b2 * d > a2 * a2) if a2 >= 0 else (b2 <= 0 or a2 * a2 > b2 * b2 * d):
+        if pair_sign(ya - t1_a, yb - t1_b, d) < 0:  # y < hi - alpha
             k += ga
             ya += al_a
             yb += al_b
+        elif pair_sign(ya - t2_a, yb - t2_b, d) >= 0:  # y >= lo + beta
+            k += gb
+            ya -= be_a
+            yb -= be_b
         else:
-            a2 = ya - t2_a
-            b2 = yb - t2_b
-            # pair_sign inlined: y >= lo + beta
-            if (b2 >= 0 or a2 * a2 > b2 * b2 * d) if a2 >= 0 else (b2 > 0 and b2 * b2 * d > a2 * a2):
-                k += gb
-                ya -= be_a
-                yb -= be_b
-            else:
-                k += gab
-                ya += ab_a
-                yb += ab_b
+            k += gab
+            ya += ab_a
+            yb += ab_b
         if k > k_max:
             return
 
@@ -394,15 +384,15 @@ def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], r: int, hull:
     return pieces, q, arcs
 
 
-def hit_blocks(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> Iterator[Block]:
-    """Hits in [k_min, k_max] in increasing blocks of (ks, colours), as ``collect_colored``
-    with hull=True, else of the intervals alone."""
+def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> Block:
+    """Increasing k in [k_min, k_max] whose orbit point lies in the window, and their
+    colours: with hull=True the hits of the hull, coloured by interval index (1-based)
+    or 0 when the point lies in none of the intervals, else of the intervals alone."""
     span = k_max - k_min + 1
     pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, isqrt(max(span, 0)), hull)
     if not q or 3 * q > span:
         debug(__name__, "hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
-        yield _stepped(ss, pieces, k_min, k_max)
-        return
+        return _stepped(ss, pieces, k_min, k_max)
     # the k whose point crosses an endpoint when moved on by q: those on its arc
     on_arcs = ((k, color) for arc, color in arcs for k in interval_hits(ss, arc, k_min, k_max - q))
     cross = sorted(on_arcs, key=itemgetter(0))
@@ -411,11 +401,10 @@ def hit_blocks(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> 
         k_min, k_max, q, -(-span // q), len(cross),
     )
     ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)
-    yield ks, colors
+    out_ks, out_colors = ks[:], colors[:]
     i = 0
     for start in range(k_min + q, k_max + 1, q):
-        ks = [k + q for k in ks]
-        colors = colors[:]  # new lists: callers keep or extend the blocks already yielded
+        ks = [k + q for k in ks]  # the last block moved on by q, patched at its crossings
         while i < len(cross) and cross[i][0] < start:  # the crossings of the last block
             k, color = cross[i]
             i += 1
@@ -432,12 +421,9 @@ def hit_blocks(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> 
         if start + q - 1 > k_max:  # the last block ends at k_max
             j = bisect_right(ks, k_max)
             del ks[j:], colors[j:]
-        yield ks, colors
-
-
-def collect_hits(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
-    """All k in [k_min, k_max] whose orbit point lies in the window."""
-    return reduce(iadd, (ks for ks, _ in hit_blocks(ss, k_min, k_max)))
+        out_ks += ks
+        out_colors += colors
+    return out_ks, out_colors
 
 
 # -- floor sums -------------------------------------------------------------------
@@ -509,15 +495,6 @@ def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
     """
     contains, state_at = ss.contains, ss.state_at
     return [k for k in range(k_min, k_max + 1) if contains(*state_at(k))]
-
-
-def collect_colored(
-    ss: ScaledSystem, k_min: int, k_max: int
-) -> tuple[list[int], list[int]]:
-    """Hits of the hull window, labelled by interval index (1-based) or 0
-    when the point lies in the hull but in none of the intervals."""
-    ks, colors = zip(*hit_blocks(ss, k_min, k_max, hull=True))
-    return reduce(iadd, ks), reduce(iadd, colors)
 
 
 # -- block tables (module docstring) --------------------------------------------------

@@ -69,9 +69,8 @@ class PatternSpec:
     @classmethod
     def parse(cls, text: str) -> "PatternSpec":
         """Parse `require 0,2 forbid 1` (forbid part optional)."""
-        m = re.fullmatch(
-            r"\s*require\s+([-\d,\s]+?)(?:\s+forbid\s+([-\d,\s]+?))?\s*", text
-        )
+        ints = r"(-?\d+(?:\s*,\s*-?\d+)*)"
+        m = re.fullmatch(rf"\s*require\s+{ints}(?:\s+forbid\s+{ints})?\s*", text)
         if not m:
             raise ValueError(f"cannot parse pattern {text!r}")
         req = frozenset(int(t) for t in m.group(1).split(","))

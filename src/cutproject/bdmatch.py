@@ -22,12 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .exactnum import XiReal, XiSpec, pair_sign, parse_xi, parse_xireal
+from .exactnum import Exact, XiReal, XiSpec, check_exact, pair_sign, parse_xi, parse_xireal
 from .patterns import PointPattern
 
 __all__ = ["EmptyPattern", "MatchingWitness", "build_witness", "optimality_check"]
-
-Exact = Union[int, Fraction, XiReal]
 
 
 class EmptyPattern(ValueError):
@@ -48,6 +46,9 @@ class MatchingWitness:
     points: tuple[Exact, ...]
 
     def __post_init__(self) -> None:
+        check_exact("delta", self.delta, field=True)
+        check_exact("offset", self.offset)
+        check_exact("a point", *self.points, field=True)
         if len(self.points) < 2:
             raise EmptyPattern(f"need at least 2 points, got {len(self.points)}")
         if not all(u < v for u, v in zip(self.points, self.points[1:])):

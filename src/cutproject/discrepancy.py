@@ -27,7 +27,7 @@ from typing import IO, Optional, Sequence, Union
 from . import _scaled
 from .acceptance import PatternSpec, acceptance_domain, pattern_density
 from .criteria import oren_condition
-from .exactnum import XiReal
+from .exactnum import Exact, XiReal, check_exact
 from .patterns import PointPattern, RotationSystem
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "estimate_density",
     "cochain_discrepancy",
 ]
-
-Exact = Union[int, Fraction, XiReal]
 
 
 class TooFewPoints(ValueError):
@@ -215,6 +213,8 @@ def disc(
     import bisect
 
     x0, x1 = interval
+    check_exact("an interval endpoint", x0, x1, field=True)
+    check_exact("delta", delta, field=True)
     if x1 < x0:
         raise ValueError(f"reversed interval [{x0}, {x1})")
     pts = (points if isinstance(points, PointPattern) else PointPattern(tuple(points))).points
@@ -275,6 +275,8 @@ class Cochain:
     dx: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
+        check_exact("cochain coefficient", *(c for c, _ in self.terms))
+        check_exact("dx", self.dx)
         object.__setattr__(
             self,
             "terms",

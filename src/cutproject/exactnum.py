@@ -44,6 +44,17 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
+Exact = Union[int, Fraction, "XiReal"]
+
+
+def check_exact(name: str, *values: object, field: bool = False) -> None:
+    """TypeError naming `name` unless each value is an int or a Fraction, or with
+    field=True an XiReal: no float, Decimal or str silently becomes exact."""
+    kinds = (int, Fraction, XiReal) if field else (int, Fraction)
+    for value in values:
+        if not isinstance(value, kinds):
+            text = "an int, a Fraction or an XiReal" if field else "an int or a Fraction"
+            raise TypeError(f"{name} must be {text}, got {value!r}")
 
 
 class XiMismatchError(ValueError):
@@ -55,6 +66,8 @@ RADICAND_LIMIT = 10**12  # trial division below stays under about 0.1 s
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
     """Return (s, core) with n = s*s*core and core squarefree."""
+    if not isinstance(n, int):
+        raise TypeError(f"radicand must be an int, got {n!r}")
     if n <= 0:
         raise ValueError(f"radicand must be positive, got {n}")
     if n > RADICAND_LIMIT:
@@ -77,9 +90,8 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
 def pair_sign(a: Rational, b: Rational, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for rationals a, b and squarefree d >= 2.
 
-    Every exact comparison in the package is this test (the per-hit loops
-    of ``_scaled`` inline it).  Mixed signs compare a^2 against b^2*d, where
-    a tie is impossible unless a = b = 0.
+    Every exact comparison in the package is this test.  Mixed signs
+    compare a^2 against b^2*d, where a tie is impossible unless a = b = 0.
     """
     if a >= 0:
         if b >= 0:
@@ -118,6 +130,8 @@ class XiSpec:
     triple: Triple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_exact("p", self.p)
+        check_exact("q", self.q)
         p = Fraction(self.p)
         q = Fraction(self.q)
         s, core = _squarefree_decompose(self.d)
@@ -179,6 +193,8 @@ class XiReal:
     __slots__ = ("_A", "_B", "_D", "_xi")
 
     def __init__(self, a: Rational, b: Rational, xi: XiSpec) -> None:
+        check_exact("a", a)
+        check_exact("b", b)
         a, b = Fraction(a), Fraction(b)
         P, Q, R = xi.triple
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
@@ -345,6 +361,8 @@ class XiReal:
 
     def decimal(self, digits: int = 30) -> str:
         """Exact decimal rendering, truncated toward zero after `digits` places."""
+        if digits < 0:
+            raise ValueError("digits must be >= 0")
         neg = self.sign() < 0
         A, B = (-self._A, -self._B) if neg else (self._A, self._B)
         scaled = floor_pair(A * 10**digits, B * 10**digits, self._D, self._xi.d)

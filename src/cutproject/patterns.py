@@ -275,7 +275,7 @@ def orbit_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
     if k_min > k_max:
         return PointPattern(())
     system.guard_singular(k_min, k_max)
-    return PointPattern(tuple(_scaled.collect_hits(system._scaled, k_min, k_max)))
+    return PointPattern(tuple(_scaled.collect_hits(system._scaled, k_min, k_max)[0]))
 
 
 def strip_points(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
@@ -300,7 +300,7 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     if k_min > k_max:
         return PointPattern((), ())
     system.guard_singular(k_min, k_max)
-    ks, colors = _scaled.collect_colored(system._scaled, k_min, k_max)
+    ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
     return PointPattern(tuple(ks), tuple(colors))
 
 

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from cutproject.acceptance import (
-    AcceptanceDomain,
     PatternSpec,
     acceptance_domain,
     indicator_hits,
@@ -58,6 +57,11 @@ class TestPatternSpec:
         assert q.forbidden == frozenset()
         with pytest.raises(ValueError):
             PatternSpec.parse("forbid 1")
+
+    @pytest.mark.parametrize("text", ["require 0,,2", "require 0,", "require 0 forbid 1,,2"])
+    def test_parse_rejects_empty_offset(self, text):
+        with pytest.raises(ValueError, match="cannot parse pattern"):
+            PatternSpec.parse(text)
 
     def test_offset_bound(self):
         sys = kesten_system()

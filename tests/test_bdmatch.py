@@ -156,6 +156,16 @@ class TestConstructor:
         with pytest.raises(TypeError, match="sup_displacement must be exact"):
             MatchingWitness(Fraction(1, 2), 0, sup, (0, 2))
 
+    def test_inexact_delta_offset_and_points_rejected(self):
+        with pytest.raises(TypeError, match="^delta must be an int, a Fraction or an XiReal"):
+            MatchingWitness(0.5, 0, 0, (0, 2))
+        with pytest.raises(TypeError, match="^delta must be"):
+            build_witness([0, 2, 5], 0.5)  # not the sup_displacement it would compute
+        with pytest.raises(TypeError, match="^offset must be"):
+            MatchingWitness(Fraction(1, 2), 0.0, 0, (0, 2))
+        with pytest.raises(TypeError, match="^a point must be"):
+            MatchingWitness(Fraction(1, 2), 0, 0, (0, 2.0))
+
     def test_int_delta_kept_exact(self):
         witness = MatchingWitness(2, 0, 0, (0, 1, 3))
         assert witness.delta == 2 and isinstance(witness.delta, Fraction)

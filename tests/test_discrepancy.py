@@ -74,6 +74,13 @@ class TestDisc:
                 disc(evens, (5, 2), Fraction(1, 2), signed=signed)
         assert disc(evens, (5, 5), Fraction(1, 2)) == 0
 
+    def test_inexact_arguments_rejected(self):
+        pts = [0, 1, 2, 3]
+        with pytest.raises(TypeError, match="^delta must be"):
+            disc(pts, (0, 2), 0.5)  # it returned the float 1.0
+        with pytest.raises(TypeError, match="^an interval endpoint must be"):
+            disc(pts, (0, 2.0), 1)
+
     def test_cross_check_against_local_discrepancy(self):
         sys = half_system()
         n = 10**4
@@ -286,6 +293,10 @@ class TestCochain:
         with pytest.raises(ValueError, match="reversed interval"):
             cochain_discrepancy(c, sys, (10, 0))
         assert cochain_discrepancy(c, sys, (3, 3)) == 0
+
+    def test_inexact_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="^cochain coefficient must be an int or a Fraction"):
+            Cochain(((0.1, PatternSpec(frozenset({0}))),))
 
     def test_distinct_patterns_required(self):
         p = PatternSpec(frozenset({0}))

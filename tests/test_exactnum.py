@@ -50,6 +50,19 @@ class TestXiSpec:
         with pytest.raises(ValueError):
             XiSpec(0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "args, name", [((0.1, 1, 5), "p"), ((0, "1/2", 5), "q"), ((0, 1, 5.0), "radicand")]
+    )
+    def test_inexact_arguments_rejected(self, args, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            XiSpec(*args)
+
+    def test_real_rejects_inexact_coefficients(self):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968
+        for args, name in (((0.1,), "a"), ((1, 0.5), "b"), (("1/3",), "a")):
+            with pytest.raises(TypeError, match=f"^{name} must be an int or a Fraction"):
+                SQRT2.real(*args)
+
     def test_huge_radicand_fails_fast(self):
         prime = 18446744073709551557  # the largest prime below 2**64
         for make in (XiSpec.sqrt, lambda d: parse_xi(f"sqrt({d})")):
@@ -326,6 +339,10 @@ class TestRendering:
                 assert diff.sign() >= 0
                 assert (diff - Fraction(1, 10**digits)).sign() < 0
                 assert (r < 0) == (u.sign() < 0 and r != 0)
+
+    def test_decimal_rejects_negative_digits(self):
+        with pytest.raises(ValueError, match="digits must be >= 0"):
+            SQRT2.xi_real.decimal(-1)
 
     def test_decimal_known_value(self):
         # sqrt(2) = 1.41421356237309504880168872420969807856...

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cutproject.exactnum import XiReal, XiSpec
+from cutproject.exactnum import XiSpec
 from cutproject.patterns import (
     OMEGA,
     PointPattern,

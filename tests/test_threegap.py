@@ -13,6 +13,7 @@ bounded window (``oracles.exact_sup``).
 
 import logging
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -92,7 +93,7 @@ def test_core_matches_strip_route(system, rng):
     k_max = k_min + span
     ss = system._scaled
     want = _scaled.collect_hits_direct(ss, k_min, k_max)
-    assert _scaled.collect_hits(ss, k_min, k_max) == want
+    assert _scaled.collect_hits(ss, k_min, k_max)[0] == want
     assert _scaled.count_hits(ss, k_min, k_max) == len(want)
     per_interval = [
         list(_scaled.interval_hits(ss, iv, k_min, k_max)) for iv in ss.ivals
@@ -492,9 +493,10 @@ WRAPPED = (
 def test_block_stream_matches_strip_route(case):
     system, k_min, k_max = case
     ss = system._scaled
-    blocks = [list(ks) for ks, _ in _scaled.hit_blocks(ss, k_min, k_max)]
-    event("block shift" if len(blocks) > 1 else "three-gap stepping")
-    assert [k for ks in blocks for k in ks] == _scaled.collect_hits_direct(ss, k_min, k_max)
+    span = k_max - k_min + 1
+    _, q, _ = _scaled._plan(ss.d, ss.m, ss.step, ss.ivals, isqrt(span), False)
+    event("block shift" if q and 3 * q <= span else "three-gap stepping")
+    assert _scaled.collect_hits(ss, k_min, k_max)[0] == _scaled.collect_hits_direct(ss, k_min, k_max)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
@@ -502,7 +504,7 @@ def test_block_stream_matches_strip_route(case):
 @given(block_systems())
 def test_block_stream_colors_match_membership(case):
     system, k_min, k_max = case
-    ks, colors = _scaled.collect_colored(system._scaled, k_min, k_max)
+    ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
     assert dict(zip(ks, colors)) == direct_colors(system._scaled, k_min, k_max)
     assert ks == sorted(set(ks))
 
@@ -518,7 +520,7 @@ def test_block_stream_flagship(k_max, caplog):
     message = route(caplog, lambda: orbit_hits(FLAGSHIP, 0, k_max))
     assert ("block shift" in message) == (k_max > 10)
     assert orbit_hits(FLAGSHIP, 0, k_max) == strip_points(FLAGSHIP, 0, k_max)
-    ks, colors = _scaled.collect_colored(FLAGSHIP._scaled, 0, k_max)
+    ks, colors = _scaled.collect_hits(FLAGSHIP._scaled, 0, k_max, hull=True)
     assert dict(zip(ks, colors)) == direct_colors(FLAGSHIP._scaled, 0, k_max)
 
 
