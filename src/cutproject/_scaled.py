@@ -28,11 +28,23 @@ or a gap of the hull) unless y_k lies on the crossing arc [c - eps, c)
 or [c, c - eps) of an endpoint c, split at 0 if it wraps, and then in
 the piece just past c (if it crosses two endpoints, it is stepped).  The
 first q indices and the arcs are stepped, every later hit is one integer
-addition.  With q the last walk time <= sqrt(N), a call makes
-O(q + L*(N*|eps| + q')) sign tests, q' the return times of an arc, and
-|eps| = O(1/q) as xi has bounded partial quotients.  Ranges below 3q and
-windows with fewer than 8 hits per crossing (length < 8*|eps| per
-endpoint, as for an acceptance domain) are stepped whole.
+addition.  In stepped hits, a shift by q over N indices costs q*len for
+the first block and C*N*E*|eps| for the crossings, with len the total
+length of the pieces, E the number of their distinct endpoints and C the
+cost of one crossing (its arc step, its sort and the patch of its block).
+``_plan`` walks the times with 3q <= N one step at a time and keeps the
+one of least cost, compared exactly on the scaled pairs; as |eps| = O(1/q)
+for bounded partial quotients, that is O(sqrt(C*N*E*len)).  The range is
+stepped whole where that costs less, N*len against the least cost plus a
+fixed A per endpoint (the record walk to an arc's first point), or where
+the window has fewer than 8 hits per crossing (length < 8*|eps| per
+endpoint, as for an acceptance domain).  C = 2 and A = 96 were measured
+with CPython 3.11.7 on 2 cores: over the walk times of the benchmark's
+four golden-ratio windows at N = 5*10^4 a crossing cost 2.3-2.5 stepped
+hits (whole rounds were flat for C from 2 to 6), and on windows of 1 and 3 intervals over sqrt(2), sqrt(3),
+sqrt(101) and the golden ratio at N = 100 to 5,000 stepping whole won
+wherever N*len exceeded the least cost by less than 72 stepped hits per
+endpoint, the block shift wherever by more than 88.
 
 Hit counts step over nothing (``count_hits``).  For 0 <= lo <= hi <= 1,
 1[frac(y) in [lo, hi)] = floor(y - lo) - floor(y - hi), so the count over
@@ -121,7 +133,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -349,26 +361,39 @@ def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int) -> B
     return [k for k, _ in hits], [color for _, color in hits]
 
 
+CROSSING_COST = 2  # C: one crossing, in stepped hits (module docstring)
+ARC_COST = 96  # A: the fixed cost of the block shift per endpoint, in stepped hits
+
+
 @lru_cache(maxsize=256)
-def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], r: int, hull: bool) -> tuple:
-    """(pieces, q, arcs): q the last walk time at most r, by single steps, and
-    q = 0 for windows with fewer than 8 hits per crossing (module docstring)."""
+def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], span: int, hull: bool) -> tuple:
+    """(pieces, q, arcs): q the walk time with 3q <= span of least cost
+    q*len + C*span*E*|eps|, by single steps, and q = 0 where stepping the span whole
+    costs less (span*len against that cost plus A*E) or there are fewer than 8 hits
+    per crossing (module docstring)."""
     pieces: list[Piece] = []
     for color, iv in enumerate(ivals, 1):
         if hull and pieces:
             pieces.append(((pieces[-1][0][2], pieces[-1][0][3], iv[0], iv[1]), 0))
         pieces.append((iv, color))
+    ends = {e if e != (m, 0) else (0, 0) for iv, _ in pieces for e in (iv[:2], iv[2:])}  # 1 is 0
+    la = sum(iv[2] - iv[0] for iv, _ in pieces)
+    lb = sum(iv[3] - iv[1] for iv, _ in pieces)
+    w = CROSSING_COST * span * len(ends)
+    best = (span * la - ARC_COST * len(ends) * m, span * lb)  # a q must beat stepping whole, less A per endpoint
+    q = 0
     a, al, b, be = 1, step, 1, (m - step[0], -step[1])
-    while a + b <= r:
+    while 3 * (a + b) <= span:
         if pair_sign(al[0] - be[0], al[1] - be[1], d) > 0:
             a, al = a + b, (al[0] - be[0], al[1] - be[1])
+            t, eps, s = a, al, al  # eps = alpha
         else:
             b, be = a + b, (be[0] - al[0], be[1] - al[1])
-    q, (ea, eb), shift = (a, al, al) if a >= b else (b, be, (0, 0))  # |eps|, max(eps, 0)
-    ends = {e if e != (m, 0) else (0, 0) for iv, _ in pieces for e in (iv[:2], iv[2:])}  # 1 is 0
-    la = sum(iv[2] - iv[0] for iv, _ in pieces) - 8 * len(ends) * ea
-    lb = sum(iv[3] - iv[1] for iv, _ in pieces) - 8 * len(ends) * eb
-    if not pieces or pair_sign(la, lb, d) < 0:
+            t, eps, s = b, be, (0, 0)  # eps = -beta
+        cost = (t * la + w * eps[0], t * lb + w * eps[1])  # q*len + C*span*E*|eps|
+        if pair_sign(cost[0] - best[0], cost[1] - best[1], d) < 0:
+            q, (ea, eb), shift, best = t, eps, s, cost  # |eps|, max(eps, 0)
+    if not q or pair_sign(la - 8 * len(ends) * ea, lb - 8 * len(ends) * eb, d) < 0:
         return pieces, 0, []
     side = slice(0, 2) if shift != (0, 0) else slice(2, 4)  # the colour past each endpoint by eps
     past = dict.fromkeys(ends) | {iv[side]: color for iv, color in pieces}
@@ -389,8 +414,8 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
     colours: with hull=True the hits of the hull, coloured by interval index (1-based)
     or 0 when the point lies in none of the intervals, else of the intervals alone."""
     span = k_max - k_min + 1
-    pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, isqrt(max(span, 0)), hull)
-    if not q or 3 * q > span:
+    pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, span, hull)
+    if not q:
         debug(__name__, "hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
         return _stepped(ss, pieces, k_min, k_max)
     # the k whose point crosses an endpoint when moved on by q: those on its arc

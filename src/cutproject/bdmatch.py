@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -160,11 +160,14 @@ def build_witness(
     (min r + max r)/2; both rounding candidates are compared exactly.
     """
     pts = points.points if isinstance(points, PointPattern) else tuple(points)
-    trial = MatchingWitness(delta, 0, 0, pts)  # checks the points and delta
-    r_lo, r_hi = _residue_extrema(pts, trial.delta)
+    witness = MatchingWitness(delta, 0, 0, pts)  # checks the points and delta, once
+    r_lo, r_hi = _residue_extrema(pts, witness.delta)
     c0 = math.floor((r_lo + r_hi) / 2)
     c = min((c0, c0 + 1), key=lambda o: max(r_hi - o, o - r_lo))  # c0 on a tie
-    return replace(trial, offset=c, sup_displacement=max(r_hi - c, c - r_lo) / trial.delta)
+    # set in place on the new witness: replace() would check every point again
+    object.__setattr__(witness, "offset", c)
+    object.__setattr__(witness, "sup_displacement", max(r_hi - c, c - r_lo) / witness.delta)
+    return witness
 
 
 def optimality_check(points: Union[PointPattern, Iterable[Exact]], delta: Exact) -> bool:

@@ -299,6 +299,7 @@ def cochain_discrepancy(
     x1 < x0 raises ValueError.
     """
     x0, x1 = interval
+    check_exact("an interval endpoint", x0, x1, field=True)
     if x1 < x0:
         raise ValueError(f"reversed interval [{x0}, {x1})")
     lo = math.ceil(x0)

@@ -235,7 +235,12 @@ class PointPattern:
     """Strictly increasing integer points, optionally colored.
 
     Colors label which window interval (1-based) produced each hull
-    point; OMEGA (= 0) marks hull points lying in no interval.
+    point; OMEGA (= 0) marks hull points lying in no interval.  The
+    constructor checks both, for user input.  ``orbit_hits`` and
+    ``colored_hits`` build their patterns with ``_sorted``, which skips
+    the checks (about 50 ns a point): the scanner's output increases by
+    construction, and a tier-1 property holds it to the checks
+    (tests/test_threegap.py).
     """
 
     points: tuple[int, ...]
@@ -251,6 +256,16 @@ class PointPattern:
             object.__setattr__(self, "colors", cols)
             if len(cols) != len(pts):
                 raise ValueError("colors must parallel points")
+
+    @classmethod
+    def _sorted(
+        cls, points: tuple[int, ...], colors: Optional[tuple[int, ...]] = None
+    ) -> "PointPattern":
+        """A pattern from scanner output, set without the checks of ``__init__``."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "points", points)
+        object.__setattr__(pattern, "colors", colors)
+        return pattern
 
     def __len__(self) -> int:
         return len(self.points)
@@ -275,7 +290,7 @@ def orbit_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
     if k_min > k_max:
         return PointPattern(())
     system.guard_singular(k_min, k_max)
-    return PointPattern(tuple(_scaled.collect_hits(system._scaled, k_min, k_max)[0]))
+    return PointPattern._sorted(tuple(_scaled.collect_hits(system._scaled, k_min, k_max)[0]))
 
 
 def strip_points(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
@@ -301,7 +316,7 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
         return PointPattern((), ())
     system.guard_singular(k_min, k_max)
     ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
-    return PointPattern(tuple(ks), tuple(colors))
+    return PointPattern._sorted(tuple(ks), tuple(colors))
 
 
 def local_discrepancy(system: RotationSystem, n: int) -> XiReal:

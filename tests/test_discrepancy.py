@@ -298,6 +298,11 @@ class TestCochain:
         with pytest.raises(TypeError, match="^cochain coefficient must be an int or a Fraction"):
             Cochain(((0.1, PatternSpec(frozenset({0}))),))
 
+    def test_inexact_interval_rejected(self):
+        c = Cochain(((Fraction(1), PatternSpec(frozenset({0}))),))
+        with pytest.raises(TypeError, match="^an interval endpoint must be"):
+            cochain_discrepancy(c, kesten_system(), (0, 2.5))
+
     def test_distinct_patterns_required(self):
         p = PatternSpec(frozenset({0}))
         with pytest.raises(ValueError):

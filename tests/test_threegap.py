@@ -13,7 +13,6 @@ bounded window (``oracles.exact_sup``).
 
 import logging
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -25,6 +24,7 @@ from cutproject.discrepancy import _record_points, profile
 from cutproject.exactnum import XiSpec, pair_sign
 from cutproject.patterns import (
     OMEGA,
+    PointPattern,
     RotationSystem,
     Window,
     colored_hits,
@@ -479,12 +479,33 @@ def route(caplog, call):
     return record.getMessage()
 
 
-# q = 89 and eps = frac(89*xi) > 1/1000: the arc of the endpoint 1/1000 wraps
+def plan(case, hull=False):
+    """The (pieces, q, arcs) that collect_hits takes for the case; q = 0 steps it whole."""
+    system, k_min, k_max = case
+    ss = system._scaled
+    return _scaled._plan(ss.d, ss.m, ss.step, ss.ivals, k_max - k_min + 1, hull)
+
+
+# eps = frac(q*xi) > 1/1000: the arc of the endpoint 1/1000 wraps
 WRAPPED = (
     RotationSystem(FIELDS[0], FIELDS[0].zero, parse_window("[1/1000, 7/10)", FIELDS[0])),
     -5000,
     15000,
 )
+
+XI101 = XiSpec.sqrt(101)  # [10; 20, 20, ...]: large partial quotients
+SQRT101 = RotationSystem(
+    XI101, XI101.real(Fraction(1, 7)), parse_window("[1/10, 1/4) [1/3, 1/2) [3/5, 17/20)", XI101)
+)
+
+
+@pytest.mark.parametrize("hull", [False, True])
+def test_wrapped_example_splits_an_arc_at_0(hull):
+    _, q, arcs = plan(WRAPPED, hull)
+    m = WRAPPED[0]._scaled.m
+    assert q
+    assert [arc[2:] for arc, _ in arcs].count((m, 0)) == 1  # [c - eps + 1, 1)
+    assert [arc[:2] for arc, _ in arcs].count((0, 0)) == 1  # and [0, c)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
@@ -493,10 +514,22 @@ WRAPPED = (
 def test_block_stream_matches_strip_route(case):
     system, k_min, k_max = case
     ss = system._scaled
-    span = k_max - k_min + 1
-    _, q, _ = _scaled._plan(ss.d, ss.m, ss.step, ss.ivals, isqrt(span), False)
-    event("block shift" if q and 3 * q <= span else "three-gap stepping")
+    event("block shift" if plan(case)[1] else "three-gap stepping")
     assert _scaled.collect_hits(ss, k_min, k_max)[0] == _scaled.collect_hits_direct(ss, k_min, k_max)
+
+
+@pytest.mark.parametrize("hull", [False, True])
+def test_block_stream_large_partial_quotients(hull):
+    """sqrt(101), 3 intervals, 5*10^4 indices: the block shift against one floor per index."""
+    case = (SQRT101, 12345, 62344)
+    assert plan(case, hull)[1]
+    ks, colors = _scaled.collect_hits(SQRT101._scaled, 12345, 62344, hull)
+    want = direct_colors(SQRT101._scaled, 12345, 62344)
+    if hull:
+        assert dict(zip(ks, colors)) == want
+        assert ks == sorted(want)
+    else:
+        assert ks == _scaled.collect_hits_direct(SQRT101._scaled, 12345, 62344)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
@@ -507,6 +540,27 @@ def test_block_stream_colors_match_membership(case):
     ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
     assert dict(zip(ks, colors)) == direct_colors(system._scaled, k_min, k_max)
     assert ks == sorted(set(ks))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(block_systems(), st.booleans())
+def test_scanner_output_passes_the_pattern_checks(case, short):
+    """orbit_hits and colored_hits build their patterns without PointPattern's checks:
+    the points strictly increase, the colours parallel them and name 0..L, and the
+    checked constructor takes them back unchanged."""
+    system, k_min, k_max = case
+    if short:  # a span that is stepped whole
+        k_max = k_min + 99
+    hits = orbit_hits(system, k_min, k_max)
+    hull = colored_hits(system, k_min, k_max)
+    for p in (hits, hull):
+        assert type(p.points) is tuple
+        assert all(u < v for u, v in zip(p.points, p.points[1:]))
+        assert PointPattern(p.points, p.colors) == p
+    assert hits.colors is None
+    assert type(hull.colors) is tuple and len(hull.colors) == len(hull.points)
+    assert set(hull.colors) <= set(range(len(system.window) + 1))
+    assert set(hits.points) <= set(hull.points)
 
 
 FLAGSHIP = RotationSystem(
@@ -530,12 +584,14 @@ def test_route_is_logged(caplog):
     long = RotationSystem(xi, xi.zero, parse_window("[1/10, 7/10)", xi))
     short = long.with_window(parse_window("[1/10, 1/10 + 1/64)", xi))
     message = route(caplog, lambda: orbit_hits(long, -7, 49992))
-    assert message.startswith("hits -7..49992: block shift, q=144, 348 blocks, ")
+    assert message.startswith("hits -7..49992: block shift, q=377, 133 blocks, ")
     assert message.endswith(" crossings")
     message = route(caplog, lambda: colored_hits(long, 0, 99))
     assert message == "hits 0..99: three-gap stepping, 1 pieces"
+    message = route(caplog, lambda: colored_hits(short, 0, 1999))
+    assert message == "hits 0..1999: three-gap stepping, 1 pieces"
     message = route(caplog, lambda: colored_hits(short, 0, 49999))
-    assert message == "hits 0..49999: three-gap stepping, 1 pieces"
+    assert message.startswith("hits 0..49999: block shift, q=2584, 20 blocks, ")
 
 
 def test_zero_length_interval_fails_fast():
