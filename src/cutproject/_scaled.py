@@ -17,9 +17,10 @@ Slater's three-gap theorem the return times to the interval are a, b and
 a + b: from a hit y at index k the next hit is k + a if y < hi - alpha,
 else k + b if y >= lo + beta, else k + a + b.  The first hit is the first
 record of v = frac(y_k - lo) (the orbit closer to lo from the right than
-ever before) below l, by one Euclid walk over the shrinking records
+ever before) below l, read off the Euclid walk over the shrinking records
 (``_records``, below): as xi has bounded partial quotients, it takes
-O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).
+O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).  Its runs
+depend on xi alone: they are computed once and shared (``_walk``).
 
 Long ranges copy hits forward by blocks (``collect_hits``).  For a walk
 time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
@@ -83,8 +84,8 @@ the orbit meets p exactly before (at most once, at the k that the
 sqrt(d) coefficient fixes, as for ``find_singular``), where v drops to 0
 and the chain ends.  Those nearest p' from the left are the records of
 u = p' - y_n in (0, 1], next at n + a with value u - alpha.  Both chains
-are ``_records``, each with one Euclid walk (``_walk``), and a record
-counts once it lies in the piece.  For a quadratic xi the chains hold
+are ``_records``, each reading the one Euclid walk of xi (``_walk``), and a
+record counts once it lies in the piece.  For a quadratic xi the chains hold
 O(teeth * log N) records, and the profile merges them with its samples
 at one exact comparison each.
 
@@ -117,7 +118,7 @@ to 10^6 at xi = sqrt(k^2 + 1) takes 160 times as long at k = 10^4 as at 10.
 A profile multiplies the products from record to record: the prefix
 (h, k) of steps 0..n gives D(n) = h - (k - 1)*len, and max |D| reads
 max(hi, -lo) the same way.  Only the levels with a block of at most
-records[-1] + 1 steps are built, in each call.
+records[-1] + 1 steps are read, and each is built once per window.
 
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
@@ -245,6 +246,7 @@ def _orbit_index(ss: ScaledSystem, pair: Pair) -> Optional[int]:
 
 
 Gaps = tuple[int, Pair, int, Pair]  # (a, alpha, b, beta)
+Run = tuple[int, Pair, int, Pair, bool]  # the gaps at a run's start, and alpha > beta
 
 
 @lru_cache(maxsize=1024)
@@ -258,32 +260,36 @@ def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> Gaps:
     """
     if pair_sign(ell[0], ell[1], d) <= 0:
         raise ValueError("an interval of length <= 0 has no return times")
-    return _walk(d, (1, step, 1, (m - step[0], -step[1])), ell)
+    return _walk(d, _runs(d, m, step), ell, 0)[1]
 
 
-def _walk(d: int, gaps: Gaps, ell: Pair) -> Gaps:
-    """Go on with the subtractive Euclid walk from gaps until alpha, beta < ell.
+@lru_cache(maxsize=256)
+def _runs(d: int, m: int, step: Pair) -> list[Run]:
+    """The first run of the walk of frac(xi); ``_walk`` adds the later ones as it needs them."""
+    return [(1, step, 1, (m - step[0], -step[1]), pair_sign(2 * step[0] - m, 2 * step[1], d) > 0)]
 
-    While either value is still >= ell, subtract the smaller value from
-    the larger and add the two times; a run of equal subtractions is one
-    exact floor.  The states the walk passes do not depend on ell, which
-    only says where to stop: for a smaller ell the walk goes on from
-    where it stopped for a larger one.
-    """
-    a, alpha, b, beta = gaps
-    sides = [(a, alpha), (b, beta)]
+
+def _walk(d: int, runs: list[Run], ell: Pair, i: int) -> tuple[int, Gaps]:
+    """(j, gaps): the first state of the subtractive Euclid walk with alpha, beta < ell,
+    from run i of ``runs`` on.  A step subtracts the smaller value from the larger and
+    adds the two times; run j takes the larger, v_j, down by v_{j+1} to v_j mod v_{j+1}.
+    The states do not depend on ell: the walk stops in the run with v_{j+1} < ell <= v_j,
+    at one exact floor.  Each run is computed once per (d, m, step) and stored
+    idempotently, so threads that extend one list add it once."""
     while True:
-        (a, alpha), (b, beta) = sides
-        big = [pair_sign(v[0] - ell[0], v[1] - ell[1], d) >= 0 for v in (alpha, beta)]
-        if not (big[0] or big[1]):
-            return a, alpha, b, beta
-        i = 0 if pair_sign(alpha[0] - beta[0], alpha[1] - beta[1], d) > 0 else 1
-        (k, v), (k2, v2) = sides[i], sides[1 - i]
-        if big[1 - i]:  # subtract while v stays the larger
-            t = _floor_ratio(d, v, v2)
-        else:  # subtract until v drops below ell
-            t = _floor_ratio(d, (v[0] - ell[0], v[1] - ell[1]), v2) + 1
-        sides[i] = (k + t * k2, (v[0] - t * v2[0], v[1] - t * v2[1]))
+        a, alpha, b, beta, left = runs[i]
+        big, small = (alpha, beta) if left else (beta, alpha)
+        if pair_sign(small[0] - ell[0], small[1] - ell[1], d) < 0:
+            break
+        if i + 1 == len(runs):
+            t = _floor_ratio(d, big, small)
+            rest = (big[0] - t * small[0], big[1] - t * small[1])
+            nxt = (a + t * b, rest, b, beta, False) if left else (a, alpha, b + t * a, rest, True)
+            runs[i + 1:i + 2] = [nxt]
+        i += 1
+    t = _floor_ratio(d, (big[0] - ell[0], big[1] - ell[1]), small) + 1
+    rest = (big[0] - t * small[0], big[1] - t * small[1])
+    return i, ((a + t * b, rest, b, beta) if left else (a, alpha, b + t * a, rest))
 
 
 def _records(
@@ -295,13 +301,13 @@ def _records(
     fa, fb = ss.frac(ya - p[0], yb - p[1])
     v = (fa, fb) if left else (ss.m - fa, -fb)
     k_hit = _orbit_index(ss, p) if left else None
-    gaps = (1, ss.step, 1, (ss.m - ss.step[0], -ss.step[1]))
-    n = 0
+    runs = _runs(ss.d, ss.m, ss.step)
+    i = n = 0
     while n <= n_max:
         yield n, v
         if n == n_max or v == (0, 0):
             return
-        a, alpha, b, beta = gaps = _walk(ss.d, gaps, v)
+        i, (a, alpha, b, beta) = _walk(ss.d, runs, v, i)
         if not left:
             n, v = n + a, (v[0] - alpha[0], v[1] - alpha[1])
         elif k_hit is not None and n < k_hit - k0 < n + b:  # v drops to 0 exactly there
@@ -528,12 +534,18 @@ Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and 
 Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary]]  # a, alpha, b, beta, table
 
 
+@lru_cache(maxsize=8)  # a window's levels keep its call's peak: 3.4 MiB at sqrt(10^6 + 1) to 10^6
+def _levels(d: int, m: int, step: Pair, ivals: tuple[Interval, ...]) -> list[Level]:
+    return []  # the levels of the window's tables built so far; ``table_rows`` adds more
+
+
 def table_rows(
     ss: ScaledSystem, records: Sequence[int]
 ) -> tuple[list[tuple[int, XiReal, XiReal]], int]:
     """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, from the block
-    tables of the levels whose blocks fit in 0..records[-1]; `records` is increasing
-    and nonempty.  Returns the rows and the number of levels."""
+    tables of the levels whose blocks fit in 0..records[-1] (cached per window by
+    ``_levels``, as they do not depend on the basepoint); `records` is increasing and
+    nonempty.  Returns the rows and the number of those levels."""
     d = ss.d
     m = ss.m
     la, lb = ss.length
@@ -573,16 +585,21 @@ def table_rows(
         return [cuts[j] for j in keep], [vals[j] for j in keep]
 
     sa, sb = ss.step
-    ends = {e if e != (m, 0) else (0, 0) for iv in ss.ivals for e in (iv[:2], iv[2:])}
-    signed = {e if sign(e[0] - sa, e[1] - sb) < 0 else (e[0] - m, e[1]) for e in ends}
-    cuts = ordered({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
-    vals = []
-    for c in cuts:  # one step from the circle point of c
-        hit = ss.contains(*(c if sign(*c) >= 0 else (c[0] + m, c[1])))
-        vals.append((int(hit), 1) * 3)
-    levels: list[Level] = [(1, ss.step, 1, (m - sa, -sb), *merged(cuts, vals))]
-    while True:
-        a, al, b, be, cuts, vals = levels[-1]
+    levels = _levels(d, m, ss.step, ss.ivals)
+    if not levels:
+        ends = {e if e != (m, 0) else (0, 0) for iv in ss.ivals for e in (iv[:2], iv[2:])}
+        signed = {e if sign(e[0] - sa, e[1] - sb) < 0 else (e[0] - m, e[1]) for e in ends}
+        cuts = ordered({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
+        vals = []
+        for c in cuts:  # one step from the circle point of c
+            hit = ss.contains(*(c if sign(*c) >= 0 else (c[0] + m, c[1])))
+            vals.append((int(hit), 1) * 3)
+        levels[:1] = [(1, ss.step, 1, (m - sa, -sb), *merged(cuts, vals))]
+    while True:  # top: the last level whose blocks fit in 0..records[-1]
+        top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
+        if top < len(levels) - 1:
+            break
+        a, al, b, be, cuts, vals = levels[top]
         left = sign(al[0] - be[0], al[1] - be[1]) > 0
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
             nxt = (a + b, (al[0] - be[0], al[1] - be[1]), b, be)
@@ -602,9 +619,8 @@ def table_rows(
             if (sign(*c) < 0) == left:  # the block doubles
                 v = mul(v, vals[find(cuts, (c[0] + shift[0], c[1] + shift[1]))])
             new_vals.append(v)
-        levels.append((*nxt, *merged(new_cuts, new_vals)))
+        levels[top + 1:top + 2] = [(*nxt, *merged(new_cuts, new_vals))]
 
-    top = len(levels) - 1
     x = ss.base if sign(ss.base[0] - sa, ss.base[1] - sb) < 0 else (ss.base[0] - m, ss.base[1])
     neg = sign(*x) < 0
     acc: Optional[Summary] = None
@@ -635,7 +651,7 @@ def table_rows(
         down = ((lk - 1) * la - lh * m, (lk - 1) * lb)  # -min D
         sup = up if sign(up[0] - down[0], up[1] - down[1]) >= 0 else down
         rows.append((rec, ss.unscale((h * m - rec * la, -rec * lb)), ss.unscale(sup)))
-    return rows, len(levels)
+    return rows, top + 1
 
 
 # -- closed form for bounded windows (module docstring) ------------------------------

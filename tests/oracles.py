@@ -9,6 +9,7 @@ meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 
@@ -223,6 +224,21 @@ def exact_sup(system, ks) -> XiReal:
     comes arbitrarily close to G(p) and to the left limit
     G(p) + beta*(p' - p), and G takes nothing beyond them there.
     """
+    return _sup_and_meeting(system, ks)[0]
+
+
+def sup_attained_at(system, ks) -> Optional[int]:
+    """The least N >= 0 with |D(N)| = ``exact_sup``, or None if there is none.
+
+    The orbit never reaches a left limit G(p'-), and inside a piece
+    |C - G| is below its value at one end, so the sup is attained only at
+    an N whose orbit point is a tooth p with |C - G(p)| equal to it:
+    p - y_0 = N*xi + m for an integer m (``fraction_km``).
+    """
+    return _sup_and_meeting(system, ks)[1]
+
+
+def _sup_and_meeting(system, ks):
     xi = system.xi.xi_real
     teeth = []
     for (lo, _), kappa in zip(system.window.intervals, ks):
@@ -238,7 +254,9 @@ def exact_sup(system, ks) -> XiReal:
     for p, q in zip(pts, pts[1:] + [pts[0] + 1]):
         g = big_g(p)
         values += [g, g + sum(ks) * (q - p)]
-    return max(c - min(values), max(values) - c)
+    sup = max(c - min(values), max(values) - c)
+    met = [fraction_km(p - system.basepoint) for p in pts if abs(c - big_g(p)) == sup]
+    return sup, min((km[0] for km in met if km is not None and km[0] >= 0), default=None)
 
 
 def brute_profile(system, n_max, checkpoints):

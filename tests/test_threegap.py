@@ -12,6 +12,8 @@ bounded window (``oracles.exact_sup``).
 """
 
 import logging
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -33,7 +35,7 @@ from cutproject.patterns import (
     parse_window,
     strip_points,
 )
-from oracles import exact_sup
+from oracles import exact_sup, sup_attained_at
 
 FIELDS = [
     XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
@@ -42,6 +44,9 @@ FIELDS = [
     XiSpec(Fraction(-1, 3), Fraction(2, 3), 7),
     XiSpec(Fraction(0), Fraction(1), 19),
 ]
+XI101 = XiSpec.sqrt(101)  # [10; 20, 20, ...]: large partial quotients
+XI10001 = XiSpec.sqrt(10001)  # [100; 200, 200, ...]: walks stop deep inside a run
+LARGE_QUOTIENTS = [XI101, XI10001]
 
 SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -156,7 +161,7 @@ def strict_records(ss, p, k0, n_max, left):
 
 @SETTINGS
 @given(
-    systems(FIELDS + [NEGATIVE_XI]),
+    systems(FIELDS + [NEGATIVE_XI] + LARGE_QUOTIENTS),
     st.integers(-3000, 3000),
     st.integers(-1, 2000),
     st.data(),
@@ -296,6 +301,30 @@ def test_running_sups_stay_below_exact_sup(case, n_max, trace_limit):
         assert (bound - closed[-1][2] - Fraction(1, 10**20)).sign() < 0, bound
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(ON_A_TOOTH, 100, 4096)
+@given(
+    bounded_systems(),
+    st.sampled_from([100, 1000, 10**6]),
+    st.sampled_from([1, 16, 64, 4096]),
+)
+def test_running_sup_reaches_exact_sup_on_a_tooth(case, n_max, trace_limit):
+    """The running sup equals the exact sup from the first N whose orbit point is a
+    tooth that attains it (the chain's exact meeting in ``_records``), and stays
+    strictly below it before that N or where there is none."""
+    system, witness = case
+    bound = exact_sup(system, witness.ks)
+    j = sup_attained_at(system, witness.ks)
+    event("attained" if j is not None and j <= n_max else "not attained")
+    records = _record_points(n_max, trace_limit)
+    rows, _, _ = _scaled.closed_form_rows(system._scaled, witness.ks, records)
+    for n, _, sup in rows:
+        if j is not None and n >= j:
+            assert sup == bound, (n, j)
+        else:
+            assert (sup - bound).sign() < 0, (n, j)
+
+
 def strip_rows(system, n_max):
     """(D(n), max |D(N)| over N <= n) for every 0 <= n <= n_max, one floor per index."""
     hits = set(_scaled.collect_hits_direct(system._scaled, 0, n_max))
@@ -386,10 +415,11 @@ def test_kesten_bound_up_to_a_googol():
                 assert (abs(value) - (abs(k) + 1)).sign() < 0, (xi, j, value)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(systems(FIELDS + [NEGATIVE_XI]), st.integers(0, 5000), st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems(FIELDS + [NEGATIVE_XI] + LARGE_QUOTIENTS), st.integers(0, 5000), st.data())
 def test_table_rows_match_strip_route(system, n, data):
-    """Each row: D at the record and the running max of |D| up to it."""
+    """Each row: D at the record and the running max of |D| up to it.  At sqrt(10001)
+    one run of the walk spans up to 200 levels of the tables."""
     records = sorted(set(data.draw(st.lists(st.integers(0, n), max_size=12))) | {n})
     want = strip_rows(system, n)
     rows, _ = _scaled.table_rows(system._scaled, records)
@@ -493,7 +523,6 @@ WRAPPED = (
     15000,
 )
 
-XI101 = XiSpec.sqrt(101)  # [10; 20, 20, ...]: large partial quotients
 SQRT101 = RotationSystem(
     XI101, XI101.real(Fraction(1, 7)), parse_window("[1/10, 1/4) [1/3, 1/2) [3/5, 17/20)", XI101)
 )
@@ -602,3 +631,93 @@ def test_zero_length_interval_fails_fast():
     for iv in [(0, 0, 0, 0), (ss.m, 0, 0, 0)]:
         with pytest.raises(ValueError, match="length <= 0"):
             list(_scaled.interval_hits(ss, iv, 0, 10))
+
+
+# -- the shared walk and table levels -------------------------------------------------
+
+SHARED_WALK_CASES = [
+    RotationSystem(
+        XI10001,
+        XI10001.real(Fraction(1, 7)),
+        parse_window("[1/10, 1/4) [1/3, 1/2) [3/5, 17/20)", XI10001),
+    ),
+    RotationSystem(FIELDS[0], FIELDS[0].zero, parse_window("[1/7, 9/14)", FIELDS[0])),
+]
+
+
+def clear_walk_caches():
+    for cache in (_scaled._runs, _scaled._levels, _scaled.return_gaps):
+        cache.cache_clear()
+
+
+def walk_outputs(system, n_max):
+    """return_gaps of each interval (read from the run list, not its own cache), both
+    record chains of the first endpoint, and the table rows and level count."""
+    ss = system._scaled
+    _scaled.return_gaps.cache_clear()
+    gaps = [
+        _scaled.return_gaps(ss.d, ss.m, ss.step, (hi_a - lo_a, hi_b - lo_b))
+        for lo_a, lo_b, hi_a, hi_b in ss.ivals
+    ]
+    chains = [list(_scaled._records(ss, ss.ivals[0][:2], 0, n_max, left)) for left in (True, False)]
+    return gaps, chains, _scaled.table_rows(ss, _record_points(n_max, 64))
+
+
+@pytest.mark.parametrize("system", SHARED_WALK_CASES, ids=["sqrt10001", "golden"])
+def test_walk_and_levels_do_not_depend_on_cache_state(system):
+    """The same outputs from cold lists, after a longer call and after a shorter one.
+    At sqrt(10001) every walk to the interval lengths stops inside a run of 200 steps."""
+    ss = system._scaled
+
+    def sizes():  # of the run list and of the table levels
+        runs = _scaled._runs(ss.d, ss.m, ss.step)
+        return len(runs), len(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals))
+
+    clear_walk_caches()
+    cold = walk_outputs(system, 2000)
+    runs, levels = sizes()
+    walk_outputs(system, 10**6)
+    assert all(now > then for now, then in zip(sizes(), (runs, levels)))
+    assert walk_outputs(system, 2000) == cold
+    clear_walk_caches()
+    walk_outputs(system, 3)
+    assert all(now < then for now, then in zip(sizes(), (runs, levels)))
+    assert walk_outputs(system, 2000) == cold
+
+
+# an interval of length 10^-30: the walk to its return times passes 143 runs
+DEEP = RotationSystem(
+    FIELDS[0],
+    FIELDS[0].real(Fraction(1, 7)),
+    parse_window(f"[1/3, 1/3 + 1/{10**30}) [1/2, 3/4)", FIELDS[0]),
+)
+
+
+def test_two_threads_extend_one_run_list():
+    """Two threads that walk one cold run list get the serial hits and add each run
+    once (20 tries; with a bare append about a third of them add some run twice)."""
+    ss = DEEP._scaled
+    clear_walk_caches()
+    want = orbit_hits(DEEP, 0, 10**5)
+    serial_runs = list(_scaled._runs(ss.d, ss.m, ss.step))
+    got = [None, None]
+
+    def work(i):
+        got[i] = orbit_hits(DEEP, 0, 10**5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(20):
+            clear_walk_caches()
+            got[:] = [None, None]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == [want, want]
+            assert _scaled._runs(ss.d, ss.m, ss.step) == serial_runs
+    finally:
+        sys.setswitchinterval(interval)
