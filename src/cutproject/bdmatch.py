@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .exactnum import Exact, XiReal, XiSpec, check_exact, pair_sign, parse_xi, parse_xireal
+from .exactnum import (Exact, XiMismatchError, XiReal, XiSpec, check_exact, coordinates_text,
+                       pair_sign, parse_xi, parse_xireal)
 from .patterns import PointPattern
 
 __all__ = ["EmptyPattern", "MatchingWitness", "build_witness", "optimality_check"]
@@ -79,14 +80,21 @@ class MatchingWitness:
         return max(r_hi - self.offset, self.offset - r_lo) / self.delta
 
     def to_csv(self, fp: IO[str]) -> None:
-        if isinstance(self.delta, XiReal):
-            fp.write(f"# xi = {self.delta.xi}\n")
-        fp.write(f"# delta = {self.delta}\n")
-        fp.write(f"# offset = {self.offset}\n")
-        fp.write(f"# sup_displacement = {self.sup_displacement}\n")
-        fp.write("y,lattice_point,displacement\n")
-        for y, lat, disp in self.pairs():
-            fp.write(f"{y},{lat},{disp}\n")
+        """Rows spelled from the integer coordinates over (1, xi) of y, of i + offset and
+        of 1/delta: no XiReal or Fraction is built per row."""
+        xis = {v.xi for v in (self.delta, self.sup_displacement, *self.points) if isinstance(v, XiReal)}
+        if len(xis) > 1:
+            raise XiMismatchError(f"witness values from {len(xis)} fields: {', '.join(map(str, xis))}")
+        lines = [f"# xi = {xi}" for xi in xis]
+        lines += [f"# delta = {self.delta}", f"# offset = {self.offset}",
+                  f"# sup_displacement = {self.sup_displacement}", "y,lattice_point,displacement"]
+        sa, sb, sd = _coordinates(self._spacing)
+        for k, y in enumerate(self.points, self.offset):
+            ya, yb, yd = _coordinates(y)
+            la, lb = k * sa, k * sb  # the lattice point (la + lb*xi)/sd
+            disp = coordinates_text(ya * sd - la * yd, yb * sd - lb * yd, yd * sd)
+            lines.append(f"{coordinates_text(ya, yb, yd)},{coordinates_text(la, lb, sd)},{disp}")
+        fp.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, fp: IO[str]) -> "MatchingWitness":
@@ -126,6 +134,11 @@ def _parse_exact(text: str, xi: Optional[XiSpec]) -> Exact:
             raise ValueError(f"value {text!r} needs an `# xi = ...` header")
         return parse_xireal(text, xi)
     return Fraction(text)
+
+
+def _coordinates(v: Exact) -> tuple[int, int, int]:
+    """(na, nb, den) with v = (na + nb*xi)/den and den > 0."""
+    return v.coordinates() if isinstance(v, XiReal) else (v.numerator, 0, v.denominator)
 
 
 def _residue_extrema(points: tuple[Exact, ...], delta: Exact) -> tuple[Exact, Exact]:

@@ -16,9 +16,10 @@ condition then make D their least common denominator, so the triple is
 unique and structural equality is value equality.  A sign is one
 ``pair_sign`` on (A, B), a floor one ``floor_pair``, and a sum, product
 or inverse integer work followed by one gcd.  ``coordinates`` reads a
-value over the basis (1, xi), for ``a``, ``b``, ``str`` (one gcd each, no
-``Fraction``) and ``lattice_split``, whose residue names the value's
-class modulo Z + Z*xi.
+value over the basis (1, xi), for ``a``, ``b``, ``coordinates_text`` (the
+one spelling of ``str``, for values and witness rows: one gcd per
+coefficient, no ``Fraction``) and ``lattice_split``, whose residue names
+the value's class modulo Z + Z*xi.
 """
 
 from __future__ import annotations
@@ -380,15 +381,19 @@ class XiReal:
         return floor_pair(a << s, b << s, m, d) / (1 << s)
 
     def __str__(self) -> str:
-        na, nb, den = self.coordinates()
-        if not nb:
-            return _ratio_text(na, den)
-        head = _ratio_text(na, den) if na else ""
-        sgn = "-" if nb < 0 else ("+" if head else "")
-        return f"{head}{sgn}{_ratio_text(abs(nb), den)}*xi"
+        return coordinates_text(*self.coordinates())
 
     def __repr__(self) -> str:
         return f"XiReal({self}, xi={self.xi})"
+
+
+def coordinates_text(na: int, nb: int, den: int) -> str:
+    """The text of (na + nb*xi)/den, den > 0: ``str`` of the XiReal, int or Fraction."""
+    if not nb:
+        return _ratio_text(na, den)
+    head = _ratio_text(na, den) if na else ""
+    sgn = "-" if nb < 0 else ("+" if head else "")
+    return f"{head}{sgn}{_ratio_text(abs(nb), den)}*xi"
 
 
 def _ratio_text(n: int, m: int) -> str:

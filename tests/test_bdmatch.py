@@ -14,7 +14,7 @@ from cutproject.bdmatch import (
     optimality_check,
 )
 from cutproject.discrepancy import profile
-from cutproject.exactnum import XiReal, XiSpec
+from cutproject.exactnum import XiMismatchError, XiReal, XiSpec
 from cutproject.patterns import RotationSystem, Window, orbit_hits
 
 SQRT2 = XiSpec.sqrt(2)
@@ -203,6 +203,21 @@ class TestSerialization:
         MatchingWitness.from_csv(io.StringIO(first.getvalue())).to_csv(again)
         assert again.getvalue() == first.getvalue()
 
+    def test_rational_delta_with_field_points_round_trips(self):
+        golden = FIELDS[1]
+        pts = [golden.real(0, 0), golden.real(1, 1), golden.real(Fraction(5, 2), 2)]
+        witness = build_witness(pts, Fraction(1, 2))
+        assert str(witness.sup_displacement) == "-3/2+2*xi"
+        buf = io.StringIO()
+        witness.to_csv(buf)
+        assert buf.getvalue().startswith(f"# xi = {golden}\n# delta = 1/2\n")
+        assert MatchingWitness.from_csv(io.StringIO(buf.getvalue())) == witness
+
+    def test_values_of_two_fields_rejected(self):
+        witness = MatchingWitness(FIELDS[1].real(1, 1), 0, 0, (SQRT2.real(0, 1), SQRT2.real(0, 2)))
+        with pytest.raises(XiMismatchError):
+            witness.to_csv(io.StringIO())
+
     def test_fewer_than_two_rows_rejected(self):
         buf = io.StringIO()
         build_witness([0, 2, 5, 9], Fraction(1, 2)).to_csv(buf)
@@ -295,3 +310,41 @@ def test_recompute_sup_is_the_largest_displacement(case, int_delta, use_int, off
     delta = int_delta if use_int else delta
     witness = MatchingWitness(delta, offset, 0, tuple(pts))
     assert witness.recompute_sup() == max(abs(disp) for _, _, disp in witness.pairs())
+
+
+@st.composite
+def witness_cases(draw):
+    """A witness of 2-9 increasing points mixing ints, Fractions and values
+    a + b*xi of one field, with an int, Fraction or surd delta and any offset."""
+    xi = draw(st.sampled_from(FIELDS))
+    value = st.one_of(
+        st.integers(-40, 40), small_fractions, st.builds(xi.real, small_fractions, st.integers(-9, 9))
+    )
+    pts = sorted(set(draw(st.lists(value, min_size=2, max_size=9))))
+    if len(pts) < 2:
+        pts.append(pts[0] + 1)
+    delta = draw(st.one_of(
+        st.integers(1, 4),
+        st.builds(Fraction, st.integers(1, 39), st.integers(1, 10)),
+        st.builds(lambda a, b: abs(xi.real(a, b)), small_fractions, st.integers(-5, 5).filter(bool)),
+    ))
+    witness = MatchingWitness(delta, 0, 0, tuple(pts))
+    # set in place, as build_witness does: any offset, optimal or not
+    object.__setattr__(witness, "offset", draw(st.integers(-60, 60)))
+    object.__setattr__(witness, "sup_displacement", witness.recompute_sup())
+    return witness
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(witness_cases())
+def test_csv_rows_spell_the_pairs(witness):
+    """Each row, spelled from integer coordinates, is the text of the XiReal
+    arithmetic route (pairs()), and the CSV reads back to the witness."""
+    buf = io.StringIO()
+    witness.to_csv(buf)
+    text = buf.getvalue()
+    header, rows = text.split("y,lattice_point,displacement\n")
+    assert rows.splitlines() == [f"{y},{lat},{disp}" for y, lat, disp in witness.pairs()]
+    values = (witness.delta, witness.sup_displacement, *witness.points)
+    assert header.startswith("# xi = ") == any(isinstance(v, XiReal) for v in values)
+    assert MatchingWitness.from_csv(io.StringIO(text)) == witness
