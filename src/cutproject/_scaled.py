@@ -28,8 +28,14 @@ exactly with eps = alpha or -beta: k + q lies in k's piece (an interval,
 or a gap of the hull) unless y_k lies on the crossing arc [c - eps, c)
 or [c, c - eps) of an endpoint c, split at 0 if it wraps, and then in
 the piece just past c (if it crosses two endpoints, it is stepped).  The
-first q indices and the arcs are stepped, every later hit is one integer
-addition.  In stepped hits, a shift by q over N indices costs q*len for
+first q indices and the arcs are stepped.  A block is kept as the offsets
+of its hits from its start, the gaps between them and their colours, which
+stay the same from block to block but at the crossings: each patches them
+at its offset (a delete merges two gaps and an insert splits one, or drops
+or adds an end gap).  A block adds one bridge gap to the output and then
+its gap and colour lists, copied by reference, so no bytecode runs per hit;
+one ``accumulate`` over the output's gaps makes each hit's int at the end.
+In stepped hits, a shift by q over N indices costs q*len for
 the first block and C*N*E*|eps| for the crossings, with len the total
 length of the pieces, E the number of their distinct endpoints and C the
 cost of one crossing (its arc step, its sort and the patch of its block).
@@ -133,9 +139,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
 from .exactnum import Triple, XiReal, XiSpec, floor_pair, pair_sign
@@ -355,16 +361,16 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
 # -- block shift (module docstring) --------------------------------------------------
 
 Piece = tuple[Interval, int]  # an interval and its colour
-Block = tuple[list[int], list[int]]  # hits and their colours
+Block = tuple[tuple[int, ...], tuple[int, ...]]  # hits and their colours
 
 
 def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int) -> Block:
     """Hits of the pieces in [k_min, k_max] and their colours, by three-gap stepping."""
     if len(pieces) == 1:
-        ks = list(interval_hits(ss, pieces[0][0], k_min, k_max))
-        return ks, [pieces[0][1]] * len(ks)
+        ks = tuple(interval_hits(ss, pieces[0][0], k_min, k_max))
+        return ks, (pieces[0][1],) * len(ks)
     hits = sorted((k, color) for iv, color in pieces for k in interval_hits(ss, iv, k_min, k_max))
-    return [k for k, _ in hits], [color for _, color in hits]
+    return tuple(map(itemgetter(0), hits)), tuple(map(itemgetter(1), hits))
 
 
 CROSSING_COST = 2  # C: one crossing, in stepped hits (module docstring)
@@ -418,7 +424,11 @@ def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], span: int, hu
 def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> Block:
     """Increasing k in [k_min, k_max] whose orbit point lies in the window, and their
     colours: with hull=True the hits of the hull, coloured by interval index (1-based)
-    or 0 when the point lies in none of the intervals, else of the intervals alone."""
+    or 0 when the point lies in none of the intervals, else of the intervals alone.
+
+    On the block shift each block of q indices is the last one's offsets, gaps and
+    colours patched at its crossings; the output is the first hit, then per block a
+    bridge gap and the block's gaps, summed once by ``accumulate`` (module docstring)."""
     span = k_max - k_min + 1
     pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, span, hull)
     if not q:
@@ -432,29 +442,48 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
         k_min, k_max, q, -(-span // q), len(cross),
     )
     ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)
-    out_ks, out_colors = ks[:], colors[:]
-    i = 0
-    for start in range(k_min + q, k_max + 1, q):
-        ks = [k + q for k in ks]  # the last block moved on by q, patched at its crossings
+    # a block: the offsets of its hits from its start, the gaps between them, their colours
+    offs, colors = [k - k_min for k in ks], list(colors)
+    gaps = list(map(sub, offs[1:], offs))
+    out_gaps, out_colors = [], []  # out_gaps: the first hit, then each gap after it
+    last = i = 0
+    for start in range(k_min, k_max + 1, q):
         while i < len(cross) and cross[i][0] < start:  # the crossings of the last block
             k, color = cross[i]
             i += 1
             while i < len(cross) and cross[i][0] == k:  # it crosses several endpoints: step k + q
                 i += 1
-                color = (_stepped(ss, pieces, k + q, k + q)[1] or [None])[0]
-            k += q
-            j = bisect_left(ks, k)
-            if j < len(ks) and ks[j] == k:
-                del ks[j], colors[j]
-            if color is not None:
-                ks.insert(j, k)
+                color = (_stepped(ss, pieces, k + q, k + q)[1] or (None,))[0]
+            o = k + q - start
+            j = bisect_left(offs, o)
+            hit = j < len(offs) and offs[j] == o
+            if hit and color is not None:
+                colors[j] = color
+            elif hit:  # a delete merges two gaps, or drops an end gap
+                del offs[j], colors[j]
+                if 0 < j < len(offs):
+                    gaps[j - 1] += gaps.pop(j)
+                elif gaps:
+                    gaps.pop(-1 if j else 0)
+            elif color is not None:  # an insert splits a gap, or adds an end gap
+                if 0 < j < len(offs):
+                    gaps.insert(j, offs[j] - o)
+                    gaps[j - 1] = o - offs[j - 1]
+                elif j:
+                    gaps.append(o - offs[-1])
+                elif offs:
+                    gaps.insert(0, offs[0] - o)
+                offs.insert(j, o)
                 colors.insert(j, color)
         if start + q - 1 > k_max:  # the last block ends at k_max
-            j = bisect_right(ks, k_max)
-            del ks[j:], colors[j:]
-        out_ks += ks
-        out_colors += colors
-    return out_ks, out_colors
+            j = bisect_right(offs, k_max - start)
+            del offs[j:], colors[j:], gaps[max(j - 1, 0):]
+        if offs:  # references to the block's gaps and colours, no work per hit
+            out_gaps.append(start + offs[0] - last)
+            out_gaps += gaps
+            out_colors += colors
+            last = start + offs[-1]
+    return tuple(accumulate(out_gaps)), tuple(out_colors)
 
 
 # -- floor sums -------------------------------------------------------------------

@@ -290,7 +290,7 @@ def orbit_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
     if k_min > k_max:
         return PointPattern(())
     system.guard_singular(k_min, k_max)
-    return PointPattern._sorted(tuple(_scaled.collect_hits(system._scaled, k_min, k_max)[0]))
+    return PointPattern._sorted(_scaled.collect_hits(system._scaled, k_min, k_max)[0])
 
 
 def strip_points(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
@@ -315,8 +315,7 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     if k_min > k_max:
         return PointPattern((), ())
     system.guard_singular(k_min, k_max)
-    ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
-    return PointPattern._sorted(tuple(ks), tuple(colors))
+    return PointPattern._sorted(*_scaled.collect_hits(system._scaled, k_min, k_max, hull=True))
 
 
 def local_discrepancy(system: RotationSystem, n: int) -> XiReal:

@@ -98,7 +98,7 @@ def test_core_matches_strip_route(system, rng):
     k_max = k_min + span
     ss = system._scaled
     want = _scaled.collect_hits_direct(ss, k_min, k_max)
-    assert _scaled.collect_hits(ss, k_min, k_max)[0] == want
+    assert list(_scaled.collect_hits(ss, k_min, k_max)[0]) == want
     assert _scaled.count_hits(ss, k_min, k_max) == len(want)
     per_interval = [
         list(_scaled.interval_hits(ss, iv, k_min, k_max)) for iv in ss.ivals
@@ -544,7 +544,7 @@ def test_block_stream_matches_strip_route(case):
     system, k_min, k_max = case
     ss = system._scaled
     event("block shift" if plan(case)[1] else "three-gap stepping")
-    assert _scaled.collect_hits(ss, k_min, k_max)[0] == _scaled.collect_hits_direct(ss, k_min, k_max)
+    assert list(_scaled.collect_hits(ss, k_min, k_max)[0]) == _scaled.collect_hits_direct(ss, k_min, k_max)
 
 
 @pytest.mark.parametrize("hull", [False, True])
@@ -556,9 +556,61 @@ def test_block_stream_large_partial_quotients(hull):
     want = direct_colors(SQRT101._scaled, 12345, 62344)
     if hull:
         assert dict(zip(ks, colors)) == want
-        assert ks == sorted(want)
+        assert list(ks) == sorted(want)
     else:
-        assert ks == _scaled.collect_hits_direct(SQRT101._scaled, 12345, 62344)
+        assert list(ks) == _scaled.collect_hits_direct(SQRT101._scaled, 12345, 62344)
+
+
+def end_moves(hits, k_min, k_max, q):
+    """How the first and the last offset of a whole block move on to the next block:
+    a first offset that falls or a last that rises is an insert at that end, a first
+    that rises or a last that falls a delete there (crossings are patched in order of
+    k, so nothing patched before it can sit beyond that end)."""
+    blocks = [[] for _ in range((k_max - k_min + 1) // q)]
+    for k in hits:
+        block, offset = divmod(k - k_min, q)
+        if block < len(blocks):  # the last block is cut short
+            blocks[block].append(offset)
+    moves = set()
+    for old, new in zip(blocks, blocks[1:]):
+        if new[0] != old[0]:
+            moves.add("insert first" if new[0] < old[0] else "delete first")
+        if new[-1] != old[-1]:
+            moves.add("insert last" if new[-1] > old[-1] else "delete last")
+    return moves
+
+
+ALL_ENDS = {"insert first", "delete first", "insert last", "delete last"}
+
+
+@pytest.mark.parametrize("hull", [False, True])
+@pytest.mark.parametrize(
+    "xi, text, base, k_min, k_max, moves",
+    [
+        (XiSpec.sqrt(3), "[2/13, 5/13)", Fraction(26, 31), -578, 1421, (ALL_ENDS, ALL_ENDS)),
+        (XiSpec.sqrt(2), "[1/7, 5/7)", Fraction(22, 31), 833, 3832, (ALL_ENDS, ALL_ENDS)),
+        (
+            XiSpec.sqrt(3), "[2/13, 5/13) [7/13, 12/13)", Fraction(10, 31), 79, 3078,
+            (ALL_ENDS, ALL_ENDS - {"insert last"}),
+        ),
+    ],
+    ids=["sqrt3", "sqrt2", "sqrt3-2iv"],
+)
+def test_block_shift_patches_block_ends(xi, text, base, k_min, k_max, moves, hull):
+    """Pinned ranges whose crossings insert and delete at a block's first and last hit,
+    where a patch adds or drops an end gap, and whose last block is cut short."""
+    system = RotationSystem(xi, xi.real(base), parse_window(text, xi))
+    ss = system._scaled
+    q = plan((system, k_min, k_max), hull)[1]
+    assert q and (k_max - k_min + 1) % q
+    want = direct_colors(ss, k_min, k_max)
+    if not hull:
+        want = {k: color for k, color in want.items() if color != OMEGA}
+        assert sorted(want) == _scaled.collect_hits_direct(ss, k_min, k_max)
+    assert end_moves(sorted(want), k_min, k_max, q) == moves[hull]
+    ks, colors = _scaled.collect_hits(ss, k_min, k_max, hull)
+    assert list(ks) == sorted(want)
+    assert list(colors) == [want[k] for k in ks]
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
@@ -568,7 +620,7 @@ def test_block_stream_colors_match_membership(case):
     system, k_min, k_max = case
     ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
     assert dict(zip(ks, colors)) == direct_colors(system._scaled, k_min, k_max)
-    assert ks == sorted(set(ks))
+    assert list(ks) == sorted(set(ks))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
