@@ -68,7 +68,14 @@ The singular correction sing is 1 if a*k + b is an integer for some k in
 [1, N] and 0 otherwise; a is irrational, so at most one k qualifies, and
 the vanishing of the sqrt(d) coefficient of a*k + b fixes it.  As
 a*frac(1/a) < 1/2, N falls by half every two levels: a count costs
-O(log N) exact floors for any N.
+O(log N) exact floors for any N.  A window with an Oren matching needs no
+count (``telescoped_discrepancy``): D(N) = len + G(y_{-1}) - G(y_N), with
+G as below, and each interval's part of G sums c = |kappa_l| fractional
+parts along a progression, sum_{j<c} frac(z + j*t) = c*z + t*c(c - 1)/2
+- S(c - 1, t, z), with t = -frac(xi) and z = y - a_l for kappa_l > 0, and
+t = frac(xi) and z = y - a_l + frac(xi) for kappa_l < 0.  That is
+O(L log |kappa|) floors for any N; ``patterns.local_discrepancy`` takes
+it where no |kappa_l| exceeds N + 1, so it never sums more terms.
 
 Profiles of windows with an Oren matching scan nothing either
 (``closed_form_rows``).  Since 1[frac(y) in [lo, hi)] - (hi - lo) =
@@ -361,16 +368,16 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
 # -- block shift (module docstring) --------------------------------------------------
 
 Piece = tuple[Interval, int]  # an interval and its colour
-Block = tuple[tuple[int, ...], tuple[int, ...]]  # hits and their colours
+Block = tuple[tuple[int, ...], list[int]]  # hits and their colours
 
 
 def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int) -> Block:
     """Hits of the pieces in [k_min, k_max] and their colours, by three-gap stepping."""
     if len(pieces) == 1:
         ks = tuple(interval_hits(ss, pieces[0][0], k_min, k_max))
-        return ks, (pieces[0][1],) * len(ks)
+        return ks, [pieces[0][1]] * len(ks)
     hits = sorted((k, color) for iv, color in pieces for k in interval_hits(ss, iv, k_min, k_max))
-    return tuple(map(itemgetter(0), hits)), tuple(map(itemgetter(1), hits))
+    return tuple(map(itemgetter(0), hits)), list(map(itemgetter(1), hits))
 
 
 CROSSING_COST = 2  # C: one crossing, in stepped hits (module docstring)
@@ -443,7 +450,7 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
     )
     ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)
     # a block: the offsets of its hits from its start, the gaps between them, their colours
-    offs, colors = [k - k_min for k in ks], list(colors)
+    offs = [k - k_min for k in ks]
     gaps = list(map(sub, offs[1:], offs))
     out_gaps, out_colors = [], []  # out_gaps: the first hit, then each gap after it
     last = i = 0
@@ -453,7 +460,7 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
             i += 1
             while i < len(cross) and cross[i][0] == k:  # it crosses several endpoints: step k + q
                 i += 1
-                color = (_stepped(ss, pieces, k + q, k + q)[1] or (None,))[0]
+                color = (_stepped(ss, pieces, k + q, k + q)[1] or [None])[0]
             o = k + q - start
             j = bisect_left(offs, o)
             hit = j < len(offs) and offs[j] == o
@@ -483,7 +490,7 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
             out_gaps += gaps
             out_colors += colors
             last = start + offs[-1]
-    return tuple(accumulate(out_gaps)), tuple(out_colors)
+    return tuple(accumulate(out_gaps)), out_colors
 
 
 # -- floor sums -------------------------------------------------------------------
@@ -545,6 +552,28 @@ def count_hits(ss: ScaledSystem, k_min: int, k_max: int) -> int:
         - floor_sum(n, step, (ya - hi_a, yb - hi_b, m), ss.d)
         for lo_a, lo_b, hi_a, hi_b in ss.ivals
     )
+
+
+def telescoped_discrepancy(ss: ScaledSystem, kappas: Sequence[int], n: int) -> Pair:
+    """Scaled pair of D(n) = len + G(y_{-1}) - G(y_n) for a window with an Oren
+    matching, kappas as for ``closed_form_rows``: per interval, G is one floor sum
+    over its |kappa_l| terms, by sum_{j<c} frac(z + j*t) = c*z + t*c(c - 1)/2 -
+    floor_sum(c - 1, t, z) (module docstring)."""
+    d, m = ss.d, ss.m
+    (ba, bb), (xa, xb) = ss.base, ss.step
+    da, db = ss.length
+    for sign, ya, yb in ((1, ba - xa, bb - xb), (-1, ba + n * xa, bb + n * xb)):  # not reduced
+        for (lo_a, lo_b, _, _), kappa in zip(ss.ivals, kappas):
+            if kappa > 0:  # frac(y - a_l - j*xi), j = 0..kappa - 1
+                s, ta, tb, za, zb = sign, -xa, -xb, ya - lo_a, yb - lo_b
+            else:  # -frac(y - a_l + j*xi), j = 1..|kappa|
+                s, ta, tb, za, zb = -sign, xa, xb, ya - lo_a + xa, yb - lo_b + xb
+            c = abs(kappa)
+            tri = c * (c - 1) // 2
+            floors = floor_sum(c - 1, (ta, tb, m), (za, zb, m), d)
+            da += s * (c * za + tri * ta - floors * m)
+            db += s * (c * zb + tri * tb)
+    return da, db
 
 
 def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:

@@ -121,14 +121,37 @@ def _classes(w: Window) -> list[tuple[int, int, int]]:
     return out
 
 
-def _read(w: Window) -> tuple[BoundaryClassReport, Optional[OrenWitness]]:
-    """The boundary classes and the Oren matching (None if a class is unbalanced)."""
-    cls = _classes(w)
+def _members(cls: list[tuple[int, int, int]]) -> list[list[int]]:
+    """The flat endpoint indices of each class, in class order."""
     members: list[list[int]] = []
     for i, (c, _, _) in enumerate(cls):
         if c == len(members):
             members.append([])
         members[c].append(i)
+    return members
+
+
+def _matching(cls: list[tuple[int, int, int]], members: list[list[int]]) -> Optional[OrenWitness]:
+    """The Oren matching read off the classes, or None if a class is unbalanced."""
+    sigma = [0] * (len(cls) // 2)
+    for mem in members:  # the matching an augmenting-path search finds
+        lefts = [i // 2 for i in mem if not i % 2]
+        rights = [i // 2 for i in reversed(mem) if i % 2]
+        if len(lefts) != len(rights):
+            return None
+        for left, right in zip(lefts, rights):
+            sigma[left] = right
+    return OrenWitness(
+        sigma=tuple(sigma),
+        ks=tuple(cls[2 * j + 1][1] - cls[2 * i][1] for i, j in enumerate(sigma)),
+        ms=tuple(cls[2 * j + 1][2] - cls[2 * i][2] for i, j in enumerate(sigma)),
+    )
+
+
+def _read(w: Window) -> tuple[BoundaryClassReport, Optional[OrenWitness]]:
+    """The boundary classes and the Oren matching (None if a class is unbalanced)."""
+    cls = _classes(w)
+    members = _members(cls)
     report = BoundaryClassReport(
         endpoints=w.endpoints(),
         classes=tuple(map(tuple, members)),
@@ -137,18 +160,7 @@ def _read(w: Window) -> tuple[BoundaryClassReport, Optional[OrenWitness]]:
             (sum(1 - i % 2 for i in mem), sum(i % 2 for i in mem)) for mem in members
         ),
     )
-    if not report.balanced():
-        return report, None
-    sigma = [0] * len(w)
-    for mem in members:  # the matching an augmenting-path search finds
-        rights = [i // 2 for i in reversed(mem) if i % 2]
-        for left, right in zip((i // 2 for i in mem if not i % 2), rights):
-            sigma[left] = right
-    return report, OrenWitness(
-        sigma=tuple(sigma),
-        ks=tuple(cls[2 * j + 1][1] - cls[2 * i][1] for i, j in enumerate(sigma)),
-        ms=tuple(cls[2 * j + 1][2] - cls[2 * i][2] for i, j in enumerate(sigma)),
-    )
+    return report, _matching(cls, members)
 
 
 def kesten_condition(w: Window) -> Optional[KestenWitness]:
@@ -165,10 +177,11 @@ def kesten_condition(w: Window) -> Optional[KestenWitness]:
 def oren_condition(w: Window) -> Optional[OrenWitness]:
     """Perfect matching of left to right endpoints with differences in Z + Z*xi.
 
-    Read off the boundary classes; reduces to kesten_condition when the
-    window has a single interval.
+    Read off the boundary classes, with no class report; reduces to
+    kesten_condition when the window has a single interval.
     """
-    return _read(w)[1]
+    cls = _classes(w)
+    return _matching(cls, _members(cls))
 
 
 def boundary_classes(w: Window) -> BoundaryClassReport:

@@ -1,8 +1,12 @@
 """Discrepancy measurement: interval counts vs. density, growth profiles.
 
 The local discrepancy of a rotation system is D(N) = hits over
-0 <= k <= N minus N*Length(window); a pattern or point set Y is
-measured against a density delta by |#(Y in I) - delta*Length(I)|.
+0 <= k <= N minus N*Length(window) (``patterns.local_discrepancy``).
+A window with an Oren matching reads it off the Kesten/Oren coboundary,
+D(N) = len + G(y_{-1}) - G(y_N), by floor sums over the |kappa_l| terms
+of G; any other window counts its hits by floor sums over the N + 1
+iterates.  A pattern or point set Y is measured against a density delta
+by |#(Y in I) - delta*Length(I)|.
 Profiles track |D| exactly over 0 <= N <= n_max, retaining the running
 maxima at decade boundaries (N <= 10^j) plus a logarithmically spaced
 trace.  A window with an Oren matching takes the closed form of the
@@ -26,7 +30,6 @@ from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
 from .acceptance import PatternSpec, acceptance_domain, pattern_density
-from .criteria import oren_condition
 from .exactnum import Exact, XiReal, check_exact
 from .patterns import PointPattern, RotationSystem
 
@@ -151,9 +154,10 @@ def profile(
 ) -> DiscrepancyProfile:
     """Exact |D| profile over 0 <= N <= n_max, on one of two routes.
 
-    A window with an Oren matching (``criteria.oren_condition``) takes the
-    closed form D(N) = C - G(y_N) and follows the records of the orbit
-    near each tooth of G (``_scaled.closed_form_rows``).  An empty or
+    A window with an Oren matching (``criteria.oren_condition``, read once
+    per system as ``RotationSystem._oren_ks``) takes the closed form
+    D(N) = C - G(y_N) and follows the records of the orbit near each tooth
+    of G (``_scaled.closed_form_rows``).  An empty or
     unbounded window takes block tables: the rotation induced on the
     intervals of the Euclid walk, with the summary of each return block,
     and O(log n) lookups per sample (``_scaled.table_rows``).  Neither
@@ -168,15 +172,15 @@ def profile(
     system.guard_singular(0, n_max)
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
-    witness = oren_condition(system.window) if system.window else None
-    if witness is None:
+    kappas = system._oren_ks
+    if kappas is None:
         rows, levels = _scaled.table_rows(ss, records)
         _scaled.debug(
             __name__, "profile n_max=%d: block tables, %d levels, %d samples",
             n_max, levels, len(rows),
         )
     else:
-        rows, teeth, events = _scaled.closed_form_rows(ss, witness.ks, records)
+        rows, teeth, events = _scaled.closed_form_rows(ss, kappas, records)
         _scaled.debug(
             __name__, "profile n_max=%d: closed form, %d teeth, %d record events, %d samples",
             n_max, teeth, events, len(rows),

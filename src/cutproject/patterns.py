@@ -209,6 +209,15 @@ class RotationSystem:
     def _scaled(self) -> _scaled.ScaledSystem:
         return _scaled.scale_system(self.xi, self.basepoint, self.window.intervals)
 
+    @cached_property
+    def _oren_ks(self) -> Optional[tuple[int, ...]]:
+        """The xi-coefficients kappa_l of the window's Oren matching
+        (``criteria.oren_condition``), or None for an empty or unbounded window."""
+        from .criteria import oren_condition  # criteria imports this module
+
+        witness = oren_condition(self.window) if self.window else None
+        return None if witness is None else witness.ks
+
     def with_window(self, window: Window, strict: Optional[bool] = None) -> "RotationSystem":
         return RotationSystem(
             self.xi, self.basepoint, window, self.strict if strict is None else strict
@@ -315,7 +324,8 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     if k_min > k_max:
         return PointPattern((), ())
     system.guard_singular(k_min, k_max)
-    return PointPattern._sorted(*_scaled.collect_hits(system._scaled, k_min, k_max, hull=True))
+    ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
+    return PointPattern._sorted(ks, tuple(colors))
 
 
 def local_discrepancy(system: RotationSystem, n: int) -> XiReal:
@@ -325,14 +335,28 @@ def local_discrepancy(system: RotationSystem, n: int) -> XiReal:
     term uses N, following the classical definition; the resulting
     off-by-one constant never affects boundedness.  For a multi-interval
     window this is automatically the sum of the per-interval values.
-    The count is a floor-sum recursion, not a scan: exact for any N, at a
-    cost of O(log N) exact floors.
+    Nothing is scanned, so the value is exact for any N.  A window with an
+    Oren matching whose |kappa_l| are all at most N + 1 takes the
+    telescoped form D(N) = len + G(y_{-1}) - G(y_N), floor sums over the
+    |kappa_l| terms of G (``_scaled.telescoped_discrepancy``): O(L log |kappa|)
+    exact floors.  Any other window counts its hits by floor sums over the
+    N + 1 iterates (``_scaled.count_hits``): O(L log N) exact floors.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     system.guard_singular(0, n)
-    count = _scaled.count_hits(system._scaled, 0, n)
-    return system.xi.real(count) - n * system.window_length()
+    ss = system._scaled
+    _, q, r = system.xi.triple  # xi = (p + q*sqrt(d))/r
+    # the kappa_l sum to beta, the xi-part of len = (la + lb*sqrt(d))/m, so beta = lb*r/(m*q):
+    # where |beta| > L*(N + 1) some |kappa_l| exceeds N + 1, and the matching is not read
+    wide = abs(ss.length[1] * r) > len(ss.ivals) * (n + 1) * abs(ss.m * q)
+    ks = None if wide else system._oren_ks
+    if ks is not None and max(map(abs, ks)) <= n + 1:
+        _scaled.debug(__name__, "D(%d): telescoped floor sums, %d terms", n, sum(map(abs, ks)))
+        return ss.unscale(_scaled.telescoped_discrepancy(ss, ks, n))
+    _scaled.debug(__name__, "D(%d): floor sums, %d terms", n, n + 1)
+    count = _scaled.count_hits(ss, 0, n)
+    return ss.unscale((count * ss.m - n * ss.length[0], -n * ss.length[1]))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -6,7 +6,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, event, example, given, settings
+from hypothesis import strategies as st
 
+from cutproject import _scaled
 from cutproject.acceptance import PatternSpec
 from cutproject.criteria import oren_condition
 from cutproject.discrepancy import (
@@ -28,6 +31,8 @@ from cutproject.patterns import (
     parse_window,
 )
 from oracles import brute_profile
+from test_criteria import class_windows
+from test_threegap import FIELDS, LARGE_QUOTIENTS, NEGATIVE_XI, points
 
 SQRT2 = XiSpec.sqrt(2)
 GOLDEN = XiSpec(Fraction(1, 2), Fraction(1, 2), 5)
@@ -234,8 +239,8 @@ class TestProfile:
         sups = [s.running_sup for s in p.samples]
         assert all((b - a).sign() >= 0 for a, b in zip(sups, sups[1:]))
         assert (p.sup_seen - kappa_sum - 1).sign() < 0  # over every N, not only the samples
-        for s in p.samples[::97] + p.samples[-1:]:
-            assert s.value == local_discrepancy(system, s.n)
+        for s in p.samples[::97] + p.samples[-1:]:  # the hit count: no closed form on either side
+            assert s.value == GOLDEN.real(_scaled.count_hits(system._scaled, 0, s.n)) - s.n * length
         assert p.verdict() == "bounded-consistent"
 
     def test_unbounded_profile_at_1e30(self):
@@ -266,6 +271,106 @@ class TestProfile:
         assert p.sup_seen == 0
         assert all(s.value == 0 for s in p.samples)
         assert local_discrepancy(sys, 10**40) == 0
+
+
+# -- local discrepancy of Oren windows ---------------------------------------------
+
+CROSSED = "[9/200, 1/5) [-39/5+5*xi, -1191/200+4*xi) [-59/10+4*xi, -89/10+6*xi)"  # kappas 4, -5, 2
+
+
+def kesten_window(xi, kappa, t=Fraction(1, 3)):
+    """The interval of length frac(kappa*xi) that starts at t*(1 - length)."""
+    length = (kappa * xi.xi_real).fractional_part()[0]
+    lo = (1 - length) * t
+    return Window.single(lo, lo + length)
+
+
+@st.composite
+def oren_systems(draw):
+    """A window with an Oren matching: one interval of length frac(kappa*xi) with
+    0 < |kappa| <= 40, over FIELDS and the large partial quotients, or a balanced
+    window of test_criteria.class_windows.  The basepoint is a point of
+    test_threegap.points, a rational with a 40-digit denominator plus a multiple of
+    xi, or an endpoint moved back by 0-5 steps, so that the orbit meets it."""
+    if draw(st.booleans()):
+        xi = draw(st.sampled_from(FIELDS + [NEGATIVE_XI] + LARGE_QUOTIENTS))
+        kappa = draw(st.integers(1, 40)) * draw(st.sampled_from([1, -1]))
+        window = kesten_window(xi, kappa, Fraction(draw(st.integers(0, 64)), 64))
+    else:
+        window = draw(class_windows())
+        assume(oren_condition(window) is not None)
+        xi = window.xi
+    kind = draw(st.sampled_from(["point", "deep", "endpoint"]))
+    if kind == "point":
+        base = draw(points(xi))
+    elif kind == "deep":
+        num = draw(st.integers(0, 10**40))
+        base = xi.real(Fraction(num, draw(st.integers(10**39, 10**40))), draw(st.integers(-3, 3)))
+    else:
+        base = draw(st.sampled_from(window.endpoints())) - draw(st.integers(0, 5)) * xi.xi_real
+    return RotationSystem(xi, base, window)
+
+
+def check_local_discrepancy(system, n):
+    """local_discrepancy against the floor-sum hit count, which never reads the Oren
+    matching, and up to 3,000 against one explicit floor per index."""
+    length = system.window_length()
+    want = system.xi.real(_scaled.count_hits(system._scaled, 0, n)) - n * length
+    assert local_discrepancy(system, n) == want
+    if n <= 3000:
+        assert want == len(_scaled.collect_hits_direct(system._scaled, 0, n)) - n * length
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(RotationSystem(GOLDEN, GOLDEN.real(Fraction(1, 7)), parse_window(CROSSED, GOLDEN)), 3)
+@given(
+    oren_systems(),
+    st.one_of(st.sampled_from([0, 1, 10**12, 10**30]), st.integers(0, 3000)),
+)
+def test_local_discrepancy_of_oren_windows_matches_the_count(system, n):
+    """The telescoped form, where the matching allows it, equals the floor-sum hit
+    count and, up to 3,000, the count of one explicit floor per index."""
+    check_local_discrepancy(system, n)
+    event("telescoped" if max(map(abs, system._oren_ks)) <= n + 1 else "floor sums")
+
+
+@pytest.mark.parametrize("kappa", [1000, -1000])
+@pytest.mark.parametrize(
+    "n, route", [(998, "floor sums, 999"), (999, "telescoped floor sums, 1000")]
+)
+def test_kappa_1000_on_both_sides_of_the_rule(kappa, n, route, caplog):
+    """The telescoped form is taken only where no |kappa_l| exceeds n + 1."""
+    system = RotationSystem(GOLDEN, GOLDEN.real(Fraction(2, 7)), kesten_window(GOLDEN, kappa))
+    with caplog.at_level(logging.DEBUG, logger="cutproject.patterns"):
+        check_local_discrepancy(system, n)
+    assert caplog.messages == [f"D({n}): {route} terms"]
+
+
+@pytest.mark.parametrize("base", [GOLDEN.real(Fraction(1, 7)), GOLDEN.real(Fraction(-39, 5), 5)])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 2999, 10**30])
+def test_crossed_window(base, n):
+    """The benchmark's crossed window, kappas (4, -5, 2): the telescoped form from
+    n = 4 on; the second basepoint is its second left endpoint."""
+    system = RotationSystem(GOLDEN, base, parse_window(CROSSED, GOLDEN))
+    assert system._oren_ks == (4, -5, 2)
+    check_local_discrepancy(system, n)
+
+
+def test_local_route_is_logged(caplog):
+    crossed = RotationSystem(GOLDEN, GOLDEN.real(Fraction(1, 7)), parse_window(CROSSED, GOLDEN))
+    with caplog.at_level(logging.DEBUG, logger="cutproject.patterns"):
+        local_discrepancy(crossed, 10**6)
+        local_discrepancy(crossed, 3)
+        local_discrepancy(half_system(), 49999)
+    assert caplog.messages == [
+        "D(1000000): telescoped floor sums, 11 terms",
+        "D(3): floor sums, 4 terms",
+        "D(49999): floor sums, 50000 terms",
+    ]
 
 
 class TestCochain:
