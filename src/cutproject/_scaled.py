@@ -88,7 +88,11 @@ y_n = basepoint + n*xi, D(n) = C - G(y_n), where
 
 and C = len + G(y_0 - xi).  G is piecewise linear with slope
 beta = sum kappa_l, never 0 as len = beta*xi + integer, and jumps at its
-teeth a_l + j*xi.  So max |D| over n <= N is the larger of
+teeth a_l + j*xi.  With y and the teeth reduced to [0, 1), frac(y - e) =
+y - e + [e > y], so G(y) = beta*y - sum w_e*e + (sum of w_e over the
+teeth above y), w_e the summed signs of the teeth at e: a sample costs one
+floor, a bisection over the sorted teeth and a suffix sum built once per
+call.  So max |D| over n <= N is the larger of
 C - min G(y_n) and max G(y_n) - C, and on a piece [p, p') between sorted
 teeth these extremes sit at the orbit points nearest each end.  Those
 nearest p from the right are the records of v = frac(y_n - p), the chain
@@ -721,40 +725,42 @@ def closed_form_rows(
     """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, with no scan.
 
     kappas[l] is the xi-coefficient of b_sigma(l) - a_l in an Oren matching
-    of the window.  Returns the rows, the number of distinct teeth of G and
-    the number of record events merged.
+    of the window.  G at a sample takes one floor, a bisection over the sorted
+    teeth and a suffix sum of their weights (module docstring).  Returns the
+    rows, the number of distinct teeth of G, one of net weight 0 too, and the
+    number of record events merged.
     """
-    d = ss.d
+    d, m = ss.d, ss.m
     frac = ss.frac
     xa, xb = ss.step  # xi mod 1: every use of G reduces mod 1
-    teeth = []  # (e_a, e_b, s): G(y) = sum of s*frac(y - e)
+    weight: dict[Pair, int] = {}  # tooth e mod 1 -> its summed signs w_e: G = sum w_e*frac(y - e)
     for (lo_a, lo_b, _, _), kappa in zip(ss.ivals, kappas):
-        js = range(kappa) if kappa > 0 else range(-1, kappa - 1, -1)
-        teeth += [(lo_a + j * xa, lo_b + j * xb, 1 if kappa > 0 else -1) for j in js]
+        for j in range(kappa) if kappa > 0 else range(-1, kappa - 1, -1):
+            e = frac(lo_a + j * xa, lo_b + j * xb)
+            weight[e] = weight.get(e, 0) + (1 if kappa > 0 else -1)
     beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
+    key = cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d))
+    pts = sorted(weight, key=key)  # a tooth of weight 0 stays, with its chains
+    # G(y) = beta*y - sum w_e*e + above[i] for y in [0, 1) with i teeth at or below it (module
+    # docstring): above[i] sums w_e over pts[i:]
+    above = list(accumulate((weight[p] for p in reversed(pts)), initial=0))[::-1]
+    ka = sum(w * e[0] for e, w in weight.items())
+    kb = sum(w * e[1] for e, w in weight.items())
 
-    def big_g(ya: int, yb: int) -> Pair:
-        ga = gb = 0
-        for ea, eb, s in teeth:
-            fa, fb = frac(ya - ea, yb - eb)
-            ga += s * fa
-            gb += s * fb
-        return ga, gb
+    def big_g(ya: int, yb: int) -> Pair:  # one floor and a bisection
+        y = frac(ya, yb)
+        return beta * y[0] - ka + above[bisect_right(pts, key(y), key=key)] * m, beta * y[1] - kb
 
     ya, yb = ss.base
     ga, gb = big_g(ya - xa, yb - xb)
     ca, cb = ss.length[0] + ga, ss.length[1] + gb  # D(n) = C - G(y_n)
 
     n_max = records[-1]
-    pts = sorted(
-        {frac(ea, eb) for ea, eb, _ in teeth},
-        key=cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d)),
-    )
     events = []  # (n, updates the min, candidate G(y_n))
     for i, (pa, pb) in enumerate(pts):
-        qa, qb = pts[i + 1] if i + 1 < len(pts) else (pts[0][0] + ss.m, pts[0][1])
+        qa, qb = pts[i + 1] if i + 1 < len(pts) else (pts[0][0] + m, pts[0][1])
         la, lb = qa - pa, qb - pb  # the piece [p, p') of G
-        g0a, g0b = big_g(pa, pb)
+        g0a, g0b = beta * pa - ka + above[i + 1] * m, beta * pb - kb  # G(p): i + 1 teeth up to p
         # left chain: records of v = frac(y_n - p); G(y_n) = G(p) + beta*v
         for n, v in _records(ss, (pa, pb), 0, n_max):
             if pair_sign(v[0] - la, v[1] - lb, d) < 0:

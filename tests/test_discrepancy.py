@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from sys import getsizeof
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -15,7 +16,9 @@ from cutproject.criteria import oren_condition
 from cutproject.discrepancy import (
     Cochain,
     DiscrepancyProfile,
+    ProfileSample,
     TooFewPoints,
+    _record_points,
     cochain_discrepancy,
     disc,
     estimate_density,
@@ -203,6 +206,31 @@ class TestProfile:
         assert last[0] == "200"
         assert last[5] == "1"  # exact running sup
 
+    def test_csv_text_spells_every_row(self):
+        """to_csv against a reference spelled row by row, on a real profile whose running
+        sup repeats and on sups A, A', B, A with A' == A a distinct object."""
+        real = profile(half_system(), 10**4, trace_limit=64)
+        sups = [s.running_sup for s in real.samples]
+        assert len(set(sups)) < len(sups)
+        a, a2, b = SQRT2.real(Fraction(3, 2), -1), SQRT2.real(Fraction(3, 2), -1), SQRT2.real(2)
+        assert a == a2 and a is not a2
+        values = [SQRT2.real(Fraction(-1, 3), 1), SQRT2.real(Fraction(1, 5)), SQRT2.real(-2, 1), a]
+        samples = tuple(map(ProfileSample, (0, 100, 101, 999), values, (a, a2, b, a)))
+        made = DiscrepancyProfile(kesten_system(), 999, samples, ((100, a2), (999, a)), a)
+        for p in (real, made):
+            buf = io.StringIO()
+            p.to_csv(buf)
+            head = "".join(f"# {k} = {v}\n" for k, v in (
+                ("xi", p.system.xi), ("basepoint", p.system.basepoint), ("window", p.system.window),
+                ("n_max", p.n_max),
+            ))
+            want = [head + "N,D_signed,absD,decade_max,D_signed_exact,decade_max_exact\n"] + [
+                f"{s.n},{s.value.decimal(30)},{abs(s.value).decimal(30)},"
+                f"{s.running_sup.decimal(30)},{s.value},{s.running_sup}\n"
+                for s in p.samples
+            ]
+            assert buf.getvalue() == "".join(want)
+
     def test_csv_abs_column(self):
         upper = Window.single(SQRT2.real(Fraction(1, 2)), SQRT2.one)
         p = profile(RotationSystem(SQRT2, SQRT2.zero, upper), 2000, trace_limit=64)
@@ -255,6 +283,25 @@ class TestProfile:
         assert all((b - a).sign() >= 0 for a, b in zip(sups, sups[1:]))
         assert all((abs(s.value) - s.running_sup).sign() <= 0 for s in p.samples)
         assert p.verdict() == "unbounded-consistent"
+
+    def test_schedule_is_cached(self):
+        """One tuple per (n_max, trace_limit), equal to a fresh walk; 8 of them, as
+        the comment on the cache prices them."""
+        for n in (100, 101, 999, 10**4, 49999, 10**6, 10**30):
+            for t in (1, 16, 40, 4096):
+                got = _record_points(n, t)
+                assert type(got) is tuple and got == _record_points.__wrapped__(n, t)
+                assert _record_points(n, t) is got
+        assert _record_points.cache_parameters()["maxsize"] == 8
+        big = _record_points(10**100, 4096)
+        assert 8 * (getsizeof(big) + sum(map(getsizeof, big))) < 1.7 * 2**20
+
+    @pytest.mark.parametrize("system", [kesten_system(), half_system()], ids=["closed", "tables"])
+    def test_profile_rows_do_not_depend_on_the_schedule_cache(self, system):
+        profile(system, 10**6, trace_limit=64)
+        warm = profile(system, 10**6, trace_limit=64)
+        _record_points.cache_clear()
+        assert profile(system, 10**6, trace_limit=64).samples == warm.samples
 
     def test_route_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cutproject.discrepancy"):

@@ -265,20 +265,45 @@ ON_A_TOOTH = _case(
 )
 
 
+# two teeth of G meet at 68/31 - xi, where y_0 sits: with opposite signs (kappas (-3, 2),
+# net weight 0) and with the same sign (kappas (-1, -3), weight -2)
+TEETH_CANCEL = _case(
+    FIELDS[1], "[-87/31+2*xi, 6/31) [99/31-2*xi, 68/31-1*xi)", FIELDS[1].real(Fraction(68, 31), -1)
+)
+TEETH_ADD = _case(
+    FIELDS[1], "[6/31, 99/31-2*xi) [-25/31+1*xi, 68/31-1*xi)", FIELDS[1].real(Fraction(68, 31), -1)
+)
+
+
+def distinct_teeth(system, ks):
+    """The teeth a_l + j*xi of G mod 1, by XiReal arithmetic."""
+    return {
+        (lo + j * system.xi.xi_real).fractional_part()[0]
+        for (lo, _), kappa in zip(system.window.intervals, ks)
+        for j in (range(kappa) if kappa > 0 else range(kappa, 0))
+    }
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(ON_A_TOOTH, 100, 4096)
+@example(TEETH_CANCEL, 100, 4096)
+@example(TEETH_CANCEL, 10**12, 64)
+@example(TEETH_ADD, 100, 4096)
+@example(TEETH_ADD, 10**12, 64)
 @given(
     bounded_systems(),
     st.sampled_from([100, 101, 997, 4096, 10**5, 10**12, 10**30]),
     st.sampled_from([1, 16, 64, 4096]),
 )
 def test_closed_form_rows_match_scan(case, n_max, trace_limit):
-    """The closed form against the block tables, two routes that share no step."""
+    """The closed form against the block tables, two routes that share no step; every
+    distinct tooth of G is counted, one of net weight 0 too."""
     system, witness = case
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
-    rows, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
+    rows, teeth, _ = _scaled.closed_form_rows(ss, witness.ks, records)
     assert rows == _scaled.table_rows(ss, records)[0]
+    assert teeth == len(distinct_teeth(system, witness.ks))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
