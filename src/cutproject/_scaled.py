@@ -97,14 +97,17 @@ C - min G(y_n) and max G(y_n) - C, and on a piece [p, p') between sorted
 teeth these extremes sit at the orbit points nearest each end.  Those
 nearest p from the right are the records of v = frac(y_n - p), the chain
 that finds a first hit: the next is at n + b with value v - beta, unless
-the orbit meets p exactly before (at most once, at the k that the
-sqrt(d) coefficient fixes, as for ``find_singular``), where v drops to 0
-and the chain ends.  Those nearest p' from the left are the records of
-u = p' - y_n in (0, 1], next at n + a with value u - alpha.  Both chains
-are ``_records``, each reading the one Euclid walk of xi (``_walk``), and a
-record counts once it lies in the piece.  For a quadratic xi the chains hold
-O(teeth * log N) records, and the profile merges them with its samples
-at one exact comparison each.
+the orbit meets p exactly before (at most once, at the k that the sqrt(d)
+coefficient fixes, as for ``find_singular``), where v drops to 0 and the
+chain ends.  Those nearest p' from the left are the records of u = p' - y_n
+in (0, 1], next at n + a with value u - alpha; a record counts once it lies
+in the piece.  The chains of tooth a_l + j*xi are those of f_l(y_k), or of
+1 - f_l(y_k), from k = s = -j on.  For s < s', the records from s are those
+over [s, s'), then the suffix of those from s' below their minimum: an
+interval walks its chains once, from its latest s (``_records``), and each
+earlier s pops the records it beats and pushes its own (``_chains``).  A
+tooth's events are a slice of the stack found by two bisections: O(L log N)
+walk steps and O(sum |kappa_l|) floors, then one exact comparison per record.
 
 Profiles of other windows come from block tables (``table_rows``), a
 Rauzy induction of the rotation onto the nested intervals
@@ -331,6 +334,22 @@ def _records(
             n, v = k_hit - k0, (0, 0)
         else:
             n, v = n + b, (v[0] - beta[0], v[1] - beta[1])
+
+
+def _chains(ss: ScaledSystem, p: Pair, top: int, bottom: int, n_max: int) -> Iterator[tuple]:
+    """For s = top, ..., bottom: s and the stacks (-k, value) of the left and right chains
+    of p over s <= k <= top + n_max, increasing lists changed in place (module docstring)."""
+    recs = [list(_records(ss, p, top, n_max, left))[::-1] for left in (True, False)]
+    stacks = [([-top - n for n, _ in r], [v for _, v in r]) for r in recs]
+    yield top, stacks
+    for s in range(top - 1, bottom - 1, -1):
+        fa, fb = ss.frac(ss.base[0] + s * ss.step[0] - p[0], ss.base[1] + s * ss.step[1] - p[1])
+        for (ks, vs), v in zip(stacks, ((fa, fb), (ss.m - fa, -fb))):
+            while vs and pair_sign(vs[-1][0] - v[0], vs[-1][1] - v[1], ss.d) >= 0:
+                del ks[-1], vs[-1]
+            ks.append(-s)
+            vs.append(v)
+        yield s, stacks
 
 
 def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Iterator[int]:
@@ -721,23 +740,25 @@ def table_rows(
 
 def closed_form_rows(
     ss: ScaledSystem, kappas: Sequence[int], records: Sequence[int]
-) -> tuple[list[tuple[int, XiReal, XiReal]], int, int]:
+) -> tuple[list[tuple[int, XiReal, XiReal]], int, int, int]:
     """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, with no scan.
 
     kappas[l] is the xi-coefficient of b_sigma(l) - a_l in an Oren matching
-    of the window.  G at a sample takes one floor, a bisection over the sorted
-    teeth and a suffix sum of their weights (module docstring).  Returns the
-    rows, the number of distinct teeth of G, one of net weight 0 too, and the
-    number of record events merged.
+    of the window.  G at a sample takes one floor and a bisection; the |kappa_l|
+    teeth of interval l share its two record chains (module docstring).  Returns
+    the rows, the number of distinct teeth of G (one of net weight 0 too), of
+    record chains walked and of record events merged.
     """
     d, m = ss.d, ss.m
     frac = ss.frac
     xa, xb = ss.step  # xi mod 1: every use of G reduces mod 1
     weight: dict[Pair, int] = {}  # tooth e mod 1 -> its summed signs w_e: G = sum w_e*frac(y - e)
-    for (lo_a, lo_b, _, _), kappa in zip(ss.ivals, kappas):
-        for j in range(kappa) if kappa > 0 else range(-1, kappa - 1, -1):
+    owner: dict[Pair, tuple[int, int]] = {}  # tooth e -> the first (l, j) on it: its chains
+    for l, ((lo_a, lo_b, _, _), kappa) in enumerate(zip(ss.ivals, kappas)):
+        for j in range(kappa) if kappa > 0 else range(kappa, 0):
             e = frac(lo_a + j * xa, lo_b + j * xb)
             weight[e] = weight.get(e, 0) + (1 if kappa > 0 else -1)
+            owner.setdefault(e, (l, j))
     beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
     key = cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d))
     pts = sorted(weight, key=key)  # a tooth of weight 0 stays, with its chains
@@ -755,20 +776,29 @@ def closed_form_rows(
     ga, gb = big_g(ya - xa, yb - xb)
     ca, cb = ss.length[0] + ga, ss.length[1] + gb  # D(n) = C - G(y_n)
 
-    n_max = records[-1]
+    lens = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, [*pts[1:], (pts[0][0] + m, pts[0][1])])]
+    owned = {owner[e]: i for i, e in enumerate(pts)}
     events = []  # (n, updates the min, candidate G(y_n))
-    for i, (pa, pb) in enumerate(pts):
-        qa, qb = pts[i + 1] if i + 1 < len(pts) else (pts[0][0] + m, pts[0][1])
-        la, lb = qa - pa, qb - pb  # the piece [p, p') of G
-        g0a, g0b = beta * pa - ka + above[i + 1] * m, beta * pb - kb  # G(p): i + 1 teeth up to p
-        # left chain: records of v = frac(y_n - p); G(y_n) = G(p) + beta*v
-        for n, v in _records(ss, (pa, pb), 0, n_max):
-            if pair_sign(v[0] - la, v[1] - lb, d) < 0:
-                events.append((n, beta > 0, (g0a + beta * v[0], g0b + beta * v[1])))
-        # right chain: records of u = p' - y_n in (0, 1]; G(y_n) = G(p) + beta*(l - u)
-        for n, u in _records(ss, pts[(i + 1) % len(pts)], 0, n_max, left=False):
-            if pair_sign(u[0] - la, u[1] - lb, d) <= 0:
-                events.append((n, beta < 0, (g0a + beta * (la - u[0]), g0b + beta * (lb - u[1]))))
+    for l, ((lo_a, lo_b, _, _), kappa) in enumerate(zip(ss.ivals, kappas)):
+        if not kappa:
+            continue
+        # tooth a_l - s*xi reads the chains of frac(y_k - a_l) from k = s (module docstring)
+        chains = _chains(ss, (lo_a, lo_b), max(-kappa, 0), min(1 - kappa, 1), records[-1])
+        for s, ((lks, vs), (rks, us)) in chains:
+            i = owned.get((l, -s))
+            if i is None:
+                continue
+            (pa, pb), cut = pts[i], -s - records[-1]  # k - s <= N
+            za, zb = beta * pa - ka + above[i + 1] * m, beta * pb - kb  # G(p): i + 1 teeth up to p
+            # left chain: v = frac(y_n - p) < lens[i], G(y_n) = G(p) + beta*v
+            for t in range(bisect_left(lks, cut), bisect_left(vs, key(lens[i]), key=key)):
+                va, vb = vs[t]
+                events.append((-lks[t] - s, beta > 0, (za + beta * va, zb + beta * vb)))
+            # right chain: u = p - y_n in (0, 1] up to lens[i - 1], G(y_n) = G(p-) - beta*u
+            za += weight[pts[i]] * m  # G(p-): the i teeth below p
+            for t in range(bisect_left(rks, cut), bisect_right(us, key(lens[i - 1]), key=key)):
+                ua, ub = us[t]
+                events.append((-rks[t] - s, beta < 0, (za - beta * ua, zb - beta * ub)))
     events.sort(key=itemgetter(0))
 
     rows = []
@@ -788,4 +818,4 @@ def closed_form_rows(
         down = (hi[0] - ca, hi[1] - cb)  # max of -D
         sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
         rows.append((r, ss.unscale((ca - ga, cb - gb)), ss.unscale(sup)))
-    return rows, len(pts), len(events)
+    return rows, len(pts), 2 * sum(1 for kappa in kappas if kappa), len(events)

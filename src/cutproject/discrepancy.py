@@ -31,7 +31,7 @@ from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
 from .acceptance import PatternSpec, acceptance_domain, pattern_density
-from .exactnum import Exact, XiReal, check_exact
+from .exactnum import Exact, XiReal, check_exact, check_int
 from .patterns import PointPattern, RotationSystem
 
 __all__ = [
@@ -169,6 +169,7 @@ def profile(
     n_max and a doubling walk are always sampled.  The sample schedule is
     cached per (n_max, trace_limit).
     """
+    check_int(n_max=n_max, trace_limit=trace_limit)
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
     if trace_limit < 1:
@@ -184,10 +185,12 @@ def profile(
             n_max, levels, len(rows),
         )
     else:
-        rows, teeth, events = _scaled.closed_form_rows(ss, kappas, records)
+        rows, teeth, chains, events = _scaled.closed_form_rows(ss, kappas, records)
         _scaled.debug(
-            __name__, "profile n_max=%d: closed form, %d teeth, %d record events, %d samples",
-            n_max, teeth, events, len(rows),
+            __name__,
+            "profile n_max=%d: closed form, %d teeth, %d record chains, %d record events, "
+            "%d samples",
+            n_max, teeth, chains, events, len(rows),
         )
 
     samples = tuple(ProfileSample(*row) for row in rows)

@@ -58,6 +58,14 @@ def check_exact(name: str, *values: object, field: bool = False) -> None:
             raise TypeError(f"{name} must be {text}, got {value!r}")
 
 
+def check_int(**values: object) -> None:
+    """TypeError naming the argument unless each value is an int: no float, Fraction or
+    str index is truncated, or fails later with an error that names no argument."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 class XiMismatchError(ValueError):
     """Two XiReal values from different ambient fields were combined."""
 

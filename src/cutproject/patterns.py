@@ -23,7 +23,7 @@ from itertools import islice
 from typing import IO, Iterable, Optional, Union
 
 from . import _scaled
-from .exactnum import XiReal, XiSpec, parse_xireal
+from .exactnum import XiReal, XiSpec, check_int, parse_xireal
 
 __all__ = [
     "OMEGA",
@@ -296,6 +296,7 @@ def orbit_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern:
 
     An empty range yields an empty pattern.
     """
+    check_int(k_min=k_min, k_max=k_max)
     if k_min > k_max:
         return PointPattern(())
     system.guard_singular(k_min, k_max)
@@ -308,6 +309,7 @@ def strip_points(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     Computed independently of orbit_hits (no incremental state); the two
     agree exactly, which is the orbit/strip correspondence.
     """
+    check_int(k_min=k_min, k_max=k_max)
     if k_min > k_max:
         return PointPattern(())
     system.guard_singular(k_min, k_max)
@@ -321,6 +323,7 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     of the hull that lie in no interval.  A hull that is the full circle
     [0, 1), which ``Window.hull`` rejects, is handled: every k is a hit.
     """
+    check_int(k_min=k_min, k_max=k_max)
     if k_min > k_max:
         return PointPattern((), ())
     system.guard_singular(k_min, k_max)
@@ -342,6 +345,7 @@ def local_discrepancy(system: RotationSystem, n: int) -> XiReal:
     exact floors.  Any other window counts its hits by floor sums over the
     N + 1 iterates (``_scaled.count_hits``): O(L log N) exact floors.
     """
+    check_int(n=n)
     if n < 0:
         raise ValueError("n must be >= 0")
     system.guard_singular(0, n)

@@ -35,7 +35,7 @@ from cutproject.patterns import (
 )
 from oracles import brute_profile
 from test_criteria import class_windows
-from test_threegap import FIELDS, LARGE_QUOTIENTS, NEGATIVE_XI, points
+from test_threegap import CROSSED, FIELDS, LARGE_QUOTIENTS, NEGATIVE_XI, points
 
 SQRT2 = XiSpec.sqrt(2)
 GOLDEN = XiSpec(Fraction(1, 2), Fraction(1, 2), 5)
@@ -304,11 +304,14 @@ class TestProfile:
         assert profile(system, 10**6, trace_limit=64).samples == warm.samples
 
     def test_route_is_logged(self, caplog):
+        crossed = RotationSystem(GOLDEN, GOLDEN.real(Fraction(1, 7)), parse_window(CROSSED, GOLDEN))
         with caplog.at_level(logging.DEBUG, logger="cutproject.discrepancy"):
             profile(kesten_system(), 1000)
+            profile(crossed, 1000)
             profile(half_system(), 1000)
-        closed, tables = [r.getMessage() for r in caplog.records]
-        assert "closed form, 1 teeth, " in closed and " record events" in closed
+        closed, three, tables = [r.getMessage() for r in caplog.records]
+        assert "closed form, 1 teeth, 2 record chains, " in closed and " record events" in closed
+        assert "closed form, 11 teeth, 6 record chains, " in three  # kappas (4, -5, 2)
         assert tables.startswith("profile n_max=1000: block tables, ")
         assert " levels, " in tables and tables.endswith(" samples")
 
@@ -321,8 +324,6 @@ class TestProfile:
 
 
 # -- local discrepancy of Oren windows ---------------------------------------------
-
-CROSSED = "[9/200, 1/5) [-39/5+5*xi, -1191/200+4*xi) [-59/10+4*xi, -89/10+6*xi)"  # kappas 4, -5, 2
 
 
 def kesten_window(xi, kappa, t=Fraction(1, 3)):

@@ -1,11 +1,13 @@
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cutproject.discrepancy import profile
 from cutproject.exactnum import XiSpec
 from cutproject.patterns import (
     OMEGA,
@@ -401,3 +403,29 @@ class TestPointPattern:
         buf2.seek(0)
         loaded2, header2 = load_pattern(buf2)
         assert loaded2 == plain and header2 == {}
+
+
+INDEX_CALLS = [
+    (orbit_hits, {"k_min": 0, "k_max": 50}),
+    (colored_hits, {"k_min": 0, "k_max": 50}),
+    (strip_points, {"k_min": 0, "k_max": 50}),
+    (local_discrepancy, {"n": 50}),
+    (profile, {"n_max": 100, "trace_limit": 16}),
+]
+
+
+# as k_max with k_min = 0, 10.5 spans the stepping route and 5e4 the block shift
+@pytest.mark.parametrize(
+    "bad", [50.0, 10.5, 5e4, Fraction(50), "50"], ids=["float", "10.5", "5e4", "Fraction", "str"]
+)
+@pytest.mark.parametrize(
+    "call, args, name",
+    [(call, args, name) for call, args in INDEX_CALLS for name in args],
+    ids=[f"{call.__name__}-{name}" for call, args in INDEX_CALLS for name in args],
+)
+def test_index_arguments_must_be_ints(call, args, name, bad):
+    """An index, a count or a trace limit that is no int is refused by name, before
+    any route runs: a float is neither truncated nor fails deep inside a scan."""
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        call(kesten_system(), **{**args, name: bad})
+

@@ -182,6 +182,39 @@ def test_records_match_index_by_index(system, k0, n_max, data):
             event("meets p" if got and got[-1][1] == (0, 0) else "misses p")
 
 
+@SETTINGS
+@given(
+    systems(FIELDS + [NEGATIVE_XI] + LARGE_QUOTIENTS),
+    st.integers(-40, 40),
+    st.integers(0, 80),
+    st.one_of(st.integers(0, 2000), st.sampled_from([10**6, 10**30])),
+    st.data(),
+)
+def test_shared_chains_match_records(system, top, width, n_max, data):
+    """Each start s of ``_chains`` holds its own left and right ``_records`` chains,
+    k - s <= n_max cut from the one stack, and up to n_max = 2,000 the records of one
+    explicit floor per index; the orbit may meet p at, before or after the starts."""
+    bottom = max(top - width, -40)
+    xi = system.xi
+    p = data.draw(st.sampled_from([xi.zero, *system.window.endpoints()])).fractional_part()[0]
+    j = data.draw(st.one_of(st.none(), st.integers(bottom, top), st.integers(bottom - 3, top + 60)))
+    if j is not None:  # the orbit meets p exactly at k = j
+        system = RotationSystem(xi, p - j * xi.xi_real, system.window)
+        event("meets p before" if j < bottom else "at a start" if j <= top else "after them")
+    ss = system._scaled
+    A, B, D = p.triple
+    pair = (A * (ss.m // D), B * (ss.m // D))
+    starts = []
+    for s, stacks in _scaled._chains(ss, pair, top, bottom, n_max):
+        starts.append(s)
+        for (ks, vs), left in zip(stacks, (True, False)):
+            got = [(-k - s, v) for k, v in zip(reversed(ks), reversed(vs)) if -k - s <= n_max]
+            assert got == list(_scaled._records(ss, pair, s, n_max, left))
+            if n_max <= 2000:
+                assert got == strict_records(ss, pair, s, n_max, left)
+    assert starts == list(range(top, bottom - 1, -1))
+
+
 def test_sparse_window_needs_no_search(monkeypatch):
     """No hit of [1/3, 1/3 + 10^-12) over 0..10^5: the first-hit record walk
     makes O(log) sign tests, where an index-by-index search made 266,855."""
@@ -265,6 +298,14 @@ ON_A_TOOTH = _case(
 )
 
 
+# the orbit meets the tooth 56/31 - xi of that window, which attains the exact sup, at
+# N = 100: the last sample of a profile to 100, whose record event has k - s = N exactly
+MEETS_AT_100 = (
+    RotationSystem(FIELDS[1], FIELDS[1].real(Fraction(56, 31), -101), ON_A_TOOTH[0].window),
+    ON_A_TOOTH[1],
+)
+
+
 # two teeth of G meet at 68/31 - xi, where y_0 sits: with opposite signs (kappas (-3, 2),
 # net weight 0) and with the same sign (kappas (-1, -3), weight -2)
 TEETH_CANCEL = _case(
@@ -273,6 +314,22 @@ TEETH_CANCEL = _case(
 TEETH_ADD = _case(
     FIELDS[1], "[6/31, 99/31-2*xi) [-25/31+1*xi, 68/31-1*xi)", FIELDS[1].real(Fraction(68, 31), -1)
 )
+
+
+def _kesten_case(kappa):
+    """One golden-ratio interval of length frac(kappa*xi) from (1 - length)/3, basepoint
+    1/7: its Oren matching has the one kappa, so G has |kappa| teeth on one chain pair."""
+    xi = FIELDS[0]
+    length = (kappa * xi.xi_real).fractional_part()[0]
+    lo = (1 - length) * Fraction(1, 3)
+    window = Window.single(lo, lo + length)
+    return RotationSystem(xi, xi.real(Fraction(1, 7)), window), oren_condition(window)
+
+
+KAPPA_12 = _kesten_case(12)
+KAPPA_MINUS_9 = _kesten_case(-9)
+CROSSED = "[9/200, 1/5) [-39/5+5*xi, -1191/200+4*xi) [-59/10+4*xi, -89/10+6*xi)"  # kappas 4, -5, 2
+CROSSED_CASE = _case(FIELDS[0], CROSSED, FIELDS[0].real(Fraction(1, 7)))
 
 
 def distinct_teeth(system, ks):
@@ -290,6 +347,9 @@ def distinct_teeth(system, ks):
 @example(TEETH_CANCEL, 10**12, 64)
 @example(TEETH_ADD, 100, 4096)
 @example(TEETH_ADD, 10**12, 64)
+@example(KAPPA_12, 10**30, 64)
+@example(KAPPA_MINUS_9, 10**30, 64)
+@example(CROSSED_CASE, 10**30, 64)
 @given(
     bounded_systems(),
     st.sampled_from([100, 101, 997, 4096, 10**5, 10**12, 10**30]),
@@ -297,13 +357,15 @@ def distinct_teeth(system, ks):
 )
 def test_closed_form_rows_match_scan(case, n_max, trace_limit):
     """The closed form against the block tables, two routes that share no step; every
-    distinct tooth of G is counted, one of net weight 0 too."""
+    distinct tooth of G is counted, one of net weight 0 too, and each interval with
+    kappa_l != 0 walks two record chains, shared by its teeth."""
     system, witness = case
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
-    rows, teeth, _ = _scaled.closed_form_rows(ss, witness.ks, records)
+    rows, teeth, chains, _ = _scaled.closed_form_rows(ss, witness.ks, records)
     assert rows == _scaled.table_rows(ss, records)[0]
     assert teeth == len(distinct_teeth(system, witness.ks))
+    assert chains == 2 * sum(1 for kappa in witness.ks if kappa)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -319,7 +381,7 @@ def test_running_sups_stay_below_exact_sup(case, n_max, trace_limit):
     ss = system._scaled
     records = _record_points(n_max, trace_limit)
     bound = exact_sup(system, witness.ks)
-    closed, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
+    closed, _, _, _ = _scaled.closed_form_rows(ss, witness.ks, records)
     for rows in (closed, _scaled.table_rows(ss, records)[0]):
         assert all((sup - bound).sign() <= 0 for _, _, sup in rows), bound
     if n_max == 10**30:  # by then the orbit has come within about 10^-29 of every tooth
@@ -328,6 +390,7 @@ def test_running_sups_stay_below_exact_sup(case, n_max, trace_limit):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(ON_A_TOOTH, 100, 4096)
+@example(MEETS_AT_100, 100, 16)
 @given(
     bounded_systems(),
     st.sampled_from([100, 1000, 10**6]),
@@ -342,7 +405,7 @@ def test_running_sup_reaches_exact_sup_on_a_tooth(case, n_max, trace_limit):
     j = sup_attained_at(system, witness.ks)
     event("attained" if j is not None and j <= n_max else "not attained")
     records = _record_points(n_max, trace_limit)
-    rows, _, _ = _scaled.closed_form_rows(system._scaled, witness.ks, records)
+    rows, _, _, _ = _scaled.closed_form_rows(system._scaled, witness.ks, records)
     for n, _, sup in rows:
         if j is not None and n >= j:
             assert sup == bound, (n, j)
