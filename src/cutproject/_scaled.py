@@ -130,11 +130,14 @@ is kept on [0, alpha - beta).  With beta > alpha it is the mirror image,
 b' = a + b and F'(x) = F(x) F(x - beta) on [0, alpha).  The tower floors
 of J_i cover the circle once and each endpoint lies in one floor, so
 F_i has at most 2L + 2 pieces once equal neighbours merge.  The n steps
-from x are a greedy climb: go up a level while x lies in the next J and
-its block fits, else take F_i(x) if it fits, else go down; at most two
-blocks a level, so O(log n) lookups as xi has bounded partial quotients,
-times their size (a level is one subtraction): a profile of [1/7, 9/14)
-to 10^6 at xi = sqrt(k^2 + 1) takes 160 times as long at k = 10^4 as at 10.
+from x are a greedy climb from level 0: go up a level while x lies in the
+next J and its block fits, else take F_i(x) if it fits, else go down.  x
+carries its floor key, so its sign, the J tests and the piece lookup
+compare ints with the keys a level keeps of its cuts, alpha and -beta,
+and test signs only on equal keys.  At most two blocks a level, so
+O(log n) lookups as xi has bounded partial quotients, times their size (a
+level is one subtraction): a profile of [1/7, 9/14) to 10^6 at
+xi = sqrt(k^2 + 1) takes 4.7 s at k = 10^4, 160 times as long as at 10.
 A profile multiplies the products from record to record: the prefix
 (h, k) of steps 0..n gives D(n) = h - (k - 1)*len, and max |D| reads
 max(hi, -lo) the same way.  Only the levels with a block of at most
@@ -143,8 +146,10 @@ records[-1] + 1 steps are read, and each is built once per window.
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
-and the tests).  Every sign test is ``exactnum.pair_sign`` and every
-floor ``exactnum.floor_pair``.
+and the tests).  Every sign test is ``exactnum.pair_sign`` and every floor
+one ``isqrt`` (``floor_key``); sorts and bisections of points over M order
+them by the floor of the numerator, an int key, and test signs only on
+equal keys (``exactnum.sort_pairs``, ``rank_pair``).
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ from math import gcd, lcm
 from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import Triple, XiReal, XiSpec, floor_pair, pair_sign
+from .exactnum import Triple, XiReal, XiSpec, floor_key, floor_pair, pair_sign, rank_pair, sort_pairs
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
@@ -612,10 +617,11 @@ def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
 # -- block tables (module docstring) --------------------------------------------------
 
 Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and the min prefix
-Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary]]  # a, alpha, b, beta, table
+# a, alpha, b, beta, the table's cuts, values and cut keys, and the keys of alpha and -beta
+Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], list[int], int, int]
 
 
-@lru_cache(maxsize=8)  # a window's levels keep its call's peak: 3.4 MiB at sqrt(10^6 + 1) to 10^6
+@lru_cache(maxsize=8)  # a window's levels keep its call's peak: 4.1 MiB at sqrt(10^6 + 1) to 10^6
 def _levels(d: int, m: int, step: Pair, ivals: tuple[Interval, ...]) -> list[Level]:
     return []  # the levels of the window's tables built so far; ``table_rows`` adds more
 
@@ -634,9 +640,6 @@ def table_rows(
     def sign(a: int, b: int) -> int:
         return pair_sign(a, b, d)
 
-    def inside(x: Pair, al: Pair, be: Pair) -> bool:  # x in J = [-beta, alpha)
-        return sign(x[0] + be[0], x[1] + be[1]) >= 0 and sign(x[0] - al[0], x[1] - al[1]) < 0
-
     def mul(s: Summary, t: Summary) -> Summary:
         h, k, hh, hk, lh, lk = s
         th, tk, thh, thk, tlh, tlk = t
@@ -648,62 +651,55 @@ def table_rows(
             lh, lk = ch, ck
         return h + th, k + tk, hh, hk, lh, lk
 
-    def find(cuts: list[Pair], x: Pair) -> int:  # the piece [cuts[j], cuts[j + 1]) holding x
-        lo, hi = 0, len(cuts)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if sign(x[0] - cuts[mid][0], x[1] - cuts[mid][1]) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def keyed(pts: set[Pair]) -> list[tuple[int, Pair]]:
+        return sort_pairs([(floor_key(*c, d), c) for c in pts], d)
 
-    def ordered(pts: set[Pair]) -> list[Pair]:
-        return sorted(pts, key=cmp_to_key(lambda u, v: sign(u[0] - v[0], u[1] - v[1])))
-
-    def merged(cuts: list[Pair], vals: list[Summary]) -> tuple[list[Pair], list[Summary]]:
-        keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]
-        return [cuts[j] for j in keep], [vals[j] for j in keep]
+    def level(a: int, al: Pair, b: int, be: Pair, cuts: list, vals: list[Summary]) -> Level:
+        keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]  # merge equal neighbours
+        cuts, keys = [cuts[j][1] for j in keep], [cuts[j][0] for j in keep]
+        ka, kb = floor_key(*al, d), floor_key(-be[0], -be[1], d)
+        return a, al, b, be, cuts, [vals[j] for j in keep], keys, ka, kb
 
     sa, sb = ss.step
     levels = _levels(d, m, ss.step, ss.ivals)
     if not levels:
         ends = {e if e != (m, 0) else (0, 0) for iv in ss.ivals for e in (iv[:2], iv[2:])}
         signed = {e if sign(e[0] - sa, e[1] - sb) < 0 else (e[0] - m, e[1]) for e in ends}
-        cuts = ordered({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
-        vals = []
-        for c in cuts:  # one step from the circle point of c
-            hit = ss.contains(*(c if sign(*c) >= 0 else (c[0] + m, c[1])))
-            vals.append((int(hit), 1) * 3)
-        levels[:1] = [(1, ss.step, 1, (m - sa, -sb), *merged(cuts, vals))]
+        cuts = keyed({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
+        # one step from the circle point of each cut
+        vals = [(int(ss.contains(*(c if k >= 0 else (c[0] + m, c[1])))), 1) * 3 for k, c in cuts]
+        levels[:1] = [level(1, ss.step, 1, (m - sa, -sb), cuts, vals)]
     while True:  # top: the last level whose blocks fit in 0..records[-1]
         top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
         if top < len(levels) - 1:
             break
-        a, al, b, be, cuts, vals = levels[top]
-        left = sign(al[0] - be[0], al[1] - be[1]) > 0
+        a, al, b, be, cuts, vals, keys, _, _ = levels[top]
+        p = (al[0] - be[0], al[1] - be[1])
+        left = sign(*p) > 0
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
-            nxt = (a + b, (al[0] - be[0], al[1] - be[1]), b, be)
+            nxt = (a + b, p, b, be)
             shift = al
         else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
-            nxt = (a, al, a + b, (be[0] - al[0], be[1] - al[1]))
+            nxt = (a, al, a + b, (-p[0], -p[1]))
             shift = (-be[0], -be[1])
         if min(nxt[0], nxt[2]) > records[-1] + 1:
             break
-        _, al2, _, be2 = nxt
-        # a cut of J outside J' comes back as its preimage, on the doubling side
-        pts = {c if inside(c, al2, be2) else (c[0] - shift[0], c[1] - shift[1]) for c in cuts}
-        new_cuts = ordered(pts | {(-be2[0], -be2[1]), (0, 0)})
+        # a cut of J outside J', on the far side of alpha - beta, comes back as its preimage
+        pts = {(c[0] - shift[0], c[1] - shift[1]) if (sign(c[0] - p[0], c[1] - p[1]) >= 0) == left
+               else c for c in cuts}
+        new_cuts = keyed(pts | {(-nxt[3][0], -nxt[3][1]), (0, 0)})
         new_vals = []
-        for c in new_cuts:
-            v = vals[find(cuts, c)]
-            if (sign(*c) < 0) == left:  # the block doubles
-                v = mul(v, vals[find(cuts, (c[0] + shift[0], c[1] + shift[1]))])
+        for k, c in new_cuts:
+            v = vals[rank_pair(keys, cuts, k, c, d) - 1]
+            if (k < 0) == left:  # the block doubles
+                c = (c[0] + shift[0], c[1] + shift[1])
+                v = mul(v, vals[rank_pair(keys, cuts, floor_key(*c, d), c, d) - 1])
             new_vals.append(v)
-        levels[top + 1:top + 2] = [(*nxt, *merged(new_cuts, new_vals))]
+        levels[top + 1:top + 2] = [level(*nxt, new_cuts, new_vals)]
 
     x = ss.base if sign(ss.base[0] - sa, ss.base[1] - sb) < 0 else (ss.base[0] - m, ss.base[1])
-    neg = sign(*x) < 0
+    kx = floor_key(*x, d)  # x's key, carried from step to step
+    neg = kx < 0
     acc: Optional[Summary] = None
     rows = []
     prev = -1
@@ -712,20 +708,22 @@ def table_rows(
         prev = rec
         i = 0
         while n:
-            if i < top:
-                a, al, b, be, _, _ = levels[i + 1]
-                if (a if neg else b) <= n and inside(x, al, be):
+            if i < top:  # up while x lies in the next J = [-beta, alpha) and its block fits
+                a, al, b, be, _, _, _, ka, kb = levels[i + 1]
+                if (a if neg else b) <= n and (kb < kx or kb == kx and sign(x[0] + be[0], x[1] + be[1]) >= 0) and (
+                        kx < ka or kx == ka and sign(x[0] - al[0], x[1] - al[1]) < 0):
                     i += 1
                     continue
-            a, al, b, be, cuts, vals = levels[i]
+            a, al, b, be, cuts, vals, keys, _, _ = levels[i]
             r = a if neg else b
             if r > n:
                 i -= 1
                 continue
-            v = vals[find(cuts, x)]
+            v = vals[rank_pair(keys, cuts, kx, x, d) - 1]  # the piece holding x
             acc = v if acc is None else mul(acc, v)
             x = (x[0] + al[0], x[1] + al[1]) if neg else (x[0] - be[0], x[1] - be[1])
-            neg = sign(*x) < 0
+            kx = floor_key(*x, d)
+            neg = kx < 0
             n -= r
         h, k, hh, hk, lh, lk = acc  # k = rec + 1 steps, so D(rec) = h - rec*len
         up = (hh * m - (hk - 1) * la, (1 - hk) * lb)  # max D
@@ -761,16 +759,18 @@ def closed_form_rows(
             owner.setdefault(e, (l, j))
     beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
     key = cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d))
-    pts = sorted(weight, key=key)  # a tooth of weight 0 stays, with its chains
+    teeth = sort_pairs([(floor_key(*e, d), e) for e in weight], d)  # weight 0 stays, with its chains
+    tkeys, pts = [k for k, _ in teeth], [e for _, e in teeth]
     # G(y) = beta*y - sum w_e*e + above[i] for y in [0, 1) with i teeth at or below it (module
     # docstring): above[i] sums w_e over pts[i:]
     above = list(accumulate((weight[p] for p in reversed(pts)), initial=0))[::-1]
     ka = sum(w * e[0] for e, w in weight.items())
     kb = sum(w * e[1] for e, w in weight.items())
 
-    def big_g(ya: int, yb: int) -> Pair:  # one floor and a bisection
-        y = frac(ya, yb)
-        return beta * y[0] - ka + above[bisect_right(pts, key(y), key=key)] * m, beta * y[1] - kb
+    def big_g(ya: int, yb: int) -> Pair:  # one floor key: y's frac and its key, then a rank
+        n, k = divmod(floor_key(ya, yb, d), m)
+        ya -= n * m
+        return beta * ya - ka + above[rank_pair(tkeys, pts, k, (ya, yb), d)] * m, beta * yb - kb
 
     ya, yb = ss.base
     ga, gb = big_g(ya - xa, yb - xb)

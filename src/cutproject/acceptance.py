@@ -15,8 +15,9 @@ x is in the domain iff the required counter is the number of required
 offsets and the forbidden one is 0.  As y_o(x) = a_j lies in [a_j, b_j)
 and y_o(x) = b_j does not, membership just right of an event equals that
 at it, once every event at that position is applied (a right and a left
-end may meet there).  The events are sorted once by ``pair_sign``, and
-the cuts are unscaled once, into one Window.
+end may meet there).  The events are sorted once by their floor keys,
+with ``pair_sign`` only on equal keys (``exactnum.sort_pairs``), and the
+cuts are unscaled once, into one Window.
 
 A cut x = frac(e_j - o*xi) has origin (j, -o); a cut at 0 or 1 is an
 endpoint of W (offset 0 is required), origin (j, 0).  If e_j' - e_j =
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .criteria import _classes
-from .exactnum import XiReal, pair_sign
+from .exactnum import XiReal, floor_key, sort_pairs
 from .patterns import PointPattern, RotationSystem, Window, orbit_hits
 
 __all__ = [
@@ -134,20 +135,21 @@ def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> Acceptanc
     if not w:
         return AcceptanceDomain(w, ())
     ss, need = system._scaled, len(pattern.required)
-    d, (sa, sb) = ss.d, ss.step
+    d, m, (sa, sb) = ss.d, ss.m, ss.step
     ends = [e for iv in ss.ivals for e in (iv[:2], iv[2:])]
     counts = [0, 0]  # required and forbidden offsets o with y_o(x) in W
-    events = []  # (x, j, o)
+    events = []  # (key, x, j, o)
     for o in pattern.offsets():
         counts[o in pattern.forbidden] += ss.contains(*ss.frac(o * sa, o * sb))
         for j, (ea, eb) in enumerate(ends):
-            if (x := ss.frac(ea - o * sa, eb - o * sb)) != (0, 0):
-                events.append((x, j, o))
-    events.sort(key=cmp_to_key(lambda u, v: pair_sign(u[0][0] - v[0][0], u[0][1] - v[0][1], d)))
+            n, key = divmod(floor_key(ea - o * sa, eb - o * sb, d), m)  # x's floor, frac(x)'s key
+            if (x := (ea - o * sa - n * m, eb - o * sb)) != (0, 0):
+                events.append((key, x, j, o))
+    events = sort_pairs(events, d)
     cuts = [((0, 0), 0, 0)] if counts == [need, 0] else []  # inside iff len(cuts) is odd
-    for i, (x, j, o) in enumerate(events):
+    for i, (_, x, j, o) in enumerate(events):
         counts[o in pattern.forbidden] += -1 if j % 2 else 1
-        last_at_x = i + 1 == len(events) or events[i + 1][0] != x
+        last_at_x = i + 1 == len(events) or events[i + 1][1] != x
         if last_at_x and (counts == [need, 0]) != len(cuts) % 2:
             cuts.append((x, j, o))
     if len(cuts) % 2:

@@ -14,8 +14,10 @@ keeps xi once as a triple (P, Q, R) of the same kind.  As sqrt(d) is
 irrational, a value fixes the rationals A/D and B/D; D > 0 and the gcd
 condition then make D their least common denominator, so the triple is
 unique and structural equality is value equality.  A sign is one
-``pair_sign`` on (A, B), a floor one ``floor_pair``, and a sum, product
-or inverse integer work followed by one gcd.  ``coordinates`` reads a
+``pair_sign`` on (A, B), a floor one ``isqrt`` (``floor_key``), and a sum,
+product or inverse integer work followed by one gcd.  Points over one
+modulus sort and bisect by their floor keys, with ``pair_sign`` only on
+equal keys (``sort_pairs``, ``rank_pair``).  ``coordinates`` reads a
 value over the basis (1, xi), for ``a``, ``b``, ``coordinates_text`` (the
 one spelling of ``str``, for values and witness rows: one gcd per
 coefficient, no ``Fraction``) and ``lattice_split``, whose residue names
@@ -25,10 +27,13 @@ the value's class modulo Z + Z*xi.
 from __future__ import annotations
 
 import re
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "XiSpec",
     "XiReal",
     "pair_sign",
+    "floor_key",
     "floor_pair",
     "decompose_Z_plus_Zxi",
     "lattice_split",
@@ -111,13 +117,41 @@ def pair_sign(a: Rational, b: Rational, d: int) -> int:
     return 1 if b * b * d > a * a else -1
 
 
+def floor_key(a: int, b: int, d: int) -> int:
+    """Exact floor of a + b*sqrt(d) for integers a and b, by one ``isqrt``: d is squarefree,
+    so b^2*d is no square for b != 0, and with t = isqrt(b^2*d) the value lies strictly
+    inside (a + t, a + t + 1) for b > 0 and (a - t - 1, a - t) for b < 0."""
+    t = isqrt(b * b * d)
+    return a + t if b >= 0 else a - t - 1
+
+
 def floor_pair(a: int, b: int, m: int, d: int) -> int:
-    """Exact floor of (a + b*sqrt(d)) / m for integers a, b and m > 0."""
-    t = isqrt(b * b * d)  # b^2*d is never a perfect square for b != 0
-    # a + b*sqrt(d) lies in [a + t, a + t + 1) or (a - t - 1, a - t), so its
-    # floor over m is n0 or n0 + 1
-    n0 = (a + t if b >= 0 else a - t - 1) // m
-    return n0 + 1 if pair_sign(a - (n0 + 1) * m, b, d) >= 0 else n0
+    """Exact floor of (a + b*sqrt(d)) / m for integers a, b and m > 0: ``floor_key`` over m,
+    as floor(x / m) = floor(floor(x) / m) for m > 0, so no sign test."""
+    return floor_key(a, b, d) // m
+
+
+def sort_pairs(items: list, d: int) -> list:
+    """Items (floor_key(a, b, d), (a, b), ...) in the order of a + b*sqrt(d), equal values
+    in input order: stably by key, then each run of equal keys stably by ``pair_sign``."""
+    items = sorted(items, key=itemgetter(0))
+    keys = [item[0] for item in items]
+    by_value = cmp_to_key(lambda u, v: pair_sign(u[1][0] - v[1][0], u[1][1] - v[1][1], d))
+    end = 0
+    for i in [i for i in range(1, len(keys)) if keys[i] == keys[i - 1]]:
+        if i > end:  # a run of equal keys from i - 1 on
+            end = bisect_right(keys, keys[i], i)
+            items[i - 1:end] = sorted(items[i - 1:end], key=by_value)
+    return items
+
+
+def rank_pair(keys: list[int], pts: list, key: int, x: tuple[int, int], d: int) -> int:
+    """The number of pts <= x, for pts in ``sort_pairs`` order with floor keys `keys` and
+    `key` that of x: a bisection on the keys, then ``pair_sign`` along x's run of them."""
+    i = bisect_left(keys, key)
+    while i < len(keys) and keys[i] == key and pair_sign(x[0] - pts[i][0], x[1] - pts[i][1], d) >= 0:
+        i += 1
+    return i
 
 
 Triple = tuple[int, int, int]  # (A, B, D): the value (A + B*sqrt(d)) / D, D > 0
@@ -370,11 +404,15 @@ class XiReal:
 
     def decimal(self, digits: int = 30) -> str:
         """Exact decimal rendering, truncated toward zero after `digits` places."""
+        check_int(digits=digits)
         if digits < 0:
             raise ValueError("digits must be >= 0")
-        neg = self.sign() < 0
-        A, B = (-self._A, -self._B) if neg else (self._A, self._B)
-        scaled = floor_pair(A * 10**digits, B * 10**digits, self._D, self._xi.d)
+        if 0 < sys.get_int_max_str_digits() <= digits:  # else a huge isqrt, then a failing str
+            raise ValueError(f"digits must be below sys.get_int_max_str_digits(), got {digits}")
+        A, B, D = self._A * 10**digits, self._B * 10**digits, self._D
+        scaled = floor_pair(A, B, D, self._xi.d)  # its sign is the value's
+        if neg := scaled < 0:  # truncate toward zero: the floor plus 1, unless the value is exact
+            scaled = -scaled if not B and A % D == 0 else -scaled - 1
         s = str(scaled).rjust(digits + 1, "0")
         out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
         return "-" + out if neg else out

@@ -2,8 +2,11 @@ import copy
 import math
 import pickle
 import random
+import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt, prod, ulp
 
 import mpmath
@@ -16,16 +19,25 @@ from cutproject.exactnum import (
     XiReal,
     XiSpec,
     decompose_Z_plus_Zxi,
+    floor_key,
     floor_pair,
     lattice_split,
     pair_sign,
     parse_xi,
     parse_xireal,
+    rank_pair,
+    sort_pairs,
 )
 from oracles import fraction_floor, mp_floor_pair, mp_pair_sign, mp_sign, mp_value
 
 SQRT2 = XiSpec.sqrt(2)
 SQRT3 = XiSpec.sqrt(3)
+
+
+EXACT_FIELDS = [SQRT2, SQRT3, XiSpec(Fraction(1, 2), Fraction(1, 2), 5), XiSpec(-2, 1, 2)]
+PELL_106 = (1, 0)  # (a, b) with a + b*sqrt(2) = (sqrt(2) - 1)^106
+for _ in range(106):
+    PELL_106 = (2 * PELL_106[1] - PELL_106[0], PELL_106[0] - PELL_106[1])
 
 
 def rnd_fraction(rng, num=10**6, den=10**4):
@@ -248,6 +260,60 @@ class TestPairPrimitives:
         assert floor_pair(a, b, m, d) == mp_floor_pair(a, b, m, d)
 
 
+@st.composite
+def keyed_pairs(draw):
+    """(d, pts, x): pts drawn with repeats from a small pool, so some are exactly equal,
+    and x from the pool or new.  Half the pairs are built on a few floor keys K, a = K - t
+    or K + t + 1 with t = isqrt(b^2*d), so distinct values share a key."""
+    d = draw(radicands)
+
+    def pair():
+        b = draw(ints)
+        if draw(st.booleans()):
+            return draw(ints), b
+        k, t = draw(st.integers(-2, 2)), isqrt(b * b * d)
+        return (k - t if b >= 0 else k + t + 1), b
+
+    pool = [pair() for _ in range(draw(st.integers(1, 6)))]
+    pts = draw(st.lists(st.sampled_from(pool), max_size=24))
+    return d, pts, draw(st.sampled_from(pool)) if draw(st.booleans()) else pair()
+
+
+def by_value(d):
+    return cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d))
+
+
+class TestFloorKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(floor_args())
+    @example((0, 0, 1, 2))
+    def test_floor_key_against_decimal_oracle(self, args):
+        a, b, _, d = args
+        assert floor_key(a, b, d) == mp_floor_pair(a, b, 1, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(keyed_pairs())
+    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)))  # keys 1, 1, 1, 0
+    def test_sort_pairs_is_the_stable_exact_sort(self, case):
+        d, pts, _ = case
+        items = [(floor_key(a, b, d), (a, b), i) for i, (a, b) in enumerate(pts)]
+        key = by_value(d)
+        assert sort_pairs(items, d) == sorted(items, key=lambda item: key(item[1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(keyed_pairs())
+    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)))
+    @example((2, [(0, 1), (1, 0), (0, 1)], (0, 1)))
+    def test_rank_pair_is_bisect_right(self, case):
+        d, pts, x = case
+        ordered = [p for _, p in sort_pairs([(floor_key(*p, d), p) for p in pts], d)]
+        keys = [floor_key(*p, d) for p in ordered]
+        key = by_value(d)
+        assert rank_pair(keys, ordered, floor_key(*x, d), x, d) == bisect_right(
+            ordered, key(x), key=key
+        )
+
+
 class TestFloorAndFrac:
     def test_examples(self):
         frac, fl = SQRT2.real(0, 3).fractional_part()
@@ -327,22 +393,39 @@ class TestRendering:
             with pytest.raises(ValueError):
                 parse_xireal(bad, SQRT2)
 
-    def test_decimal_is_exact_truncation(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            u = rnd_value(rng)
-            for digits in (5, 30):
-                s = u.decimal(digits)
-                r = Fraction(s)
-                # truncation toward zero: |u| - |r| in [0, 10^-digits)
-                diff = abs(u) - abs(r)
-                assert diff.sign() >= 0
-                assert (diff - Fraction(1, 10**digits)).sign() < 0
-                assert (r < 0) == (u.sign() < 0 and r != 0)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.builds(XiReal, rationals, st.one_of(st.just(0), rationals), st.sampled_from(EXACT_FIELDS)),
+        st.sampled_from([0, 1, 5, 30]),
+    )
+    @example(SQRT2.real(Fraction(-390909, 10000)), 30)
+    @example(SQRT2.real(Fraction(-1, 2)), 1)
+    @example(SQRT2.real(Fraction(-3, 10)), 0)  # "-0"
+    @example(SQRT2.zero, 0)
+    @example(SQRT2.real(*PELL_106), 5)  # (sqrt(2) - 1)^106 < 10^-40
+    @example(-SQRT2.real(*PELL_106), 5)
+    def test_decimal_is_exact_truncation(self, u, digits):
+        s = u.decimal(digits)
+        r = Fraction(s)
+        # truncation toward zero: |u| - |r| in [0, 10^-digits)
+        diff = abs(u) - abs(r)
+        assert diff.sign() >= 0
+        assert (diff - Fraction(1, 10**digits)).sign() < 0
+        assert s.startswith("-") == (u.sign() < 0)
+        assert ("." in s) == (digits > 0) and len(s.partition(".")[2]) == digits
 
     def test_decimal_rejects_negative_digits(self):
         with pytest.raises(ValueError, match="digits must be >= 0"):
             SQRT2.xi_real.decimal(-1)
+
+    def test_decimal_rejects_bad_digits_before_any_arithmetic(self):
+        with pytest.raises(TypeError, match="digits must be an int"):
+            SQRT2.xi_real.decimal(2.5)
+        limit = sys.get_int_max_str_digits()
+        if limit:  # else CPython spells ints of any length
+            with pytest.raises(ValueError, match="digits must be below"):
+                SQRT2.xi_real.decimal(limit)
+            assert len((SQRT2.xi_real - 1).decimal(limit - 1)) == limit + 1  # "0." and the digits
 
     def test_decimal_known_value(self):
         # sqrt(2) = 1.41421356237309504880168872420969807856...
