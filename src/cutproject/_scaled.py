@@ -703,6 +703,7 @@ def table_rows(
     acc: Optional[Summary] = None
     rows = []
     prev = -1
+    last = None  # the last sup pair: it changes on few rows, so each is unscaled once
     for rec in records:
         n = rec - prev  # the steps prev + 1..rec: climb while the blocks fit, then go down
         prev = rec
@@ -729,7 +730,9 @@ def table_rows(
         up = (hh * m - (hk - 1) * la, (1 - hk) * lb)  # max D
         down = ((lk - 1) * la - lh * m, (lk - 1) * lb)  # -min D
         sup = up if sign(up[0] - down[0], up[1] - down[1]) >= 0 else down
-        rows.append((rec, ss.unscale((h * m - rec * la, -rec * lb)), ss.unscale(sup)))
+        if sup != last:
+            last, sup_x = sup, ss.unscale(sup)
+        rows.append((rec, ss.unscale((h * m - rec * la, -rec * lb)), sup_x))
     return rows, top + 1
 
 
@@ -802,7 +805,7 @@ def closed_form_rows(
     events.sort(key=itemgetter(0))
 
     rows = []
-    lo = hi = None  # running min and max of G(y_n); both events of y_0 set them
+    lo = hi = last = None  # running min and max of G(y_n), both set by y_0's events; last sup
     i = 0
     for r in records:
         while i < len(events) and events[i][0] <= r:
@@ -817,5 +820,7 @@ def closed_form_rows(
         up = (ca - lo[0], cb - lo[1])  # max of D
         down = (hi[0] - ca, hi[1] - cb)  # max of -D
         sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
-        rows.append((r, ss.unscale((ca - ga, cb - gb)), ss.unscale(sup)))
+        if sup != last:  # unscaled once per change, as in table_rows
+            last, sup_x = sup, ss.unscale(sup)
+        rows.append((r, ss.unscale((ca - ga, cb - gb)), sup_x))
     return rows, len(pts), 2 * sum(1 for kappa in kappas if kappa), len(events)

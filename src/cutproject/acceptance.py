@@ -8,7 +8,10 @@ for each forbidden o: again a finite union of half-open intervals.
 One sweep finds it (``acceptance_domain``).  As x runs over [0, 1), y_o(x)
 enters W at x = frac(a_j - o*xi) for each left endpoint a_j and leaves at
 x = frac(b_j - o*xi) for each right endpoint b_j: 2L events per offset, an
-exact floor each on the system's scaled pairs.  A left end counts +1 and
+exact floor each on the system's scaled pairs.  They depend on the system and
+o only, so they are computed once per (system, offset), with whether frac(o*xi)
+lies in W, and cached (``_offset_events``): patterns of radius r on one system
+share the 2r + 1 offsets of [-r, r].  A left end counts +1 and
 a right end -1, on the required or on the forbidden counter.  Both start
 at x = 0 from whether frac(o*xi) lies in W, so events at 0 are skipped;
 x is in the domain iff the required counter is the number of required
@@ -125,6 +128,20 @@ def _class_shifts(window: Window) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+@lru_cache(maxsize=1024)  # [-64, 64] on about 8 systems; an entry of 6 events, about 1.4 KiB
+def _offset_events(system: RotationSystem, o: int) -> tuple[bool, tuple]:
+    """Whether frac(o*xi) lies in W, and offset o's events (key, x, j, o) but those at 0."""
+    ss = system._scaled
+    d, m, (sa, sb) = ss.d, ss.m, ss.step
+    ends = [e for iv in ss.ivals for e in (iv[:2], iv[2:])]
+    events = []
+    for j, (ea, eb) in enumerate(ends):
+        n, key = divmod(floor_key(ea - o * sa, eb - o * sb, d), m)  # x's floor, frac(x)'s key
+        if (x := (ea - o * sa - n * m, eb - o * sb)) != (0, 0):
+            events.append((key, x, j, o))
+    return ss.contains(*ss.frac(o * sa, o * sb)), tuple(events)
+
+
 @lru_cache(maxsize=512)
 def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> AcceptanceDomain:
     """Exact sub-window where the pattern occurs, possibly empty, by one sweep."""
@@ -135,17 +152,13 @@ def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> Acceptanc
     if not w:
         return AcceptanceDomain(w, ())
     ss, need = system._scaled, len(pattern.required)
-    d, m, (sa, sb) = ss.d, ss.m, ss.step
-    ends = [e for iv in ss.ivals for e in (iv[:2], iv[2:])]
     counts = [0, 0]  # required and forbidden offsets o with y_o(x) in W
     events = []  # (key, x, j, o)
     for o in pattern.offsets():
-        counts[o in pattern.forbidden] += ss.contains(*ss.frac(o * sa, o * sb))
-        for j, (ea, eb) in enumerate(ends):
-            n, key = divmod(floor_key(ea - o * sa, eb - o * sb, d), m)  # x's floor, frac(x)'s key
-            if (x := (ea - o * sa - n * m, eb - o * sb)) != (0, 0):
-                events.append((key, x, j, o))
-    events = sort_pairs(events, d)
+        inside, evs = _offset_events(system, o)
+        counts[o in pattern.forbidden] += inside
+        events += evs
+    events = sort_pairs(events, ss.d)
     cuts = [((0, 0), 0, 0)] if counts == [need, 0] else []  # inside iff len(cuts) is odd
     for i, (_, x, j, o) in enumerate(events):
         counts[o in pattern.forbidden] += -1 if j % 2 else 1
@@ -153,7 +166,7 @@ def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> Acceptanc
         if last_at_x and (counts == [need, 0]) != len(cuts) % 2:
             cuts.append((x, j, o))
     if len(cuts) % 2:
-        cuts.append(((ss.m, 0), len(ends) - 1, 0))
+        cuts.append(((ss.m, 0), 2 * len(ss.ivals) - 1, 0))
     shifts = _class_shifts(w)
     return AcceptanceDomain(
         Window((ss.unscale(lo[0]), ss.unscale(hi[0])) for lo, hi in zip(cuts[::2], cuts[1::2])),

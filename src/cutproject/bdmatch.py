@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .exactnum import (Exact, XiMismatchError, XiReal, XiSpec, check_exact, coordinates_text,
@@ -81,7 +82,12 @@ class MatchingWitness:
 
     def to_csv(self, fp: IO[str]) -> None:
         """Rows spelled from the integer coordinates over (1, xi) of y, of i + offset and
-        of 1/delta: no XiReal or Fraction is built per row."""
+        of 1/delta: no XiReal or Fraction is built per row.  The points of a ``PointPattern``
+        are always ints, and int points take a loop of their own that spells as
+        ``coordinates_text`` does: with 1/delta = (sa + sb*xi)/sd and k = i + offset, the
+        lattice point is (la + lb*xi)/sd and the displacement (y*sd - la - lb*xi)/sd for
+        la = k*sa and lb = k*sb, so they share gcd(la, sd) and, up to sign, the xi-part:
+        two gcds a row, not five."""
         xis = {v.xi for v in (self.delta, self.sup_displacement, *self.points) if isinstance(v, XiReal)}
         if len(xis) > 1:
             raise XiMismatchError(f"witness values from {len(xis)} fields: {', '.join(map(str, xis))}")
@@ -89,11 +95,27 @@ class MatchingWitness:
         lines += [f"# delta = {self.delta}", f"# offset = {self.offset}",
                   f"# sup_displacement = {self.sup_displacement}", "y,lattice_point,displacement"]
         sa, sb, sd = _coordinates(self._spacing)
-        for k, y in enumerate(self.points, self.offset):
-            ya, yb, yd = _coordinates(y)
-            la, lb = k * sa, k * sb  # the lattice point (la + lb*xi)/sd
-            disp = coordinates_text(ya * sd - la * yd, yb * sd - lb * yd, yd * sd)
-            lines.append(f"{coordinates_text(ya, yb, yd)},{coordinates_text(la, lb, sd)},{disp}")
+        if all(type(y) is int for y in self.points):
+            for k, y in enumerate(self.points, self.offset):
+                la, lb = k * sa, k * sb  # the lattice point (la + lb*xi)/sd
+                na = y * sd - la  # the displacement (na - lb*xi)/sd
+                g = gcd(la, sd)  # = gcd(na, sd)
+                den = "" if g == sd else f"/{sd // g}"
+                lat, disp = f"{la // g}{den}", f"{na // g}{den}"
+                if lb:  # the text of |lb|/sd serves both; as coordinates_text, no "+" leads
+                    g = gcd(lb, sd)
+                    tb = f"{abs(lb) // g}*xi" if g == sd else f"{abs(lb) // g}/{sd // g}*xi"
+                    if lb > 0:
+                        lat, disp = f"{lat}+{tb}" if la else tb, f"{disp}-{tb}" if na else f"-{tb}"
+                    else:
+                        lat, disp = f"{lat}-{tb}" if la else f"-{tb}", f"{disp}+{tb}" if na else tb
+                lines.append(f"{y},{lat},{disp}")
+        else:
+            for k, y in enumerate(self.points, self.offset):
+                ya, yb, yd = _coordinates(y)
+                la, lb = k * sa, k * sb
+                disp = coordinates_text(ya * sd - la * yd, yb * sd - lb * yd, yd * sd)
+                lines.append(f"{coordinates_text(ya, yb, yd)},{coordinates_text(la, lb, sd)},{disp}")
         fp.write("\n".join(lines) + "\n")
 
     @classmethod

@@ -99,6 +99,13 @@ class Window:
     def single(cls, lo: XiReal, hi: XiReal) -> "Window":
         return cls([(lo, hi)])
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.intervals)
+
+    def __hash__(self) -> int:  # an lru_cache key, hashed once: numbers only, seed-free
+        return self._hash
+
     def __len__(self) -> int:
         return len(self.intervals)
 
@@ -204,6 +211,13 @@ class RotationSystem:
             raise ValueError("window does not live in the system's field")
         frac, _ = self.basepoint.fractional_part()
         object.__setattr__(self, "basepoint", frac)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.xi, self.basepoint, self.window, self.strict))
+
+    def __hash__(self) -> int:  # as Window's: once, over the fields __eq__ compares
+        return self._hash
 
     @cached_property
     def _scaled(self) -> _scaled.ScaledSystem:

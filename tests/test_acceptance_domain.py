@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from cutproject import acceptance, exactnum
 from cutproject.acceptance import (
     PatternSpec,
     acceptance_domain,
@@ -12,7 +13,7 @@ from cutproject.acceptance import (
     match_pattern,
     pattern_density,
 )
-from cutproject.exactnum import XiSpec, decompose_Z_plus_Zxi
+from cutproject.exactnum import XiSpec, decompose_Z_plus_Zxi, floor_key
 from cutproject.patterns import RotationSystem, Window, orbit_hits, parse_window, strip_points
 from oracles import chain_domain, search_provenance
 from test_threegap import FIELDS, NEGATIVE_XI, systems
@@ -246,3 +247,58 @@ def test_provenance_takes_the_least_shift_in_a_class():
     for e, (j, k) in zip(ends, dom.provenance):
         shifts = [decompose_Z_plus_Zxi(e - b)[0] for b in base]  # all four are congruent
         assert abs(k) == min(abs(s) for s in shifts) and shifts[j] == k
+
+
+@st.composite
+def pattern_runs(draw):
+    """2-5 distinct patterns over one pool of 1-6 offsets, so that they share offsets."""
+    pool = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=6, unique=True))
+    pick = st.lists(st.sampled_from(pool), max_size=4)
+    runs = []
+    for _ in range(draw(st.integers(2, 5))):
+        required = frozenset(draw(pick)) | {0}
+        runs.append(PatternSpec(required, frozenset(draw(pick)) - required))
+    return list(dict.fromkeys(runs))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(systems(FIELDS + [NEGATIVE_XI]), congruent_systems()), pattern_runs())
+def test_domains_from_cached_events_match_the_chain(system, runs):
+    """Patterns computed in turn on one system read the events of the offsets the
+    earlier ones met from the cache: each domain is still the chain of set operations
+    and each provenance the least shift, as in test_sweep_matches_chain_of_set_operations,
+    which sees mostly cold caches."""
+    hits = acceptance._offset_events.cache_info().hits
+    for pattern in runs:
+        dom = acceptance_domain.__wrapped__(system, pattern)  # past the domain cache
+        assert dom.window == chain_domain(system, pattern)
+        ends = dom.window.endpoints() if dom.window else ()
+        assert dom.provenance == tuple(search_provenance(system.window, e) for e in ends)
+    repeats = sum(len(p.offsets()) for p in runs) - len(frozenset().union(*(p.offsets() for p in runs)))
+    event(f"{repeats} offsets read from the cache")
+    if system.window:
+        assert acceptance._offset_events.cache_info().hits - hits >= repeats
+
+
+def test_events_of_an_offset_are_computed_once(monkeypatch):
+    """acceptance_domain takes an offset's events, and whether frac(o*xi) lies in the
+    window, from a cache keyed by (system, o): a second pattern over offsets already
+    seen makes no floor_key call."""
+    golden = FIELDS[0]
+    system = RotationSystem(golden, golden.real(Fraction(5, 97)), parse_window("[1/9, 2/3)", golden))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return floor_key(*args)
+
+    system._scaled  # scaled before counting: frac(xi) takes a floor
+    monkeypatch.setattr(acceptance, "floor_key", counted)
+    monkeypatch.setattr(exactnum, "floor_key", counted)  # the floor of frac(o*xi)
+    first = acceptance_domain(system, PatternSpec(frozenset({0, 3}), frozenset({-5})))
+    assert calls == 3 * 2 + 3  # two events and the floor of frac(o*xi) per offset
+    calls = 0
+    second = acceptance_domain(system, PatternSpec(frozenset({0, -5}), frozenset({3})))
+    assert calls == 0 and second != first
+    assert second.window == chain_domain(system, PatternSpec(frozenset({0, -5}), frozenset({3})))

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cutproject.bdmatch import (
@@ -312,12 +312,21 @@ def test_recompute_sup_is_the_largest_displacement(case, int_delta, use_int, off
     assert witness.recompute_sup() == max(abs(disp) for _, _, disp in witness.pairs())
 
 
+def spaced_witness(spacing, offset, pts):
+    """The witness of int points `pts` against the lattice of spacing 1/delta, at `offset`."""
+    witness = MatchingWitness(Fraction(1) / spacing, 0, 0, tuple(pts))
+    object.__setattr__(witness, "offset", offset)
+    object.__setattr__(witness, "sup_displacement", witness.recompute_sup())
+    return witness
+
+
 @st.composite
 def witness_cases(draw):
     """A witness of 2-9 increasing points mixing ints, Fractions and values
-    a + b*xi of one field, with an int, Fraction or surd delta and any offset."""
+    a + b*xi of one field, or of ints only (as a PointPattern holds), with an int,
+    Fraction or surd delta and any offset."""
     xi = draw(st.sampled_from(FIELDS))
-    value = st.one_of(
+    value = st.integers(-40, 40) if draw(st.booleans()) else st.one_of(
         st.integers(-40, 40), small_fractions, st.builds(xi.real, small_fractions, st.integers(-9, 9))
     )
     pts = sorted(set(draw(st.lists(value, min_size=2, max_size=9))))
@@ -327,6 +336,8 @@ def witness_cases(draw):
         st.integers(1, 4),
         st.builds(Fraction, st.integers(1, 39), st.integers(1, 10)),
         st.builds(lambda a, b: abs(xi.real(a, b)), small_fractions, st.integers(-5, 5).filter(bool)),
+        # 1/delta = b*xi: lattice points with no rational part
+        st.builds(lambda b: Fraction(1) / abs(xi.real(0, b)), st.integers(-5, 5).filter(bool)),
     ))
     witness = MatchingWitness(delta, 0, 0, tuple(pts))
     # set in place, as build_witness does: any offset, optimal or not
@@ -337,9 +348,17 @@ def witness_cases(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(witness_cases())
+# int points, rows from k = -3 up: k = 0 (lattice point 0), y*sd - la = 0 (y = k)
+@example(spaced_witness(SQRT2.real(1, 1), -3, [-3, -2, -1, 0, 1, 2, 5]))
+@example(spaced_witness(FIELDS[1].real(-1, 2), -2, [-7, -4, 0, 3, 11]))
+# 1/delta = 2*xi: la = 0 on every row; 1/delta = 3/2 in the field: k*sb = 0 on every row
+@example(spaced_witness(SQRT2.real(0, 2), -4, [-9, -6, -3, 0, 2, 5, 8]))
+@example(spaced_witness(FIELDS[2].real(Fraction(3, 2)), -2, [-3, -1, 0, 2, 3]))
 def test_csv_rows_spell_the_pairs(witness):
     """Each row, spelled from integer coordinates, is the text of the XiReal
-    arithmetic route (pairs()), and the CSV reads back to the witness."""
+    arithmetic route (pairs()), and the CSV reads back to the witness.  Int points
+    take their own loop, with rows where k = i + offset is 0 or negative, where the
+    lattice point's rational or xi-part is 0 and where the displacement's is."""
     buf = io.StringIO()
     witness.to_csv(buf)
     text = buf.getvalue()

@@ -1,12 +1,19 @@
 import io
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cutproject
+from cutproject.acceptance import PatternSpec, acceptance_domain
 from cutproject.discrepancy import profile
 from cutproject.exactnum import XiSpec
 from cutproject.patterns import (
@@ -223,6 +230,61 @@ def test_window_set_identities(case):
     assert w.intersect(v).contains(x) == (w.contains(x) and v.contains(x))
     assert w.complement().contains(x) == (not w.contains(x))
     assert w.shift_mod1(t).contains((x + t).fractional_part()[0]) == w.contains(x)
+
+
+def rebuilt(system):
+    """An equal system that shares no object with `system`: every value built again."""
+    xi = XiSpec(system.xi.p, system.xi.q, system.xi.d)
+
+    def again(u):
+        return xi.real(u.a, u.b)
+
+    window = Window([(again(lo), again(hi)) for lo, hi in system.window.intervals])
+    return RotationSystem(xi, again(system.basepoint), window, system.strict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda xi: st.tuples(windows(xi), surds(xi))), st.booleans())
+def test_cached_hashes_keep_the_hash_contract(case, strict):
+    """Window and RotationSystem hash once, into a cached_property: equal objects
+    built apart hash equal, the hash covers the fields __eq__ compares and does not
+    move once _scaled and _oren_ks are read, it survives a pickle round trip, and an
+    equal system object finds the domain acceptance_domain cached for the first."""
+    window, base = case
+    system = RotationSystem(base.xi, base, window, strict)
+    twin = rebuilt(system)
+    assert twin == system and twin is not system and twin.window is not window
+    assert hash(twin) == hash(system) == hash((system.xi, system.basepoint, window, strict))
+    assert hash(twin.window) == hash(window) == hash(window.intervals)
+    assert "_hash" in vars(system) and "_hash" in vars(window)  # the explicit __hash__ ran
+    before = hash(system)
+    system._scaled, system._oren_ks
+    assert hash(system) == before and hash(system.window) == hash(window)
+    for obj in (system, window):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and hash(copy) == hash(obj)
+    other = system.with_window(window, strict=not strict)
+    assert other != system and other.window == system.window
+    pattern = PatternSpec(frozenset({0, 1}), frozenset({-2}))
+    assert acceptance_domain(twin, pattern) is acceptance_domain(system, pattern)
+
+
+def test_pickled_hash_holds_under_another_hash_seed():
+    """The cached hashes are numeric, so PYTHONHASHSEED does not move them: the
+    hashes a system pickled here carries equal those of its fields recomputed in a
+    child process run under another seed."""
+    system = kesten_system()
+    hash(system), hash(system.window)
+    code = (
+        "import pickle, sys; s = pickle.loads(sys.stdin.buffer.read()); "
+        "assert s.__dict__['_hash'] == hash((s.xi, s.basepoint, s.window, s.strict)); "
+        "assert s.window.__dict__['_hash'] == hash(s.window.intervals)"
+    )
+    path = [str(Path(cutproject.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    seed = str(int(os.environ.get("PYTHONHASHSEED", "0") or 0) + 1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "PYTHONHASHSEED": seed}
+    subprocess.run([sys.executable, "-c", code], input=pickle.dumps(system), env=env,
+                   check=True, timeout=60)
 
 
 class TestOrbitHits:
