@@ -11,16 +11,21 @@ x = frac(b_j - o*xi) for each right endpoint b_j: 2L events per offset, an
 exact floor each on the system's scaled pairs.  They depend on the system and
 o only, so they are computed once per (system, offset), with whether frac(o*xi)
 lies in W, and cached (``_offset_events``): patterns of radius r on one system
-share the 2r + 1 offsets of [-r, r].  A left end counts +1 and
-a right end -1, on the required or on the forbidden counter.  Both start
-at x = 0 from whether frac(o*xi) lies in W, so events at 0 are skipped;
-x is in the domain iff the required counter is the number of required
-offsets and the forbidden one is 0.  As y_o(x) = a_j lies in [a_j, b_j)
+share the 2r + 1 offsets of [-r, r].  One counter c holds the number of
+offsets in the wrong state at x: the required ones with y_o(x) outside W and
+the forbidden ones with y_o(x) inside, so x is in the domain iff c = 0.  A left
+end (y_o enters W) takes 1 off c for a required o and adds 1 for a forbidden
+one, and a right end the reverse.  c starts at x = 0 from whether frac(o*xi)
+lies in W, so events at 0 are skipped.  As y_o(x) = a_j lies in [a_j, b_j)
 and y_o(x) = b_j does not, membership just right of an event equals that
 at it, once every event at that position is applied (a right and a left
-end may meet there).  The events are sorted once by their floor keys,
-with ``pair_sign`` only on equal keys (``exactnum.sort_pairs``), and the
-cuts are unscaled once, into one Window.
+end may meet there): c is read, and a cut taken, only at the last event at a
+position.  The events are sorted once by their floor keys, with ``pair_sign``
+only on equal keys (``exactnum.sort_pairs``), and the cuts are unscaled once,
+into one Window made with no check (``Window._sorted``): they increase, no two
+are equal (one per position, and the closing cut at 1 follows a frac < 1), they
+lie in [0, 1], and they bound a part of W (offset 0 is required), whose length
+is below 1, so ``Window.__init__`` could neither change nor refuse them.
 
 A cut x = frac(e_j - o*xi) has origin (j, -o); a cut at 0 or 1 is an
 endpoint of W (offset 0 is required), origin (j, 0).  If e_j' - e_j =
@@ -151,25 +156,31 @@ def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> Acceptanc
     w = system.window
     if not w:
         return AcceptanceDomain(w, ())
-    ss, need = system._scaled, len(pattern.required)
-    counts = [0, 0]  # required and forbidden offsets o with y_o(x) in W
+    ss = system._scaled
+    # c counts the offsets in the wrong state; step[o] is what y_o entering W adds to it
+    step = dict.fromkeys(pattern.required, -1) | dict.fromkeys(pattern.forbidden, 1)
+    c = len(pattern.required)
     events = []  # (key, x, j, o)
     for o in pattern.offsets():
         inside, evs = _offset_events(system, o)
-        counts[o in pattern.forbidden] += inside
+        c += step[o] if inside else 0
         events += evs
     events = sort_pairs(events, ss.d)
-    cuts = [((0, 0), 0, 0)] if counts == [need, 0] else []  # inside iff len(cuts) is odd
+    inside = c == 0  # x is in the domain; then len(cuts) is odd
+    cuts = [((0, 0), 0, 0)] if inside else []
+    last = len(events) - 1
     for i, (_, x, j, o) in enumerate(events):
-        counts[o in pattern.forbidden] += -1 if j % 2 else 1
-        last_at_x = i + 1 == len(events) or events[i + 1][1] != x
-        if last_at_x and (counts == [need, 0]) != len(cuts) % 2:
+        c += -step[o] if j % 2 else step[o]
+        if (c == 0) is not inside and (i == last or events[i + 1][1] != x):
             cuts.append((x, j, o))
-    if len(cuts) % 2:
+            inside = not inside
+    if inside:
         cuts.append(((ss.m, 0), 2 * len(ss.ivals) - 1, 0))
     shifts = _class_shifts(w)
     return AcceptanceDomain(
-        Window((ss.unscale(lo[0]), ss.unscale(hi[0])) for lo, hi in zip(cuts[::2], cuts[1::2])),
+        Window._sorted(
+            tuple((ss.unscale(lo[0]), ss.unscale(hi[0])) for lo, hi in zip(cuts[::2], cuts[1::2]))
+        ),
         tuple(min((abs(o + s), jj, -o - s) for jj, s in shifts[j])[1:] for _, j, o in cuts),
     )
 

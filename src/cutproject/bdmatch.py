@@ -15,16 +15,19 @@ from here.
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .exactnum import (Exact, XiMismatchError, XiReal, XiSpec, check_exact, coordinates_text,
-                       pair_sign, parse_xi, parse_xireal)
+                       floor_key, pair_sign, parse_xi, parse_xireal)
 from .patterns import PointPattern
 
 __all__ = ["EmptyPattern", "MatchingWitness", "build_witness", "optimality_check"]
@@ -50,10 +53,12 @@ class MatchingWitness:
     def __post_init__(self) -> None:
         check_exact("delta", self.delta, field=True)
         check_exact("offset", self.offset)
-        check_exact("a point", *self.points, field=True)
-        if len(self.points) < 2:
-            raise EmptyPattern(f"need at least 2 points, got {len(self.points)}")
-        if not all(u < v for u, v in zip(self.points, self.points[1:])):
+        pts = self.points
+        if not self._int_points:
+            check_exact("a point", *pts, field=True)
+        if len(pts) < 2:
+            raise EmptyPattern(f"need at least 2 points, got {len(pts)}")
+        if not all(map(operator.lt, pts, islice(pts, 1, None))):
             raise ValueError("points must be strictly increasing")
         if isinstance(self.delta, int):
             object.__setattr__(self, "delta", Fraction(self.delta))
@@ -61,6 +66,11 @@ class MatchingWitness:
             raise ValueError("delta must be positive")
         if isinstance(self.sup_displacement, (type(None), float, complex, str)):
             raise TypeError(f"sup_displacement must be exact, got {self.sup_displacement!r}")
+
+    @cached_property
+    def _int_points(self) -> bool:
+        """Whether every point is an int, as a ``PointPattern``'s are: one pass a witness."""
+        return set(map(type, self.points)) <= {int}
 
     @cached_property
     def _spacing(self) -> Exact:
@@ -77,7 +87,7 @@ class MatchingWitness:
 
     def recompute_sup(self) -> Exact:
         """max |displacement|: the displacements are (r_i - offset)/delta (build_witness)."""
-        r_lo, r_hi = _residue_extrema(self.points, self.delta)
+        r_lo, r_hi = _residue_extrema(self.points, self.delta, self._int_points)
         return max(r_hi - self.offset, self.offset - r_lo) / self.delta
 
     def to_csv(self, fp: IO[str]) -> None:
@@ -88,14 +98,16 @@ class MatchingWitness:
         lattice point is (la + lb*xi)/sd and the displacement (y*sd - la - lb*xi)/sd for
         la = k*sa and lb = k*sb, so they share gcd(la, sd) and, up to sign, the xi-part:
         two gcds a row, not five."""
-        xis = {v.xi for v in (self.delta, self.sup_displacement, *self.points) if isinstance(v, XiReal)}
+        ints = self._int_points
+        values = (self.delta, self.sup_displacement, *(() if ints else self.points))
+        xis = {v.xi for v in values if isinstance(v, XiReal)}
         if len(xis) > 1:
             raise XiMismatchError(f"witness values from {len(xis)} fields: {', '.join(map(str, xis))}")
         lines = [f"# xi = {xi}" for xi in xis]
         lines += [f"# delta = {self.delta}", f"# offset = {self.offset}",
                   f"# sup_displacement = {self.sup_displacement}", "y,lattice_point,displacement"]
         sa, sb, sd = _coordinates(self._spacing)
-        if all(type(y) is int for y in self.points):
+        if ints:
             for k, y in enumerate(self.points, self.offset):
                 la, lb = k * sa, k * sb  # the lattice point (la + lb*xi)/sd
                 na = y * sd - la  # the displacement (na - lb*xi)/sd
@@ -120,10 +132,11 @@ class MatchingWitness:
 
     @classmethod
     def from_csv(cls, fp: IO[str]) -> "MatchingWitness":
+        """The witness of a ``to_csv`` text, refused unless its sup recomputes.  A y column
+        of plain ints, as every ``PointPattern`` writes, is parsed by one ``int`` each."""
         header: dict[str, str] = {}
         ys: list[str] = []
-        for line in fp:
-            line = line.strip()
+        for line in map(str.strip, fp.readlines()):  # the lines iterating fp yields, in one call
             if not line or line == "y,lattice_point,displacement":
                 continue
             if line.startswith("#"):
@@ -134,18 +147,22 @@ class MatchingWitness:
         if not {"delta", "offset", "sup_displacement"} <= header.keys():
             raise ValueError("witness CSV is missing its header lines")
         xi = parse_xi(header["xi"]) if "xi" in header else None
-        witness = cls(
-            delta=_parse_exact(header["delta"], xi),
-            offset=int(header["offset"]),
-            sup_displacement=_parse_exact(header["sup_displacement"], xi),
-            points=tuple(_parse_exact(y, xi) for y in ys),
-        )
+        delta = _parse_exact(header["delta"], xi)
+        offset = int(header["offset"])
+        sup = _parse_exact(header["sup_displacement"], xi)
+        if _INT_ROWS_RE.fullmatch("\n".join(ys)):  # each y matches _INT_RE: no y holds a "\n"
+            points = tuple(map(int, ys))
+        else:
+            points = tuple(_parse_exact(y, xi) for y in ys)
+        witness = cls(delta, offset, sup, points)
         if witness.recompute_sup() != witness.sup_displacement:
             raise ValueError("witness CSV sup_displacement does not recompute")
         return witness
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
+_INT = r"[+-]?\d+"
+_INT_RE = re.compile(_INT)
+_INT_ROWS_RE = re.compile(rf"{_INT}(?:\n{_INT})*")
 
 
 def _parse_exact(text: str, xi: Optional[XiSpec]) -> Exact:
@@ -163,20 +180,40 @@ def _coordinates(v: Exact) -> tuple[int, int, int]:
     return v.coordinates() if isinstance(v, XiReal) else (v.numerator, 0, v.denominator)
 
 
-def _residue_extrema(points: tuple[Exact, ...], delta: Exact) -> tuple[Exact, Exact]:
-    """Exact (min, max) of r_i = y_i*delta - i over the sorted points."""
-    all_int = all(isinstance(y, int) for y in points)
+def _residue_extrema(
+    points: tuple[Exact, ...], delta: Exact, all_int: bool
+) -> tuple[Exact, Exact]:
+    """Exact (min, max) of r_i = y_i*delta - i over the sorted points; `all_int` if all are ints.
+
+    For int points and delta = (a + b*sqrt(d))/m the residues are ranked by integers.  With
+    A = floor(2^K*(a + b*sqrt(d))), one ``floor_key``, z_i = y_i*A - i*m*2^K equals
+    2^K*m*r_i - y_i*t for one t in [0, 1), and t = 0 if b = 0.  So z_i lies within |y_i| of
+    2^K*m*r_i, and z_i - z_j >= e = 2*max|y| + 2 implies r_i > r_j; if b = 0, e = 0 and
+    z_i >= z_j implies r_i >= r_j.  An extreme is settled by the z's alone when the top two
+    are at least e apart; else ``pair_sign`` settles it among the points whose z lies within
+    e of the top one, which hold every point that can be extreme.  K is 20 plus the bit
+    length of e, so residues more than 2^-19/m apart have z's at least e apart.
+    """
     if all_int and isinstance(delta, XiReal):
         a, b, m = delta.triple
         d = delta.xi.d
-        lo = hi = (points[0] * a, points[0] * b)
-        for i, y in enumerate(points[1:], 1):
-            cand = (y * a - i * m, y * b)
-            if pair_sign(cand[0] - hi[0], cand[1] - hi[1], d) > 0:
-                hi = cand
-            elif pair_sign(cand[0] - lo[0], cand[1] - lo[1], d) < 0:
-                lo = cand
-        return XiReal.from_triple(*lo, m, delta.xi), XiReal.from_triple(*hi, m, delta.xi)
+        e = 2 * max(-points[0], points[-1]) + 2 if b else 0
+        K = e.bit_length() + 20
+        A, step = floor_key(a << K, b << K, d), m << K
+        zs = [y * A - i * step for i, y in enumerate(points)]
+        ends = []
+        for sgn, (z1, z2) in ((-1, heapq.nsmallest(2, zs)), (1, heapq.nlargest(2, zs))):
+            if abs(z1 - z2) >= e:
+                i = zs.index(z1)
+            else:  # pair_sign on m*(r_j - r_i) among the points within e of z1
+                near = [j for j, z in enumerate(zs) if abs(z - z1) <= e]
+                i = near[0]
+                for j in near[1:]:
+                    dy = points[j] - points[i]
+                    if sgn * pair_sign(dy * a - (j - i) * m, dy * b, d) > 0:
+                        i = j
+            ends.append(XiReal.from_triple(points[i] * a - i * m, points[i] * b, m, delta.xi))
+        return tuple(ends)
     if all_int and isinstance(delta, (int, Fraction)):
         num, den = delta.numerator, delta.denominator
         cands = [y * num - i * den for i, y in enumerate(points)]
@@ -192,13 +229,12 @@ def build_witness(
 
     The displacement of point i is (r_i - offset)/delta with
     r_i = y_i*delta - i, so the optimal offset is an integer nearest to
-    (min r + max r)/2; both rounding candidates are compared exactly.
+    (min r + max r)/2, the lower on a tie: one exact ceiling of (min r + max r - 1)/2.
     """
     pts = points.points if isinstance(points, PointPattern) else tuple(points)
     witness = MatchingWitness(delta, 0, 0, pts)  # checks the points and delta, once
-    r_lo, r_hi = _residue_extrema(pts, witness.delta)
-    c0 = math.floor((r_lo + r_hi) / 2)
-    c = min((c0, c0 + 1), key=lambda o: max(r_hi - o, o - r_lo))  # c0 on a tie
+    r_lo, r_hi = _residue_extrema(pts, witness.delta, witness._int_points)
+    c = math.ceil((r_lo + r_hi - 1) / 2)
     # set in place on the new witness: replace() would check every point again
     object.__setattr__(witness, "offset", c)
     object.__setattr__(witness, "sup_displacement", max(r_hi - c, c - r_lo) / witness.delta)

@@ -31,7 +31,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, total_ordering
+from functools import cmp_to_key, lru_cache, total_ordering
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Optional, Union
@@ -507,6 +507,7 @@ def _scan_terms(text: str, term_re: re.Pattern) -> list[tuple[int, re.Match]]:
     return out
 
 
+@lru_cache(maxsize=64)  # XiSpec is frozen: one parse per text, as each witness CSV header repeats it
 def parse_xi(text: str) -> XiSpec:
     """Parse an xi description such as `sqrt(2)` or `1/2+1/2*sqrt(5)`."""
     s = text.strip()

@@ -99,6 +99,16 @@ class Window:
     def single(cls, lo: XiReal, hi: XiReal) -> "Window":
         return cls([(lo, hi)])
 
+    @classmethod
+    def _sorted(cls, intervals: tuple[tuple[XiReal, XiReal], ...]) -> "Window":
+        """A window of increasing, pairwise distinct endpoints in [0, 1], of one field and
+        total length < 1, set without the checks of ``__init__``, which could neither
+        change nor refuse it: ``acceptance_domain``'s output is such by construction, and
+        a tier-1 property (tests/test_acceptance_domain.py) holds it to the checks."""
+        window = object.__new__(cls)
+        object.__setattr__(window, "intervals", intervals)
+        return window
+
     @cached_property
     def _hash(self) -> int:
         return hash(self.intervals)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import mpmath
 
-from cutproject.exactnum import XiReal, XiSpec
+from cutproject.exactnum import XiReal, XiSpec, pair_sign
 
 DPS = 60
 
@@ -313,3 +313,18 @@ def search_provenance(base, endpoint) -> tuple[int, int]:
     assert found, f"{endpoint} is congruent to no window endpoint"
     _, j, k = min(found)
     return j, k
+
+
+def sign_residue_extrema(points, delta: XiReal) -> tuple[XiReal, XiReal]:
+    """(min, max) of r_i = y_i*delta - i for int points, by one ``pair_sign`` per comparison
+    against the running extremes: how ``bdmatch`` ranked the residues before floor keys."""
+    a, b, m = delta.triple
+    d = delta.xi.d
+    lo = hi = (points[0] * a, points[0] * b)
+    for i, y in enumerate(points[1:], 1):
+        cand = (y * a - i * m, y * b)
+        if pair_sign(cand[0] - hi[0], cand[1] - hi[1], d) > 0:
+            hi = cand
+        elif pair_sign(cand[0] - lo[0], cand[1] - lo[1], d) < 0:
+            lo = cand
+    return XiReal.from_triple(*lo, m, delta.xi), XiReal.from_triple(*hi, m, delta.xi)

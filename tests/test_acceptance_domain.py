@@ -302,3 +302,27 @@ def test_events_of_an_offset_are_computed_once(monkeypatch):
     second = acceptance_domain(system, PatternSpec(frozenset({0, -5}), frozenset({3})))
     assert calls == 0 and second != first
     assert second.window == chain_domain(system, PatternSpec(frozenset({0, -5}), frozenset({3})))
+
+
+@st.composite
+def forbidding_patterns(draw):
+    """The anchor, up to 2 more required offsets near it and up to 6 forbidden ones."""
+    required = frozenset(draw(st.lists(st.integers(-8, 8), max_size=2))) | {0}
+    forbidden = frozenset(draw(st.lists(st.integers(-16, 16), min_size=2, max_size=6))) - required
+    return PatternSpec(required, forbidden)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(systems(FIELDS + [NEGATIVE_XI]), congruent_systems()),
+       st.one_of(forbidding_patterns(), patterns()))
+@example(kesten_system(), PatternSpec(frozenset({0, 1})))  # empty
+@example(kesten_system(), PatternSpec(frozenset({0}), frozenset({-3, -1, 2})))  # [0, 3 - 2*sqrt2)
+@example(one_class_system(), PatternSpec(frozenset({0, 1}), frozenset({-2, 3})))
+def test_unchecked_domain_window_passes_the_checks(system, pattern):
+    """acceptance_domain builds its window with Window._sorted, past the checks of
+    Window.__init__: the checked constructor takes the same intervals unchanged, and the
+    window is the chain of set operations."""
+    window = acceptance_domain.__wrapped__(system, pattern).window
+    event("empty" if not window else "cut at 0" if not window.intervals[0][0] else "nonempty")
+    assert Window(window.intervals).intervals == window.intervals
+    assert window == chain_domain(system, pattern)

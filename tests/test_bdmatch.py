@@ -7,15 +7,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cutproject import bdmatch
 from cutproject.bdmatch import (
     EmptyPattern,
     MatchingWitness,
+    _parse_exact,
+    _residue_extrema,
     build_witness,
     optimality_check,
 )
 from cutproject.discrepancy import profile
-from cutproject.exactnum import XiMismatchError, XiReal, XiSpec
+from cutproject.exactnum import XiMismatchError, XiReal, XiSpec, pair_sign, parse_xi
 from cutproject.patterns import RotationSystem, Window, orbit_hits
+from oracles import sign_residue_extrema
 
 SQRT2 = XiSpec.sqrt(2)
 FIELDS = [SQRT2, XiSpec(Fraction(1, 2), Fraction(1, 2), 5), XiSpec(-2, 1, 2)]
@@ -38,6 +42,12 @@ class TestBuildWitness:
         assert witness.offset == 0
         assert witness.sup_displacement == Fraction(3, 10)
         assert witness.recompute_sup() == Fraction(3, 10)
+
+    @pytest.mark.parametrize("delta", [Fraction(2, 3), SQRT2.real(Fraction(2, 3))])
+    def test_offset_takes_the_lower_on_a_tie(self, delta):
+        # r = 0 and 1: the offsets 0 and 1 both give sup 1/delta = 3/2
+        witness = build_witness([0, 3], delta)
+        assert witness.offset == 0 and witness.sup_displacement == Fraction(3, 2)
 
     def test_lattice_pairs_are_consecutive_and_monotone(self):
         witness = build_witness([0, 3, 5, 8, 10], SQRT2.real(-1, 1))
@@ -367,3 +377,142 @@ def test_csv_rows_spell_the_pairs(witness):
     values = (witness.delta, witness.sup_displacement, *witness.points)
     assert header.startswith("# xi = ") == any(isinstance(v, XiReal) for v in values)
     assert MatchingWitness.from_csv(io.StringIO(text)) == witness
+
+
+def near_third(d: int, n: int) -> tuple[int, int]:
+    """(a, b) with a + b*sqrt(d) within 1/(3N) of 1/3, on either side, for N + v*sqrt(9d) the
+    n-th power of the least solution of N^2 - 9*d*v^2 = 1: N - 3*v*sqrt(d) = 1/(N + 3*v*sqrt(d))."""
+    v1 = next(v for v in range(1, 10**4) if math.isqrt(9 * d * v * v + 1) ** 2 == 9 * d * v * v + 1)
+    n1 = math.isqrt(9 * d * v1 * v1 + 1)
+    N, v = 1, 0
+    for _ in range(n):
+        N, v = N * n1 + 9 * d * v * v1, N * v1 + v * n1
+    return ((1 - N) // 3, v) if N % 3 == 1 else ((N + 1) // 3, -v)
+
+
+@st.composite
+def residue_cases(draw):
+    """Sorted int points, negative ones too, and a delta = (a + b*sqrt(d))/m with b of
+    either sign or 0.  Half have a, b and m up to 2^130; half have m*delta within about
+    2^-12 to 2^-230 of 1/3 and points 3m apart, whose residues then differ only by that
+    distance times their y: the floor keys of the near-ties cannot rank them."""
+    xi = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        big = st.integers(-2**130, 2**130)
+        delta = XiReal.from_triple(draw(big), draw(big), draw(st.integers(1, 2**130)), xi)
+        pts = sorted(set(draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40))))
+    else:
+        m = draw(st.integers(1, 3))
+        delta = XiReal.from_triple(*near_third(xi.d, draw(st.integers(2, 14))), m, xi)
+        y0 = draw(st.integers(-40, 10))
+        ts = sorted(set(draw(st.lists(st.integers(0, 12), min_size=2, max_size=12))))
+        pts = [y0 + 3 * m * t for t in ts]
+    if len(pts) < 2:
+        pts.append(pts[0] + 1)
+    return tuple(pts), delta
+
+
+# m*delta = 1/3 + tau, 0 < tau < 10^-13 (near_third(d, 9)), and points 3m apart: the residues
+# tie but for tau*y, and 2^K*m*delta lies near 1/3 or 2/3 modulo 1, so the z's rank them
+# against their order, the two ends of a run of ties further apart than half of e: pair_sign
+# must settle both extremes, over every point within e of the top z
+FALLBACK_CASES = [
+    (pts, XiReal.from_triple(*near_third(xi.d, 9), m, xi))
+    for xi in (SQRT2, FIELDS[1])
+    for pts, m in (((-6, 0, 6), 2), ((-6, -3, 0, 3, 6), 1), ((-3, 3), 2))
+]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(residue_cases())
+@example(FALLBACK_CASES[0])
+@example(FALLBACK_CASES[1])
+@example(FALLBACK_CASES[2])
+@example(FALLBACK_CASES[3])
+@example(FALLBACK_CASES[4])
+@example(FALLBACK_CASES[5])
+@example(((0, 2, 3, 4, 6), XiReal.from_triple(1, 0, 2, SQRT2)))  # b = 0: exact ties at both ends
+def test_residue_extrema_match_the_sign_loop(case):
+    """The extremes ranked by one floor key, with pair_sign only among the points whose z
+    lies within e of the top one, are those of a pair_sign test against every point."""
+    pts, delta = case
+    assert _residue_extrema(pts, delta, True) == sign_residue_extrema(pts, delta)
+
+
+@pytest.mark.parametrize("pts, delta", FALLBACK_CASES)
+def test_near_tied_residues_reach_the_exact_fallback(monkeypatch, pts, delta):
+    """The near-tie examples above need pair_sign: their floor keys alone cannot settle
+    the extremes."""
+    calls = []
+    monkeypatch.setattr(bdmatch, "pair_sign", lambda *a: calls.append(a) or pair_sign(*a))
+    assert _residue_extrema(pts, delta, True) == sign_residue_extrema(pts, delta)
+    assert len(calls) >= 2  # one settling at least, at each end
+
+
+def parse_by_lines(text: str) -> MatchingWitness:
+    """A witness CSV read line by line and parsed value by value, as from_csv did before
+    it read its int column in one pass."""
+    header, ys = {}, []
+    for line in io.StringIO(text):
+        line = line.strip()
+        if not line or line == "y,lattice_point,displacement":
+            continue
+        if line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            header[key.strip()] = val.strip()
+        else:
+            ys.append(line.split(",", 1)[0])
+    if not {"delta", "offset", "sup_displacement"} <= header.keys():
+        raise ValueError("witness CSV is missing its header lines")
+    xi = parse_xi(header["xi"]) if "xi" in header else None
+    witness = MatchingWitness(
+        delta=_parse_exact(header["delta"], xi),
+        offset=int(header["offset"]),
+        sup_displacement=_parse_exact(header["sup_displacement"], xi),
+        points=tuple(_parse_exact(y, xi) for y in ys),
+    )
+    if witness.recompute_sup() != witness.sup_displacement:
+        raise ValueError("witness CSV sup_displacement does not recompute")
+    return witness
+
+
+HEAD = "# delta = 1/2\n# offset = 0\n# sup_displacement = 3\ny,lattice_point,displacement\n"
+CSV_ACCEPTED = {
+    "signed ints": HEAD + "-3,0,0\n+2,0,0\n5,0,0\n+9,0,0\n",
+    "a y with a space": HEAD + "-3,0,0\n2 ,0,0\n5,0,0\n9,0,0\n",  # "2 " is Fraction(2)
+    "blank lines, indented headers": "\n  # delta = 1/2\n\t# offset = 0\n\n   #sup_displacement=3\n"
+    "y,lattice_point,displacement\n\n-3,0,0\n  2,0,0\n\n5,0,0\n9,0,0\n\n",
+    "fractions": "# delta = 1/2\n# offset = 0\n# sup_displacement = 7/3\n-7/3,0,0\n1/2,0,0\n4,0,0\n13/2,0,0\n",
+    "xi values": "# xi = sqrt(2)\n# delta = -1+1*xi\n# offset = 0\n# sup_displacement = 1\n"
+    "y,lattice_point,displacement\n0,0,0\n1+1*xi,1+1*xi,0\n3+2*xi,2+2*xi,1\n",
+}
+CSV_REFUSED = {
+    "unsorted points": (HEAD + "-3,0,0\n5,0,0\n2,0,0\n9,0,0\n", ValueError),
+    "missing header": (HEAD.replace("# offset = 0\n", "") + "-3,0,0\n2,0,0\n5,0,0\n9,0,0\n", ValueError),
+    "bad number": (HEAD + "-3,0,0\n2.5.1,0,0\n5,0,0\n9,0,0\n", ValueError),
+    "spaced digits": (HEAD + "-3,0,0\n2 1,0,0\n5,0,0\n9,0,0\n", ValueError),
+    "zero denominator": (HEAD + "-3,0,0\n2/0,0,0\n5,0,0\n9,0,0\n", ZeroDivisionError),
+}
+
+
+@pytest.mark.parametrize("text", CSV_ACCEPTED.values(), ids=CSV_ACCEPTED.keys())
+def test_from_csv_reads_as_line_by_line(text):
+    """from_csv, which parses a y column of ints in one pass, gives the witness, and the
+    types of its values, that a parse line by line and value by value gives."""
+    got, want = MatchingWitness.from_csv(io.StringIO(text)), parse_by_lines(text)
+    assert got == want
+    values = lambda w: (w.delta, w.offset, w.sup_displacement, *w.points)
+    assert list(map(type, values(got))) == list(map(type, values(want)))
+
+
+def test_from_csv_keeps_a_y_with_a_space_a_fraction():
+    points = MatchingWitness.from_csv(io.StringIO(CSV_ACCEPTED["a y with a space"])).points
+    assert points == (-3, 2, 5, 9) and list(map(type, points)) == [int, Fraction, int, int]
+
+
+@pytest.mark.parametrize("text, error", CSV_REFUSED.values(), ids=CSV_REFUSED.keys())
+def test_from_csv_refuses_as_line_by_line(text, error):
+    for parse in (parse_by_lines, lambda t: MatchingWitness.from_csv(io.StringIO(t))):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert type(info.value) is error
