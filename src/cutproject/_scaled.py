@@ -20,7 +20,9 @@ record of v = frac(y_k - lo) (the orbit closer to lo from the right than
 ever before) below l, read off the Euclid walk over the shrinking records
 (``_records``, below): as xi has bounded partial quotients, it takes
 O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).  Its runs
-depend on xi alone: they are computed once and shared (``_walk``).
+depend on xi alone: they are computed once and shared, each with its
+number of steps, and a walk stops inside a run at one sign test where the
+run has one step, else one exact floor (``_walk``).
 
 Long ranges copy hits forward by blocks (``collect_hits``).  For a walk
 time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
@@ -271,7 +273,8 @@ def _orbit_index(ss: ScaledSystem, pair: Pair) -> Optional[int]:
 
 
 Gaps = tuple[int, Pair, int, Pair]  # (a, alpha, b, beta)
-Run = tuple[int, Pair, int, Pair, bool]  # the gaps at a run's start, and alpha > beta
+# the gaps at a run's start, alpha > beta, and its quotient floor(big/small): its number of steps
+Run = tuple[int, Pair, int, Pair, bool, int]
 
 
 @lru_cache(maxsize=1024)
@@ -291,28 +294,35 @@ def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> Gaps:
 @lru_cache(maxsize=256)
 def _runs(d: int, m: int, step: Pair) -> list[Run]:
     """The first run of the walk of frac(xi); ``_walk`` adds the later ones as it needs them."""
-    return [(1, step, 1, (m - step[0], -step[1]), pair_sign(2 * step[0] - m, 2 * step[1], d) > 0)]
+    beta = (m - step[0], -step[1])
+    left = pair_sign(2 * step[0] - m, 2 * step[1], d) > 0
+    big, small = (step, beta) if left else (beta, step)
+    return [(1, step, 1, beta, left, _floor_ratio(d, big, small))]
 
 
 def _walk(d: int, runs: list[Run], ell: Pair, i: int) -> tuple[int, Gaps]:
     """(j, gaps): the first state of the subtractive Euclid walk with alpha, beta < ell,
     from run i of ``runs`` on.  A step subtracts the smaller value from the larger and
-    adds the two times; run j takes the larger, v_j, down by v_{j+1} to v_j mod v_{j+1}.
-    The states do not depend on ell: the walk stops in the run with v_{j+1} < ell <= v_j,
-    at one exact floor.  Each run is computed once per (d, m, step) and stored
+    adds the two times; run j takes the larger, v_j, down by v_{j+1} to v_j mod v_{j+1}
+    in q_j = floor(v_j / v_{j+1}) steps.  The states do not depend on ell: the walk stops
+    in the run with v_{j+1} < ell <= v_j, after floor((v_j - ell) / v_{j+1}) + 1 steps,
+    at one sign test where the run has one step (then v_j - ell < v_{j+1}), else one
+    exact floor.  Each run is computed once per (d, m, step), with its q_j, and stored
     idempotently, so threads that extend one list add it once."""
     while True:
-        a, alpha, b, beta, left = runs[i]
+        a, alpha, b, beta, left, q = runs[i]
         big, small = (alpha, beta) if left else (beta, alpha)
         if pair_sign(small[0] - ell[0], small[1] - ell[1], d) < 0:
             break
         if i + 1 == len(runs):
-            t = _floor_ratio(d, big, small)
-            rest = (big[0] - t * small[0], big[1] - t * small[1])
-            nxt = (a + t * b, rest, b, beta, False) if left else (a, alpha, b + t * a, rest, True)
-            runs[i + 1:i + 2] = [nxt]
+            rest = (big[0] - q * small[0], big[1] - q * small[1])
+            nxt = (a + q * b, rest, b, beta, False) if left else (a, alpha, b + q * a, rest, True)
+            runs[i + 1:i + 2] = [(*nxt, _floor_ratio(d, small, rest))]  # its q: small over rest
         i += 1
-    t = _floor_ratio(d, (big[0] - ell[0], big[1] - ell[1]), small) + 1
+    if q == 1 and pair_sign(big[0] - ell[0], big[1] - ell[1], d) >= 0:  # ell <= big: one step
+        t = 1
+    else:
+        t = _floor_ratio(d, (big[0] - ell[0], big[1] - ell[1]), small) + 1
     rest = (big[0] - t * small[0], big[1] - t * small[1])
     return i, ((a + t * b, rest, b, beta) if left else (a, alpha, b + t * a, rest))
 
@@ -637,17 +647,14 @@ def table_rows(
     m = ss.m
     la, lb = ss.length
 
-    def sign(a: int, b: int) -> int:
-        return pair_sign(a, b, d)
-
     def mul(s: Summary, t: Summary) -> Summary:
         h, k, hh, hk, lh, lk = s
         th, tk, thh, thk, tlh, tlk = t
         ch, ck = h + thh, k + thk  # max(hi, s + hi'): the sign of (ch - ck*len) - (hh - hk*len)
-        if sign((ch - hh) * m - (ck - hk) * la, (hk - ck) * lb) > 0:
+        if pair_sign((ch - hh) * m - (ck - hk) * la, (hk - ck) * lb, d) > 0:
             hh, hk = ch, ck
         ch, ck = h + tlh, k + tlk
-        if sign((ch - lh) * m - (ck - lk) * la, (lk - ck) * lb) < 0:
+        if pair_sign((ch - lh) * m - (ck - lk) * la, (lk - ck) * lb, d) < 0:
             lh, lk = ch, ck
         return h + th, k + tk, hh, hk, lh, lk
 
@@ -664,7 +671,7 @@ def table_rows(
     levels = _levels(d, m, ss.step, ss.ivals)
     if not levels:
         ends = {e if e != (m, 0) else (0, 0) for iv in ss.ivals for e in (iv[:2], iv[2:])}
-        signed = {e if sign(e[0] - sa, e[1] - sb) < 0 else (e[0] - m, e[1]) for e in ends}
+        signed = {e if pair_sign(e[0] - sa, e[1] - sb, d) < 0 else (e[0] - m, e[1]) for e in ends}
         cuts = keyed({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
         # one step from the circle point of each cut
         vals = [(int(ss.contains(*(c if k >= 0 else (c[0] + m, c[1])))), 1) * 3 for k, c in cuts]
@@ -675,7 +682,7 @@ def table_rows(
             break
         a, al, b, be, cuts, vals, keys, _, _ = levels[top]
         p = (al[0] - be[0], al[1] - be[1])
-        left = sign(*p) > 0
+        left = pair_sign(*p, d) > 0
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
             nxt = (a + b, p, b, be)
             shift = al
@@ -685,8 +692,8 @@ def table_rows(
         if min(nxt[0], nxt[2]) > records[-1] + 1:
             break
         # a cut of J outside J', on the far side of alpha - beta, comes back as its preimage
-        pts = {(c[0] - shift[0], c[1] - shift[1]) if (sign(c[0] - p[0], c[1] - p[1]) >= 0) == left
-               else c for c in cuts}
+        pts = {(c[0] - shift[0], c[1] - shift[1])
+               if (pair_sign(c[0] - p[0], c[1] - p[1], d) >= 0) == left else c for c in cuts}
         new_cuts = keyed(pts | {(-nxt[3][0], -nxt[3][1]), (0, 0)})
         new_vals = []
         for k, c in new_cuts:
@@ -697,7 +704,7 @@ def table_rows(
             new_vals.append(v)
         levels[top + 1:top + 2] = [level(*nxt, new_cuts, new_vals)]
 
-    x = ss.base if sign(ss.base[0] - sa, ss.base[1] - sb) < 0 else (ss.base[0] - m, ss.base[1])
+    x = ss.base if pair_sign(ss.base[0] - sa, ss.base[1] - sb, d) < 0 else (ss.base[0] - m, ss.base[1])
     kx = floor_key(*x, d)  # x's key, carried from step to step
     neg = kx < 0
     acc: Optional[Summary] = None
@@ -711,8 +718,9 @@ def table_rows(
         while n:
             if i < top:  # up while x lies in the next J = [-beta, alpha) and its block fits
                 a, al, b, be, _, _, _, ka, kb = levels[i + 1]
-                if (a if neg else b) <= n and (kb < kx or kb == kx and sign(x[0] + be[0], x[1] + be[1]) >= 0) and (
-                        kx < ka or kx == ka and sign(x[0] - al[0], x[1] - al[1]) < 0):
+                if (a if neg else b) <= n and (
+                        kb < kx or kb == kx and pair_sign(x[0] + be[0], x[1] + be[1], d) >= 0) and (
+                        kx < ka or kx == ka and pair_sign(x[0] - al[0], x[1] - al[1], d) < 0):
                     i += 1
                     continue
             a, al, b, be, cuts, vals, keys, _, _ = levels[i]
@@ -729,7 +737,7 @@ def table_rows(
         h, k, hh, hk, lh, lk = acc  # k = rec + 1 steps, so D(rec) = h - rec*len
         up = (hh * m - (hk - 1) * la, (1 - hk) * lb)  # max D
         down = ((lk - 1) * la - lh * m, (lk - 1) * lb)  # -min D
-        sup = up if sign(up[0] - down[0], up[1] - down[1]) >= 0 else down
+        sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
         if sup != last:
             last, sup_x = sup, ss.unscale(sup)
         rows.append((rec, ss.unscale((h * m - rec * la, -rec * lb)), sup_x))

@@ -31,7 +31,7 @@ from typing import IO, Optional, Sequence, Union
 
 from . import _scaled
 from .acceptance import PatternSpec, acceptance_domain, pattern_density
-from .exactnum import Exact, XiReal, check_exact, check_int
+from .exactnum import Exact, XiReal, check_exact, check_int, coordinates_text, decimal_text
 from .patterns import PointPattern, RotationSystem
 
 __all__ = [
@@ -107,18 +107,25 @@ class DiscrepancyProfile:
         return "inconclusive"
 
     def to_csv(self, fp: IO[str]) -> None:
-        fp.write(f"# xi = {self.system.xi}\n")
-        fp.write(f"# basepoint = {self.system.basepoint}\n")
-        fp.write(f"# window = {self.system.window}\n")
-        fp.write(f"# n_max = {self.n_max}\n")
-        fp.write("N,D_signed,absD,decade_max,D_signed_exact,decade_max_exact\n")
+        """Write the header and one row per sample in one ``write``: each value spelled
+        from its triple and coordinates as ``XiReal.decimal(30)`` and ``str`` do."""
+        system = self.system
+        d, scale = system.xi.d, 10**30
+        lines = [
+            f"# xi = {system.xi}\n# basepoint = {system.basepoint}\n# window = {system.window}\n"
+            f"# n_max = {self.n_max}\nN,D_signed,absD,decade_max,D_signed_exact,decade_max_exact\n"
+        ]
         sup = None
         for s in self.samples:
             if s.running_sup != sup:  # the running sup changes on few rows: spell it once
                 sup = s.running_sup
-                sup_dec, sup_str = sup.decimal(30), str(sup)
-            dec = s.value.decimal(30)  # truncated toward zero, so |D| only drops the '-'
-            fp.write(f"{s.n},{dec},{dec.lstrip('-')},{sup_dec},{s.value},{sup_str}\n")
+                sup_dec = decimal_text(*sup.triple, d, 30, scale)
+                sup_str = coordinates_text(*sup.coordinates())
+            v = s.value
+            dec = decimal_text(*v.triple, d, 30, scale)  # truncated toward zero: |D| drops the '-'
+            v_str = coordinates_text(*v.coordinates())
+            lines.append(f"{s.n},{dec},{dec.lstrip('-')},{sup_dec},{v_str},{sup_str}\n")
+        fp.write("".join(lines))
 
 
 def _is_pow10(n: int) -> bool:

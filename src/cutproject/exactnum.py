@@ -21,7 +21,8 @@ equal keys (``sort_pairs``, ``rank_pair``).  ``coordinates`` reads a
 value over the basis (1, xi), for ``a``, ``b``, ``coordinates_text`` (the
 one spelling of ``str``, for values and witness rows: one gcd per
 coefficient, no ``Fraction``) and ``lattice_split``, whose residue names
-the value's class modulo Z + Z*xi.
+the value's class modulo Z + Z*xi.  ``decimal_text`` is the one decimal
+spelling, of ``XiReal.decimal`` and of profile CSV rows, from the triple.
 """
 
 from __future__ import annotations
@@ -409,13 +410,7 @@ class XiReal:
             raise ValueError("digits must be >= 0")
         if 0 < sys.get_int_max_str_digits() <= digits:  # else a huge isqrt, then a failing str
             raise ValueError(f"digits must be below sys.get_int_max_str_digits(), got {digits}")
-        A, B, D = self._A * 10**digits, self._B * 10**digits, self._D
-        scaled = floor_pair(A, B, D, self._xi.d)  # its sign is the value's
-        if neg := scaled < 0:  # truncate toward zero: the floor plus 1, unless the value is exact
-            scaled = -scaled if not B and A % D == 0 else -scaled - 1
-        s = str(scaled).rjust(digits + 1, "0")
-        out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
-        return "-" + out if neg else out
+        return decimal_text(self._A, self._B, self._D, self._xi.d, digits, 10**digits)
 
     def __float__(self) -> float:
         """The value within 1 ulp, from an exact floor of value * 2^s."""
@@ -431,6 +426,19 @@ class XiReal:
 
     def __repr__(self) -> str:
         return f"XiReal({self}, xi={self.xi})"
+
+
+def decimal_text(A: int, B: int, D: int, d: int, digits: int, scale: int) -> str:
+    """The decimal of (A + B*sqrt(d)) / D, D > 0, truncated toward zero after `digits`
+    places, with scale = 10**digits: ``XiReal.decimal`` less its checks of `digits`, which
+    the caller makes."""
+    A, B = A * scale, B * scale
+    scaled = floor_key(A, B, d) // D  # its sign is the value's
+    if neg := scaled < 0:  # truncate toward zero: the floor plus 1, unless the value is exact
+        scaled = -scaled if not B and A % D == 0 else -scaled - 1
+    s = str(scaled).rjust(digits + 1, "0")
+    out = f"{s[:-digits]}.{s[-digits:]}" if digits else s
+    return "-" + out if neg else out
 
 
 def coordinates_text(na: int, nb: int, den: int) -> str:

@@ -328,3 +328,33 @@ def sign_residue_extrema(points, delta: XiReal) -> tuple[XiReal, XiReal]:
         elif pair_sign(cand[0] - lo[0], cand[1] - lo[1], d) < 0:
             lo = cand
     return XiReal.from_triple(*lo, m, delta.xi), XiReal.from_triple(*hi, m, delta.xi)
+
+
+def walk_first_run(d: int, m: int, step) -> list:
+    """The first run (a, alpha, b, beta, alpha > beta) of the walk of frac(xi), step its
+    radical pair scaled by m: a run as ``_scaled`` kept it before it kept its quotient."""
+    return [(1, step, 1, (m - step[0], -step[1]), pair_sign(2 * step[0] - m, 2 * step[1], d) > 0)]
+
+
+def floor_ratio(d: int, x, y) -> int:
+    """floor(x / y) for radical pairs over sqrt(d), y nonzero, by ``XiReal`` division."""
+    root = XiSpec.sqrt(d)
+    return (XiReal.from_triple(*x, 1, root) / XiReal.from_triple(*y, 1, root)).floor()
+
+
+def walk_floor_every_time(d: int, runs: list, ell, i: int):
+    """``_scaled._walk`` as it was before runs kept their quotients: an exact floor for each
+    run it adds (appended to `runs`, from ``walk_first_run``) and one at every stop."""
+    while True:
+        a, alpha, b, beta, left = runs[i]
+        big, small = (alpha, beta) if left else (beta, alpha)
+        if pair_sign(small[0] - ell[0], small[1] - ell[1], d) < 0:
+            break
+        if i + 1 == len(runs):
+            t = floor_ratio(d, big, small)
+            rest = (big[0] - t * small[0], big[1] - t * small[1])
+            runs.append((a + t * b, rest, b, beta, False) if left else (a, alpha, b + t * a, rest, True))
+        i += 1
+    t = floor_ratio(d, (big[0] - ell[0], big[1] - ell[1]), small) + 1
+    rest = (big[0] - t * small[0], big[1] - t * small[1])
+    return i, ((a + t * b, rest, b, beta) if left else (a, alpha, b + t * a, rest))

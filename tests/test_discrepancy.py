@@ -209,14 +209,24 @@ class TestProfile:
     def test_csv_text_spells_every_row(self):
         """to_csv against a reference spelled row by row, on a real profile whose running
         sup repeats and on sups A, A', B, A with A' == A a distinct object."""
-        real = profile(half_system(), 10**4, trace_limit=64)
+        self.assert_csv_spells_every_row(SQRT2)
+
+    def test_csv_text_spells_every_row_with_q_negative(self):
+        """The same on xi = (1 - sqrt 5)/2, whose q < 0 takes the other branch of
+        ``XiReal.coordinates``."""
+        self.assert_csv_spells_every_row(XiSpec(Fraction(1, 2), Fraction(-1, 2), 5))
+
+    @staticmethod
+    def assert_csv_spells_every_row(xi):
+        half = RotationSystem(xi, xi.zero, Window.single(xi.zero, xi.real(Fraction(1, 2))))
+        real = profile(half, 10**4, trace_limit=64)
         sups = [s.running_sup for s in real.samples]
         assert len(set(sups)) < len(sups)
-        a, a2, b = SQRT2.real(Fraction(3, 2), -1), SQRT2.real(Fraction(3, 2), -1), SQRT2.real(2)
+        a, a2, b = xi.real(Fraction(3, 2), -1), xi.real(Fraction(3, 2), -1), xi.real(2)
         assert a == a2 and a is not a2
-        values = [SQRT2.real(Fraction(-1, 3), 1), SQRT2.real(Fraction(1, 5)), SQRT2.real(-2, 1), a]
+        values = [xi.real(Fraction(-1, 3), 1), xi.real(Fraction(1, 5)), xi.real(-2, 1), a]
         samples = tuple(map(ProfileSample, (0, 100, 101, 999), values, (a, a2, b, a)))
-        made = DiscrepancyProfile(kesten_system(), 999, samples, ((100, a2), (999, a)), a)
+        made = DiscrepancyProfile(half, 999, samples, ((100, a2), (999, a)), a)
         for p in (real, made):
             buf = io.StringIO()
             p.to_csv(buf)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cutproject import exactnum
 from cutproject.exactnum import (
     XiMismatchError,
     XiReal,
     XiSpec,
+    decimal_text,
     decompose_Z_plus_Zxi,
     floor_key,
     floor_pair,
@@ -426,6 +428,44 @@ class TestRendering:
             with pytest.raises(ValueError, match="digits must be below"):
                 SQRT2.xi_real.decimal(limit)
             assert len((SQRT2.xi_real - 1).decimal(limit - 1)) == limit + 1  # "0." and the digits
+
+    # a triple of 200 bits a part, value -0.5154...
+    BIG_TRIPLE = XiReal.from_triple(3**126, -(5**86), 7**71, SQRT2)
+
+    @pytest.mark.parametrize("u, digits, text", [
+        (SQRT2.real(Fraction(-1, 2)), 30, "-0." + "5" + "0" * 29),  # B = 0, D divides A*10^30
+        (SQRT2.real(Fraction(-1, 2)), 0, "-0"),
+        (SQRT2.real(Fraction(-1, 3)), 30, "-0." + "3" * 30),
+        (SQRT2.real(1, -1), 30, "-0.414213562373095048801688724209"),  # 1 - sqrt(2)
+        (SQRT2.real(1, -1), 0, "-0"),
+        (SQRT2.zero, 30, "0." + "0" * 30),
+        (SQRT2.zero, 0, "0"),
+        (BIG_TRIPLE, 30, "-0.515475046629592641640606360339"),
+        (BIG_TRIPLE, 0, "-0"),
+    ])
+    def test_decimal_text_spells_as_decimal(self, u, digits, text):
+        """decimal_text from the triple, 10**digits made by the caller, is XiReal.decimal:
+        the exact branch of a rational whose denominator divides A*10^digits, truncation
+        of -1/3 and of irrationals in (-1, 0), zero, 200-bit parts and digits = 0."""
+        A, B, D = u.triple
+        assert decimal_text(A, B, D, u.xi.d, digits, 10**digits) == u.decimal(digits) == text
+
+    def test_decimal_checks_digits_before_it_spells(self, monkeypatch):
+        """Every refusal of digits fires in XiReal.decimal, before decimal_text runs."""
+        def spell(*args):
+            raise AssertionError("decimal_text ran")
+
+        monkeypatch.setattr(exactnum, "decimal_text", spell)
+        with pytest.raises(TypeError, match="digits must be an int"):
+            SQRT2.xi_real.decimal(2.5)
+        with pytest.raises(ValueError, match="digits must be >= 0"):
+            SQRT2.xi_real.decimal(-1)
+        limit = sys.get_int_max_str_digits()
+        if limit:
+            with pytest.raises(ValueError, match="digits must be below"):
+                SQRT2.xi_real.decimal(limit)
+        with pytest.raises(AssertionError, match="decimal_text ran"):
+            SQRT2.xi_real.decimal(3)
 
     def test_decimal_known_value(self):
         # sqrt(2) = 1.41421356237309504880168872420969807856...

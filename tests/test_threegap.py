@@ -35,7 +35,7 @@ from cutproject.patterns import (
     parse_window,
     strip_points,
 )
-from oracles import exact_sup, sup_attained_at
+from oracles import exact_sup, floor_ratio, sup_attained_at, walk_first_run, walk_floor_every_time
 
 FIELDS = [
     XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
@@ -851,6 +851,45 @@ def test_walk_and_levels_do_not_depend_on_cache_state(system):
     walk_outputs(system, 3)
     assert all(now < then for now, then in zip(sizes(), (runs, levels)))
     assert walk_outputs(system, 2000) == cold
+
+
+# golden, sqrt 2, sqrt 3 and sqrt(k^2 + 1) for k = 10, 100, 1000: one-step runs, runs of
+# 2 and 1 steps, and runs of 2k steps
+WALK_FIELDS = FIELDS[:3] + LARGE_QUOTIENTS + [XiSpec.sqrt(1000**2 + 1)]
+WALK_ELLS = ["big", "under big", "small", "under small", "above big", "rational"]
+
+
+@SETTINGS
+@given(st.sampled_from(WALK_FIELDS), st.sampled_from([10**6, 10**12, 10**30]), st.data())
+def test_walk_matches_a_floor_at_every_stop(xi, scale, data):
+    """``_walk`` against the walk with an exact floor at every stop
+    (``oracles.walk_floor_every_time``): the same (j, gaps) from the same run, the same run
+    list, and each run's quotient the floor of its larger value over its smaller.  Each ell
+    is drawn at a run of the walk down to 1/m: its larger or smaller value, one 1/m under
+    it, above the larger value of the run the walk starts from, or a rational."""
+    A, B, D = xi.xi_real.fractional_part()[0].triple
+    d, m, step = xi.d, D * scale, (A * scale, B * scale)  # 1/m: "under" and the deepest run
+    full = walk_first_run(d, m, step)
+    walk_floor_every_time(d, full, (1, 0), 0)  # every run down to 1/m: at least two
+    runs, ref = _scaled._runs.__wrapped__(d, m, step), walk_first_run(d, m, step)
+    for _ in range(data.draw(st.integers(1, 5))):
+        i = data.draw(st.integers(0, len(runs) - 1))
+        kind = data.draw(st.sampled_from(WALK_ELLS))
+        event(kind)
+        j = i if kind == "above big" else data.draw(st.integers(0, len(full) - 2))
+        _, alpha, _, beta, left = full[j]
+        big, small = (alpha, beta) if left else (beta, alpha)
+        if kind == "above big":  # the walk stops at run i, above its larger value
+            ell = (big[0] + data.draw(st.integers(1, m)), big[1])
+        elif kind == "rational":
+            ell = (data.draw(st.integers(1, m)), 0)
+        else:
+            v = big if kind.endswith("big") else small
+            ell = (v[0] - 1, v[1]) if kind.startswith("under") else v
+        assert _scaled._walk(d, runs, ell, i) == walk_floor_every_time(d, ref, ell, i)
+        assert [run[:5] for run in runs] == ref
+    for _, alpha, _, beta, left, q in runs:
+        assert q == (floor_ratio(d, alpha, beta) if left else floor_ratio(d, beta, alpha))
 
 
 # an interval of length 10^-30: the walk to its return times passes 143 runs
