@@ -20,9 +20,9 @@ record of v = frac(y_k - lo) (the orbit closer to lo from the right than
 ever before) below l, read off the Euclid walk over the shrinking records
 (``_records``, below): as xi has bounded partial quotients, it takes
 O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).  Its runs
-depend on xi alone: they are computed once and shared, each with its
-number of steps, and a walk stops inside a run at one sign test where the
-run has one step, else one exact floor (``_walk``).
+depend on xi alone: each is made once and shared with its number of steps
+(``_run``); a walk stops inside a run at one sign test where the run has
+one step, else one exact floor (``_walk``); ``_steps`` lists single steps.
 
 Long ranges copy hits forward by blocks (``collect_hits``).  For a walk
 time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
@@ -31,17 +31,19 @@ or a gap of the hull) unless y_k lies on the crossing arc [c - eps, c)
 or [c, c - eps) of an endpoint c, split at 0 if it wraps, and then in
 the piece just past c (if it crosses two endpoints, it is stepped).  The
 first q indices and the arcs are stepped.  A block is kept as the offsets
-of its hits from its start, the gaps between them and their colours, which
-stay the same from block to block but at the crossings: each patches them
-at its offset (a delete merges two gaps and an insert splits one, or drops
-or adds an end gap).  A block adds one bridge gap to the output and then
-its gap and colour lists, copied by reference, so no bytecode runs per hit;
-one ``accumulate`` over the output's gaps makes each hit's int at the end.
+of its hits from its start, the gap before each hit (the first from the
+block start, and one more from the last hit to the block end) and their
+colours, which stay the same from block to block but at the crossings: each
+patches them at its offset (a delete merges a gap into the next, an insert
+splits one).  A block's gap and colour lists are copied to the output by
+reference, its first gap raised by the bridge from the last hit output and
+its end gap taken off as the next bridge, so no bytecode runs per hit; one
+``accumulate`` over the output's gaps makes each hit's int at the end.
 In stepped hits, a shift by q over N indices costs q*len for
 the first block and C*N*E*|eps| for the crossings, with len the total
 length of the pieces, E the number of their distinct endpoints and C the
 cost of one crossing (its arc step, its sort and the patch of its block).
-``_plan`` walks the times with 3q <= N one step at a time and keeps the
+``_plan`` walks the times with 3q <= N by ``_steps`` and keeps the
 one of least cost, compared exactly on the scaled pairs; as |eps| = O(1/q)
 for bounded partial quotients, that is O(sqrt(C*N*E*len)).  The range is
 stepped whole where that costs less, N*len against the least cost plus a
@@ -113,7 +115,7 @@ walk steps and O(sum |kappa_l|) floors, then one exact comparison per record.
 
 Profiles of other windows come from block tables (``table_rows``), a
 Rauzy induction of the rotation onto the nested intervals
-J_i = [-beta_i, alpha_i) that the walk of ``_walk`` passes through
+J_i = [-beta_i, alpha_i) that the walk passes through (``_steps``)
 (a_i, b_i its times).  In the signed coordinate x = y, or y - 1 for
 y >= frac(xi), J_0 = [frac(xi) - 1, frac(xi)) is the circle, and the
 return rule is exact: x in [-beta, 0) comes back to J after a steps, at
@@ -138,7 +140,7 @@ carries its floor key, so its sign, the J tests and the piece lookup
 compare ints with the keys a level keeps of its cuts, alpha and -beta,
 and test signs only on equal keys.  At most two blocks a level, so
 O(log n) lookups as xi has bounded partial quotients, times their size (a
-level is one subtraction): a profile of [1/7, 9/14) to 10^6 at
+level is one walk step): a profile of [1/7, 9/14) to 10^6 at
 xi = sqrt(k^2 + 1) takes 4.7 s at k = 10^4, 160 times as long as at 10.
 A profile multiplies the products from record to record: the prefix
 (h, k) of steps 0..n gives D(n) = h - (k - 1)*len, and max |D| reads
@@ -160,12 +162,12 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from math import gcd, lcm
 from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import Triple, XiReal, XiSpec, floor_key, floor_pair, pair_sign, rank_pair, sort_pairs
+from .exactnum import Triple, XiReal, XiSpec, floor_key, pair_sign, rank_pair, sort_pairs
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
@@ -186,12 +188,13 @@ class ScaledSystem:
     base: tuple[int, int]  # reduced basepoint, scaled radical pair
     step: tuple[int, int]  # frac(xi), scaled radical pair: k*step = k*xi mod 1
     ivals: tuple[Interval, ...]
+    ends: tuple[Pair, ...]  # lo, hi of each interval, as points of the circle [0, 1)
     length: tuple[int, int]  # total window length, scaled radical pair
     xi: XiSpec
 
     def frac(self, a: int, b: int) -> tuple[int, int]:
         """Scaled radical pair of frac((a + b*sqrt(d)) / m)."""
-        return a - floor_pair(a, b, self.m, self.d) * self.m, b
+        return a - floor_key(a, b, self.d) // self.m * self.m, b
 
     def contains(self, ya: int, yb: int) -> bool:
         """Whether the scaled radical pair of a point of [0, 1) lies in the window."""
@@ -217,7 +220,7 @@ def _floor_ratio(d: int, x: Pair, y: Pair) -> int:
     nb = x[1] * y[0] - x[0] * y[1]
     if den < 0:
         den, na, nb = -den, -na, -nb
-    return floor_pair(na, nb, den, d)
+    return floor_key(na, nb, d) // den
 
 
 def scale_system(
@@ -227,24 +230,14 @@ def scale_system(
     triples = [v.triple for v in (basepoint, step_frac, *chain(*intervals))]
     m = lcm(*(D for _, _, D in triples))
     scaled = [(A * (m // D), B * (m // D)) for A, B, D in triples]
-    epairs = scaled[2:]
-    ivals = tuple(
-        (epairs[2 * i][0], epairs[2 * i][1], epairs[2 * i + 1][0], epairs[2 * i + 1][1])
-        for i in range(len(intervals))
-    )
+    ivals = tuple(lo + hi for lo, hi in zip(scaled[2::2], scaled[3::2]))
     length = (
         sum(hi_a - lo_a for lo_a, _, hi_a, _ in ivals),
         sum(hi_b - lo_b for _, lo_b, _, hi_b in ivals),
     )
-    return ScaledSystem(
-        d=xi.d,
-        m=m,
-        base=scaled[0],
-        step=scaled[1],
-        ivals=ivals,
-        length=length,
-        xi=xi,
-    )
+    ends = tuple((0, 0) if e == (m, 0) else e for e in scaled[2:])  # the endpoint 1 is 0
+    return ScaledSystem(d=xi.d, m=m, base=scaled[0], step=scaled[1], ivals=ivals, ends=ends,
+                        length=length, xi=xi)
 
 
 def find_singular(ss: ScaledSystem, k_min: int, k_max: int) -> Optional[int]:
@@ -254,12 +247,7 @@ def find_singular(ss: ScaledSystem, k_min: int, k_max: int) -> Optional[int]:
     strictly monotone in k, so each endpoint can be hit at most once; the
     candidate k solves a linear equation and is then verified exactly.
     """
-    targets = set()
-    for lo_a, lo_b, hi_a, hi_b in ss.ivals:
-        targets.add((lo_a, lo_b))
-        # the endpoint value 1 is the circle point 0
-        targets.add((0, 0) if (hi_a, hi_b) == (ss.m, 0) else (hi_a, hi_b))
-    ks = [_orbit_index(ss, t) for t in targets]
+    ks = [_orbit_index(ss, t) for t in ss.ends]
     return min((k for k in ks if k is not None and k_min <= k <= k_max), default=None)
 
 
@@ -293,31 +281,36 @@ def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> Gaps:
 
 @lru_cache(maxsize=256)
 def _runs(d: int, m: int, step: Pair) -> list[Run]:
-    """The first run of the walk of frac(xi); ``_walk`` adds the later ones as it needs them."""
+    """The first run of the walk of frac(xi); ``_run`` adds the later ones as they are read."""
     beta = (m - step[0], -step[1])
     left = pair_sign(2 * step[0] - m, 2 * step[1], d) > 0
     big, small = (step, beta) if left else (beta, step)
     return [(1, step, 1, beta, left, _floor_ratio(d, big, small))]
 
 
+def _run(d: int, runs: list[Run], i: int) -> Run:
+    """Run i of ``runs``, made from run i - 1 (callers read a run made before from the list):
+    run j takes the larger value v_j down by v_{j+1} to v_j mod v_{j+1} in q_j = floor(v_j /
+    v_{j+1}) steps, each taking the smaller value from the larger and adding the two times,
+    and the next q is one exact floor.  Stored idempotently, so threads add each run once."""
+    a, alpha, b, beta, left, q = runs[i - 1]
+    big, small = (alpha, beta) if left else (beta, alpha)
+    rest = (big[0] - q * small[0], big[1] - q * small[1])
+    nxt = (a + q * b, rest, b, beta, False) if left else (a, alpha, b + q * a, rest, True)
+    runs[i:i + 1] = [(*nxt, _floor_ratio(d, small, rest))]  # its q: small over rest
+    return runs[i]
+
+
 def _walk(d: int, runs: list[Run], ell: Pair, i: int) -> tuple[int, Gaps]:
-    """(j, gaps): the first state of the subtractive Euclid walk with alpha, beta < ell,
-    from run i of ``runs`` on.  A step subtracts the smaller value from the larger and
-    adds the two times; run j takes the larger, v_j, down by v_{j+1} to v_j mod v_{j+1}
-    in q_j = floor(v_j / v_{j+1}) steps.  The states do not depend on ell: the walk stops
-    in the run with v_{j+1} < ell <= v_j, after floor((v_j - ell) / v_{j+1}) + 1 steps,
-    at one sign test where the run has one step (then v_j - ell < v_{j+1}), else one
-    exact floor.  Each run is computed once per (d, m, step), with its q_j, and stored
-    idempotently, so threads that extend one list add it once."""
+    """(j, gaps): the first state of the subtractive Euclid walk with alpha, beta < ell, from
+    run i of ``runs`` on (``_run``).  The states do not depend on ell: the walk stops in the
+    run with v_{j+1} < ell <= v_j after floor((v_j - ell) / v_{j+1}) + 1 steps, at one sign
+    test where the run has one step (then v_j - ell < v_{j+1}), else one exact floor."""
     while True:
-        a, alpha, b, beta, left, q = runs[i]
+        a, alpha, b, beta, left, q = runs[i] if i < len(runs) else _run(d, runs, i)
         big, small = (alpha, beta) if left else (beta, alpha)
         if pair_sign(small[0] - ell[0], small[1] - ell[1], d) < 0:
             break
-        if i + 1 == len(runs):
-            rest = (big[0] - q * small[0], big[1] - q * small[1])
-            nxt = (a + q * b, rest, b, beta, False) if left else (a, alpha, b + q * a, rest, True)
-            runs[i + 1:i + 2] = [(*nxt, _floor_ratio(d, small, rest))]  # its q: small over rest
         i += 1
     if q == 1 and pair_sign(big[0] - ell[0], big[1] - ell[1], d) >= 0:  # ell <= big: one step
         t = 1
@@ -325,6 +318,23 @@ def _walk(d: int, runs: list[Run], ell: Pair, i: int) -> tuple[int, Gaps]:
         t = _floor_ratio(d, (big[0] - ell[0], big[1] - ell[1]), small) + 1
     rest = (big[0] - t * small[0], big[1] - t * small[1])
     return i, ((a + t * b, rest, b, beta) if left else (a, alpha, b + t * a, rest))
+
+
+def _steps(d: int, m: int, step: Pair, start: int) -> Iterator[tuple[bool, Gaps]]:
+    """(alpha > beta before the step, gaps after it) for each single step of the walk
+    from step `start` (0 the first) on: the q_j steps of run j all take its direction, so
+    no sign test, and the runs before `start` are passed whole."""
+    runs = _runs(d, m, step)
+    for i in count():
+        run = runs[i] if i < len(runs) else _run(d, runs, i)
+        if start >= run[5]:  # a run before step `start`: no step of it is made
+            start -= run[5]
+            continue
+        a, al, b, be, left, q = run
+        for t in range(start + 1, q + 1):
+            yield left, ((a + t * b, (al[0] - t * be[0], al[1] - t * be[1]), b, be) if left
+                         else (a, al, b + t * a, (be[0] - t * al[0], be[1] - t * al[1])))
+        start = 0
 
 
 def _records(
@@ -423,46 +433,44 @@ ARC_COST = 96  # A: the fixed cost of the block shift per endpoint, in stepped h
 
 
 @lru_cache(maxsize=256)
-def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], span: int, hull: bool) -> tuple:
+def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], ends: tuple[Pair, ...],
+          span: int, hull: bool) -> tuple:
     """(pieces, q, arcs): q the walk time with 3q <= span of least cost
-    q*len + C*span*E*|eps|, by single steps, and q = 0 where stepping the span whole
-    costs less (span*len against that cost plus A*E) or there are fewer than 8 hits
-    per crossing (module docstring)."""
+    q*len + C*span*E*|eps|, by single steps (``_steps``), and q = 0 where stepping the
+    span whole costs less (span*len against that cost plus A*E) or there are fewer than 8
+    hits per crossing (module docstring); `ends` are those of ``ScaledSystem``."""
     pieces: list[Piece] = []
     for color, iv in enumerate(ivals, 1):
         if hull and pieces:
             pieces.append(((pieces[-1][0][2], pieces[-1][0][3], iv[0], iv[1]), 0))
         pieces.append((iv, color))
-    ends = {e if e != (m, 0) else (0, 0) for iv, _ in pieces for e in (iv[:2], iv[2:])}  # 1 is 0
     la = sum(iv[2] - iv[0] for iv, _ in pieces)
     lb = sum(iv[3] - iv[1] for iv, _ in pieces)
-    w = CROSSING_COST * span * len(ends)
-    best = (span * la - ARC_COST * len(ends) * m, span * lb)  # a q must beat stepping whole, less A per endpoint
+    n_ends = len(set(ends))
+    w = CROSSING_COST * span * n_ends
+    best = (span * la - ARC_COST * n_ends * m, span * lb)  # a q must beat stepping whole, less A per endpoint
     q = 0
-    a, al, b, be = 1, step, 1, (m - step[0], -step[1])
-    while 3 * (a + b) <= span:
-        if pair_sign(al[0] - be[0], al[1] - be[1], d) > 0:
-            a, al = a + b, (al[0] - be[0], al[1] - be[1])
-            t, eps, s = a, al, al  # eps = alpha
-        else:
-            b, be = a + b, (be[0] - al[0], be[1] - al[1])
-            t, eps, s = b, be, (0, 0)  # eps = -beta
+    for left, (a, al, b, be) in _steps(d, m, step, 0):
+        t, eps, s = (a, al, al) if left else (b, be, (0, 0))  # eps = alpha, or -beta
+        if 3 * t > span:
+            break
         cost = (t * la + w * eps[0], t * lb + w * eps[1])  # q*len + C*span*E*|eps|
         if pair_sign(cost[0] - best[0], cost[1] - best[1], d) < 0:
             q, (ea, eb), shift, best = t, eps, s, cost  # |eps|, max(eps, 0)
-    if not q or pair_sign(la - 8 * len(ends) * ea, lb - 8 * len(ends) * eb, d) < 0:
+    if not q or pair_sign(la - 8 * n_ends * ea, lb - 8 * n_ends * eb, d) < 0:
         return pieces, 0, []
-    side = slice(0, 2) if shift != (0, 0) else slice(2, 4)  # the colour past each endpoint by eps
-    past = dict.fromkeys(ends) | {iv[side]: color for iv, color in pieces}
-    past[0, 0] = past.pop((m, 0), past.get((0, 0)))
+    # the colour past each endpoint by eps: of the piece that starts (eps > 0) or ends there
+    r = 1 if hull else 2  # the hull's pieces run from each end to the next, else lo to hi
+    side = ends[:-1:r] if shift != (0, 0) else ends[1::r]
+    past = dict.fromkeys(ends) | dict(zip(side, map(itemgetter(1), pieces)))
     arcs = []  # [c - eps, c) or [c, c - eps), split at 0 if it wraps: none empty
-    for c in ends:
+    for c, color in past.items():
         sa, sb = c[0] - shift[0], c[1] - shift[1]
         sa += m if pair_sign(sa, sb, d) < 0 else 0
         ta, tb = sa + ea, sb + eb
         wraps = pair_sign(ta - m, tb, d) > 0
         parts = [(sa, sb, m, 0), (0, 0, ta - m, tb)] if wraps else [(sa, sb, ta, tb)]
-        arcs += [(arc, past[c]) for arc in parts]
+        arcs += [(arc, color) for arc in parts]
     return pieces, q, arcs
 
 
@@ -472,10 +480,10 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
     or 0 when the point lies in none of the intervals, else of the intervals alone.
 
     On the block shift each block of q indices is the last one's offsets, gaps and
-    colours patched at its crossings; the output is the first hit, then per block a
-    bridge gap and the block's gaps, summed once by ``accumulate`` (module docstring)."""
+    colours patched at its crossings; the output is the gap before each hit, the first
+    block's first from 0, summed once by ``accumulate`` (module docstring)."""
     span = k_max - k_min + 1
-    pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, span, hull)
+    pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, ss.ends, span, hull)
     if not q:
         debug(__name__, "hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
         return _stepped(ss, pieces, k_min, k_max)
@@ -487,11 +495,13 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
         k_min, k_max, q, -(-span // q), len(cross),
     )
     ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)
-    # a block: the offsets of its hits from its start, the gaps between them, their colours
-    offs = [k - k_min for k in ks]
-    gaps = list(map(sub, offs[1:], offs))
-    out_gaps, out_colors = [], []  # out_gaps: the first hit, then each gap after it
-    last = i = 0
+    # a block: the offsets of its hits from its start, then q; the gap before each offset
+    # (the first from the block start); and the hits' colours
+    offs = [k - k_min for k in ks] + [q]
+    gaps = list(map(sub, offs, [0, *offs]))
+    out_gaps, out_colors = [], []  # out_gaps: the gap before each hit, the first from 0
+    bridge = k_min  # from the last hit output to the block start
+    i = 0
     for start in range(k_min, k_max + 1, q):
         while i < len(cross) and cross[i][0] < start:  # the crossings of the last block
             k, color = cross[i]
@@ -501,33 +511,24 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
                 color = (_stepped(ss, pieces, k + q, k + q)[1] or [None])[0]
             o = k + q - start
             j = bisect_left(offs, o)
-            hit = j < len(offs) and offs[j] == o
-            if hit and color is not None:
+            if offs[j] == o and color is not None:
                 colors[j] = color
-            elif hit:  # a delete merges two gaps, or drops an end gap
-                del offs[j], colors[j]
-                if 0 < j < len(offs):
-                    gaps[j - 1] += gaps.pop(j)
-                elif gaps:
-                    gaps.pop(-1 if j else 0)
-            elif color is not None:  # an insert splits a gap, or adds an end gap
-                if 0 < j < len(offs):
-                    gaps.insert(j, offs[j] - o)
-                    gaps[j - 1] = o - offs[j - 1]
-                elif j:
-                    gaps.append(o - offs[-1])
-                elif offs:
-                    gaps.insert(0, offs[0] - o)
+            elif offs[j] == o:  # a delete merges its gap into the next one
+                gaps[j + 1] += gaps[j]
+                del offs[j], colors[j], gaps[j]
+            elif color is not None:  # an insert splits the gap before offs[j]
+                gaps.insert(j + 1, offs[j] - o)
+                gaps[j] -= offs[j] - o
                 offs.insert(j, o)
                 colors.insert(j, color)
         if start + q - 1 > k_max:  # the last block ends at k_max
             j = bisect_right(offs, k_max - start)
-            del offs[j:], colors[j:], gaps[max(j - 1, 0):]
-        if offs:  # references to the block's gaps and colours, no work per hit
-            out_gaps.append(start + offs[0] - last)
-            out_gaps += gaps
-            out_colors += colors
-            last = start + offs[-1]
+            del offs[j:], colors[j:], gaps[j + 1:]
+        gaps[0] += bridge  # references to the block's gaps and colours, no work per hit
+        out_gaps += gaps
+        out_colors += colors
+        gaps[0] -= bridge
+        bridge = out_gaps.pop()  # the gap after the last hit, to the next block start
     return tuple(accumulate(out_gaps)), out_colors
 
 
@@ -550,11 +551,11 @@ def floor_sum(n: int, a: Triple, b: Triple, d: int) -> int:
     total = 0
     sign = 1
     while n >= 0:
-        fa = floor_pair(A, B, D, d)
-        fb = floor_pair(C, E, D, d)
+        fa = floor_key(A, B, d) // D
+        fb = floor_key(C, E, d) // D
         A -= fa * D
         C -= fb * D
-        big_m = floor_pair(A * n + C, B * n + E, D, d)
+        big_m = floor_key(A * n + C, B * n + E, d) // D
         # sing: some k in [1, n] makes a*k + b an integer; its sqrt(d) part
         # B*k + E must vanish, which fixes k
         k, r = divmod(-E, B)
@@ -670,27 +671,20 @@ def table_rows(
     sa, sb = ss.step
     levels = _levels(d, m, ss.step, ss.ivals)
     if not levels:
-        ends = {e if e != (m, 0) else (0, 0) for iv in ss.ivals for e in (iv[:2], iv[2:])}
-        signed = {e if pair_sign(e[0] - sa, e[1] - sb, d) < 0 else (e[0] - m, e[1]) for e in ends}
+        signed = {e if pair_sign(e[0] - sa, e[1] - sb, d) < 0 else (e[0] - m, e[1]) for e in ss.ends}
         cuts = keyed({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
         # one step from the circle point of each cut
         vals = [(int(ss.contains(*(c if k >= 0 else (c[0] + m, c[1])))), 1) * 3 for k, c in cuts]
-        levels[:1] = [level(1, ss.step, 1, (m - sa, -sb), cuts, vals)]
-    while True:  # top: the last level whose blocks fit in 0..records[-1]
-        top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
-        if top < len(levels) - 1:
-            break
-        a, al, b, be, cuts, vals, keys, _, _ = levels[top]
-        p = (al[0] - be[0], al[1] - be[1])
-        left = pair_sign(*p, d) > 0
-        if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
-            nxt = (a + b, p, b, be)
-            shift = al
-        else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
-            nxt = (a, al, a + b, (-p[0], -p[1]))
-            shift = (-be[0], -be[1])
+        levels[:1] = [level(*_runs(d, m, ss.step)[0][:4], cuts, vals)]
+    top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
+    for left, nxt in _steps(d, m, ss.step, top):  # top: the last level whose blocks fit
         if min(nxt[0], nxt[2]) > records[-1] + 1:
             break
+        _, al, _, be, cuts, vals, keys, _, _ = levels[top]
+        if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
+            p, shift = nxt[1], al
+        else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
+            p, shift = (-nxt[3][0], -nxt[3][1]), (-be[0], -be[1])
         # a cut of J outside J', on the far side of alpha - beta, comes back as its preimage
         pts = {(c[0] - shift[0], c[1] - shift[1])
                if (pair_sign(c[0] - p[0], c[1] - p[1], d) >= 0) == left else c for c in cuts}
@@ -703,6 +697,7 @@ def table_rows(
                 v = mul(v, vals[rank_pair(keys, cuts, floor_key(*c, d), c, d) - 1])
             new_vals.append(v)
         levels[top + 1:top + 2] = [level(*nxt, new_cuts, new_vals)]
+        top += 1
 
     x = ss.base if pair_sign(ss.base[0] - sa, ss.base[1] - sb, d) < 0 else (ss.base[0] - m, ss.base[1])
     kx = floor_key(*x, d)  # x's key, carried from step to step

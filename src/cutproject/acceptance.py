@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .criteria import _classes
-from .exactnum import XiReal, floor_key, sort_pairs
+from .exactnum import XiReal, check_int, floor_key, sort_pairs
 from .patterns import PointPattern, RotationSystem, Window, orbit_hits
 
 __all__ = [
@@ -70,6 +70,8 @@ class PatternSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "required", frozenset(self.required))
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        for offset in self.required | self.forbidden:
+            check_int(offset=offset)
         if 0 not in self.required:
             raise ValueError("the anchor offset 0 must be required")
         if self.required & self.forbidden:
@@ -215,6 +217,7 @@ def match_pattern(
     The caller must supply points covering [k_min + min(offsets),
     k_max + max(offsets)] so every membership probe is answerable.
     """
+    check_int(k_min=k_min, k_max=k_max)
     pts = set(points.points if isinstance(points, PointPattern) else points)
     req = sorted(pattern.required)
     forb = sorted(pattern.forbidden)

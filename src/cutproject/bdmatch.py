@@ -26,8 +26,8 @@ from itertools import islice
 from math import gcd
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .exactnum import (Exact, XiMismatchError, XiReal, XiSpec, check_exact, coordinates_text,
-                       floor_key, pair_sign, parse_xi, parse_xireal)
+from .exactnum import (Exact, XiMismatchError, XiReal, XiSpec, check_exact, check_int,
+                       coordinates_text, floor_key, pair_sign, parse_xi, parse_xireal)
 from .patterns import PointPattern
 
 __all__ = ["EmptyPattern", "MatchingWitness", "build_witness", "optimality_check"]
@@ -52,7 +52,7 @@ class MatchingWitness:
 
     def __post_init__(self) -> None:
         check_exact("delta", self.delta, field=True)
-        check_exact("offset", self.offset)
+        check_int(offset=self.offset)
         pts = self.points
         if not self._int_points:
             check_exact("a point", *pts, field=True)

@@ -43,7 +43,6 @@ __all__ = [
     "XiReal",
     "pair_sign",
     "floor_key",
-    "floor_pair",
     "decompose_Z_plus_Zxi",
     "lattice_split",
     "parse_rational",
@@ -121,15 +120,11 @@ def pair_sign(a: Rational, b: Rational, d: int) -> int:
 def floor_key(a: int, b: int, d: int) -> int:
     """Exact floor of a + b*sqrt(d) for integers a and b, by one ``isqrt``: d is squarefree,
     so b^2*d is no square for b != 0, and with t = isqrt(b^2*d) the value lies strictly
-    inside (a + t, a + t + 1) for b > 0 and (a - t - 1, a - t) for b < 0."""
+    inside (a + t, a + t + 1) for b > 0 and (a - t - 1, a - t) for b < 0.  The floor of
+    (a + b*sqrt(d)) / m for m > 0 is ``floor_key(a, b, d) // m``, as floor(x / m) =
+    floor(floor(x) / m): no sign test."""
     t = isqrt(b * b * d)
     return a + t if b >= 0 else a - t - 1
-
-
-def floor_pair(a: int, b: int, m: int, d: int) -> int:
-    """Exact floor of (a + b*sqrt(d)) / m for integers a, b and m > 0: ``floor_key`` over m,
-    as floor(x / m) = floor(floor(x) / m) for m > 0, so no sign test."""
-    return floor_key(a, b, d) // m
 
 
 def sort_pairs(items: list, d: int) -> list:
@@ -389,12 +384,12 @@ class XiReal:
 
     def floor(self) -> int:
         """Exact floor, via integer square roots (no floating point)."""
-        return floor_pair(self._A, self._B, self._D, self._xi.d)
+        return floor_key(self._A, self._B, self._xi.d) // self._D
 
     __floor__ = floor  # math.floor is exact too: without it, it would round through a float
 
     def __ceil__(self) -> int:
-        return -floor_pair(-self._A, -self._B, self._D, self._xi.d)
+        return -(floor_key(-self._A, -self._B, self._xi.d) // self._D)
 
     def fractional_part(self) -> tuple["XiReal", int]:
         """Split into (frac, floor) with value = floor + frac, 0 <= frac < 1."""
@@ -419,7 +414,7 @@ class XiReal:
         # |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) unless a = b = 0, so this s
         # makes |value * 2^s| >= 2^54 and the floor costs under 2^-54 relative
         s = 54 + m.bit_length() + (abs(a) + abs(b) * (isqrt(d) + 1)).bit_length()
-        return floor_pair(a << s, b << s, m, d) / (1 << s)
+        return floor_key(a << s, b << s, d) // m / (1 << s)
 
     def __str__(self) -> str:
         return coordinates_text(*self.coordinates())

@@ -336,6 +336,20 @@ def walk_first_run(d: int, m: int, step) -> list:
     return [(1, step, 1, (m - step[0], -step[1]), pair_sign(2 * step[0] - m, 2 * step[1], d) > 0)]
 
 
+def single_steps(d: int, m: int, step):
+    """(alpha > beta before the step, gaps after it) for each step of the walk of frac(xi)
+    from (1, frac(xi), 1, 1 - frac(xi)), one ``pair_sign`` a step: how ``_scaled._plan``
+    walked before it read the shared runs."""
+    a, al, b, be = 1, step, 1, (m - step[0], -step[1])
+    while True:
+        left = pair_sign(al[0] - be[0], al[1] - be[1], d) > 0
+        if left:
+            a, al = a + b, (al[0] - be[0], al[1] - be[1])
+        else:
+            b, be = a + b, (be[0] - al[0], be[1] - al[1])
+        yield left, (a, al, b, be)
+
+
 def floor_ratio(d: int, x, y) -> int:
     """floor(x / y) for radical pairs over sqrt(d), y nonzero, by ``XiReal`` division."""
     root = XiSpec.sqrt(d)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from cutproject import acceptance, exactnum
+from cutproject import _scaled, acceptance, exactnum
 from cutproject.acceptance import (
     PatternSpec,
     acceptance_domain,
@@ -49,6 +49,17 @@ class TestPatternSpec:
             PatternSpec(frozenset({1, 2}))
         with pytest.raises(ValueError):
             PatternSpec(frozenset({0, 1}), frozenset({1}))
+
+    @pytest.mark.parametrize("required, forbidden", [({0, 0.5}, ()), ({0, 2.0}, ()), ({0}, {Fraction(1)})])
+    def test_non_int_offsets_rejected(self, required, forbidden):
+        # {0, 0.5} matched nothing and {0, 2.0} spelled "require 0,2.0", which parse refuses
+        with pytest.raises(TypeError, match="^offset must be an int"):
+            PatternSpec(frozenset(required), frozenset(forbidden))
+
+    @pytest.mark.parametrize("k_min, k_max", [(0.0, 10), (0, Fraction(10))])
+    def test_match_pattern_rejects_non_int_range(self, k_min, k_max):
+        with pytest.raises(TypeError, match="^k_(min|max) must be an int"):
+            match_pattern(range(20), PatternSpec(frozenset({0, 2})), k_min, k_max)
 
     def test_parse_roundtrip(self):
         p = PatternSpec.parse("require 0,2 forbid 1")
@@ -295,7 +306,8 @@ def test_events_of_an_offset_are_computed_once(monkeypatch):
 
     system._scaled  # scaled before counting: frac(xi) takes a floor
     monkeypatch.setattr(acceptance, "floor_key", counted)
-    monkeypatch.setattr(exactnum, "floor_key", counted)  # the floor of frac(o*xi)
+    monkeypatch.setattr(exactnum, "floor_key", counted)
+    monkeypatch.setattr(_scaled, "floor_key", counted)  # the floor of frac(o*xi), ScaledSystem.frac
     first = acceptance_domain(system, PatternSpec(frozenset({0, 3}), frozenset({-5})))
     assert calls == 3 * 2 + 3  # two events and the floor of frac(o*xi) per offset
     calls = 0

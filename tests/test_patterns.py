@@ -334,6 +334,18 @@ class TestOrbitHits:
         assert sys.find_singular(1, 10) == 1
         assert sys.find_singular(2, 10**6) is None
 
+    def test_endpoint_1_is_met_at_0(self):
+        """The window [1/2, 1) ends at 1, the circle point 0: the orbit from -3*xi
+        (reduced to 5 - 3*xi) meets it at k = 3, and never after."""
+        golden = FIELDS[0]
+        sys = RotationSystem(golden, golden.real(0, -3), parse_window("[1/2, 1)", golden), strict=True)
+        assert sys.basepoint == golden.real(5, -3)
+        assert sys.find_singular(0, 10) == 3
+        assert sys.find_singular(4, 10**6) is None
+        with pytest.raises(SingularOrbit) as exc:
+            orbit_hits(sys, 0, 10)
+        assert exc.value.k == 3
+
 
 class TestStripPoints:
     def test_matches_orbit_on_flagship(self):

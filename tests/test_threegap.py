@@ -15,6 +15,7 @@ import logging
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from cutproject import _scaled, exactnum
 from cutproject.criteria import oren_condition
 from cutproject.discrepancy import _record_points, profile
-from cutproject.exactnum import XiSpec, floor_pair, pair_sign
+from cutproject.exactnum import XiSpec, floor_key, pair_sign
 from cutproject.patterns import (
     OMEGA,
     PointPattern,
@@ -35,7 +36,8 @@ from cutproject.patterns import (
     parse_window,
     strip_points,
 )
-from oracles import exact_sup, floor_ratio, sup_attained_at, walk_first_run, walk_floor_every_time
+from oracles import (exact_sup, floor_ratio, single_steps, sup_attained_at, walk_first_run,
+                     walk_floor_every_time)
 
 FIELDS = [
     XiSpec(Fraction(1, 2), Fraction(1, 2), 5),
@@ -258,7 +260,7 @@ def test_table_profile_sign_tests_only_on_equal_keys(monkeypatch):
     calls = 0
     t = 141421356237309504880  # floor(10^20*sqrt(2)): values just above and below integers
     cases = [(7, -4, 2, 5), (-t, 10**20, 1, 2), (t + 1, -(10**20), 3, 2), (-t, -(10**20), 1, 2)]
-    assert [floor_pair(*c) for c in cases] == [-1, 0, 0, -2 * t - 1]
+    assert [floor_key(a, b, d) // m for a, b, m, d in cases] == [-1, 0, 0, -2 * t - 1]
     assert calls == 0
 
 
@@ -629,7 +631,7 @@ def plan(case, hull=False):
     """The (pieces, q, arcs) that collect_hits takes for the case; q = 0 steps it whole."""
     system, k_min, k_max = case
     ss = system._scaled
-    return _scaled._plan(ss.d, ss.m, ss.step, ss.ivals, k_max - k_min + 1, hull)
+    return _scaled._plan(ss.d, ss.m, ss.step, ss.ivals, ss.ends, k_max - k_min + 1, hull)
 
 
 # eps = frac(q*xi) > 1/1000: the arc of the endpoint 1/1000 wraps
@@ -890,6 +892,32 @@ def test_walk_matches_a_floor_at_every_stop(xi, scale, data):
         assert [run[:5] for run in runs] == ref
     for _, alpha, _, beta, left, q in runs:
         assert q == (floor_ratio(d, alpha, beta) if left else floor_ratio(d, beta, alpha))
+
+
+@SETTINGS
+@given(st.sampled_from(WALK_FIELDS), st.sampled_from([10**6, 10**12, 10**30]), st.data())
+def test_steps_match_single_steps(xi, scale, data):
+    """``_steps`` against the walk with one sign test a step (``oracles.single_steps``):
+    the same directions and states through the first three runs (of 2,000 steps at
+    sqrt(1000^2 + 1)), from step 0 and from a drawn later step, and a cold run list left
+    as ``_walk`` alone leaves it on its way to the first value of the third run."""
+    A, B, D = xi.xi_real.fractional_part()[0].triple
+    d, m, step = xi.d, D * scale, (A * scale, B * scale)
+    ref, runs = [], 0
+    for left, gaps in single_steps(d, m, step):
+        runs += not ref or left != ref[-1][0]
+        if runs > 3:
+            break
+        ref.append((left, gaps))
+    start = data.draw(st.integers(0, len(ref) - 1))
+    clear_walk_caches()
+    assert list(islice(_scaled._steps(d, m, step, 0), len(ref))) == ref
+    assert list(islice(_scaled._steps(d, m, step, start), len(ref) - start)) == ref[start:]
+    turn = max(i for i in range(1, len(ref)) if ref[i][0] != ref[i - 1][0])  # run 3's first step
+    _, al, _, be = ref[turn - 1][1]
+    walked = _scaled._runs.__wrapped__(d, m, step)
+    _scaled._walk(d, walked, al if ref[turn][0] else be, 0)  # stops in run 3, below its first value
+    assert _scaled._runs(d, m, step) == walked and len(walked) == 3
 
 
 # an interval of length 10^-30: the walk to its return times passes 143 runs
