@@ -15,11 +15,21 @@ with alpha = frac(k*xi) < l and b the least k >= 1 with beta =
 1 - frac(k*xi) < l (``return_gaps``, a subtractive Euclid walk).  By
 Slater's three-gap theorem the return times to the interval are a, b and
 a + b: from a hit y at index k the next hit is k + a if y < hi - alpha,
-else k + b if y >= lo + beta, else k + a + b.  The first hit is the first
-record of v = frac(y_k - lo) (the orbit closer to lo from the right than
-ever before) below l, read off the Euclid walk over the shrinking records
-(``_records``, below): as xi has bounded partial quotients, it takes
-O(log(a + b)) steps, so a call costs O(#hits + log(a + b)).  Its runs
+else k + b if y >= lo + beta, else k + a + b.  The steps carry y as one
+int, its additive key Y = A*2^s + B*r with r = floor(2^s*sqrt(d))
+(``exactnum.linear_key``), and the thresholds and the three steps as keys,
+so a step is one int addition and a test one int comparison.  The key
+lies within |B| of 2^s*y, and y's sqrt(d) part B = base_b + k*step_b,
+which no frac changes, is linear in k: e = max |B - B_t| at the range's
+two ends bounds every test.  Y <= T - e means y < t and Y >= T + e means
+y >= t; with 2^s chosen for e, a key inside (T - e, T + e) means y = t
+exactly, where the orbit meets hi - alpha or lo + beta, and only there
+is y read again by ``state_at`` and tested by ``pair_sign``.  The first
+hit is the first record of v = frac(y_k - lo) (the orbit closer to lo
+from the right than ever before) below l, read off the Euclid walk over
+the shrinking records (``_records``, below): as xi has bounded partial
+quotients, it takes O(log(a + b)) steps, so a call costs
+O(#hits + log(a + b)).  Its runs
 depend on xi alone: each is made once and shared with its number of steps
 (``_run``); a walk stops inside a run at one sign test where the run has
 one step, else one exact floor (``_walk``); ``_steps`` lists single steps.
@@ -49,13 +59,14 @@ for bounded partial quotients, that is O(sqrt(C*N*E*len)).  The range is
 stepped whole where that costs less, N*len against the least cost plus a
 fixed A per endpoint (the record walk to an arc's first point), or where
 the window has fewer than 8 hits per crossing (length < 8*|eps| per
-endpoint, as for an acceptance domain).  C = 2 and A = 96 were measured
-with CPython 3.11.7 on 2 cores: over the walk times of the benchmark's
-four golden-ratio windows at N = 5*10^4 a crossing cost 2.3-2.5 stepped
-hits (whole rounds were flat for C from 2 to 6), and on windows of 1 and 3 intervals over sqrt(2), sqrt(3),
-sqrt(101) and the golden ratio at N = 100 to 5,000 stepping whole won
-wherever N*len exceeded the least cost by less than 72 stepped hits per
-endpoint, the block shift wherever by more than 88.
+endpoint, as for an acceptance domain).  C = 2 and A = 160 were measured
+with CPython 3.11.7 on 2 cores, on stepped hits that carry keys: benchmark
+rounds read slower at C = 1 and at C = 4 (lower in 0 of 6 pairs each), and
+on windows of 1 and 3 intervals over sqrt(2), sqrt(3), sqrt(101) and the
+golden ratio at N = 200 to 2,000 the rule's mean excess over the faster
+route was least near A = 128 to 160 (10-13 %, 16-19 % at A = 96): 3
+intervals broke even near 70-110 stepped hits per endpoint, 1 interval
+near 200-450, and sqrt(101) with 1 interval not by N = 2,000.
 
 Hit counts step over nothing (``count_hits``).  For 0 <= lo <= hi <= 1,
 1[frac(y) in [lo, hi)] = floor(y - lo) - floor(y - hi), so the count over
@@ -145,7 +156,10 @@ xi = sqrt(k^2 + 1) takes 4.7 s at k = 10^4, 160 times as long as at 10.
 A profile multiplies the products from record to record: the prefix
 (h, k) of steps 0..n gives D(n) = h - (k - 1)*len, and max |D| reads
 max(hi, -lo) the same way.  Only the levels with a block of at most
-records[-1] + 1 steps are read, and each is built once per window.
+records[-1] + 1 steps are read, and each is built once per window: a
+level keeps where the walk stands after its step (run i, step t), a call
+resumes the walk there, and levels are built up to the first whose blocks
+do not fit, so a call with a bound no larger reads no run.
 
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
@@ -153,7 +167,8 @@ interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every floor
 one ``isqrt`` (``floor_key``); sorts and bisections of points over M order
 them by the floor of the numerator, an int key, and test signs only on
-equal keys (``exactnum.sort_pairs``, ``rank_pair``).
+equal keys (``exactnum.sort_pairs``, ``rank_pair``), and the three-gap
+steps compare additive keys and test signs only on exact meetings.
 """
 
 from __future__ import annotations
@@ -162,12 +177,13 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import Triple, XiReal, XiSpec, floor_key, pair_sign, rank_pair, sort_pairs
+from .exactnum import (Triple, XiReal, XiSpec, floor_key, linear_key, pair_sign, rank_pair,
+                       sort_pairs)
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
@@ -320,20 +336,18 @@ def _walk(d: int, runs: list[Run], ell: Pair, i: int) -> tuple[int, Gaps]:
     return i, ((a + t * b, rest, b, beta) if left else (a, alpha, b + t * a, rest))
 
 
-def _steps(d: int, m: int, step: Pair, start: int) -> Iterator[tuple[bool, Gaps]]:
-    """(alpha > beta before the step, gaps after it) for each single step of the walk
-    from step `start` (0 the first) on: the q_j steps of run j all take its direction, so
-    no sign test, and the runs before `start` are passed whole."""
+def _steps(d: int, m: int, step: Pair, at: tuple[int, int] = (0, 0)) -> Iterator[tuple]:
+    """((i, t), alpha > beta before the step, gaps after it) for each single step of the
+    walk after step t of run i, from the first with at = (0, 0): the q_i steps of run i all
+    take its direction, so no sign test, and the runs before i are not read."""
     runs = _runs(d, m, step)
-    for i in count():
-        run = runs[i] if i < len(runs) else _run(d, runs, i)
-        if start >= run[5]:  # a run before step `start`: no step of it is made
-            start -= run[5]
-            continue
-        a, al, b, be, left, q = run
+    i, start = at
+    while True:
+        a, al, b, be, left, q = runs[i] if i < len(runs) else _run(d, runs, i)
         for t in range(start + 1, q + 1):
-            yield left, ((a + t * b, (al[0] - t * be[0], al[1] - t * be[1]), b, be) if left
-                         else (a, al, b + t * a, (be[0] - t * al[0], be[1] - t * al[1])))
+            yield (i, t), left, ((a + t * b, (al[0] - t * be[0], al[1] - t * be[1]), b, be) if left
+                                 else (a, al, b + t * a, (be[0] - t * al[0], be[1] - t * al[1])))
+        i += 1
         start = 0
 
 
@@ -377,9 +391,10 @@ def _chains(ss: ScaledSystem, p: Pair, top: int, bottom: int, n_max: int) -> Ite
         yield s, stacks
 
 
-def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Iterator[int]:
+def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> list[int]:
     """Increasing k in [k_min, k_max] with frac(basepoint + k*xi) in [lo, hi): three-gap
-    steps from the first record of frac(y_k - lo) below hi - lo (``_records``)."""
+    steps from the first record of frac(y_k - lo) below hi - lo (``_records``), on y's
+    additive key (module docstring)."""
     d = ss.d
     lo_a, lo_b, hi_a, hi_b = iv
     la, lb = hi_a - lo_a, hi_b - lo_b
@@ -388,29 +403,42 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> Ite
         if pair_sign(va - la, vb - lb, d) < 0:
             break
     else:
-        return
+        return []
     k = k_min + n
-    ya, yb = lo_a + va, lo_b + vb
-    t1_a, t1_b = hi_a - al_a, hi_b - al_b  # step by a below hi - alpha
-    t2_a, t2_b = lo_a + be_a, lo_b + be_b  # else by b from lo + beta on
+    t1 = (hi_a - al_a, hi_b - al_b)  # step by a below hi - alpha
+    t2 = (lo_a + be_a, lo_b + be_b)  # else by b from lo + beta on
+    # y's sqrt(d) part runs linearly from yb to `end`: e bounds its distance from each
+    # threshold's, so keys up to the threshold's less e lie below it, from its plus e above
+    yb = lo_b + vb
+    end = yb + (k_max - k) * ss.step[1]
+    e = max(1, *(abs(y - t[1]) for y in (yb, end) for t in (t1, t2)))
+    one, r = linear_key(d, e)
+    y = (lo_a + va) * one + yb * r  # y's key, carried from hit to hit
+    key1, key2 = (t[0] * one + t[1] * r for t in (t1, t2))
+    below1, above1, below2, above2 = key1 - e, key1 + e, key2 - e, key2 + e
+    sa = al_a * one + al_b * r
+    sb = be_a * one + be_b * r
+    sab = sa - sb
     gab = ga + gb
-    ab_a, ab_b = al_a - be_a, al_b - be_b
+
+    def exact_below(k: int, t: Pair) -> bool:  # where the keys cannot tell: y = t exactly
+        ya, yb = ss.state_at(k)
+        return pair_sign(ya - t[0], yb - t[1], d) < 0
+
+    out = []
     while True:
-        yield k
-        if pair_sign(ya - t1_a, yb - t1_b, d) < 0:  # y < hi - alpha
+        out.append(k)
+        if y <= below1 or y < above1 and exact_below(k, t1):  # y < hi - alpha
             k += ga
-            ya += al_a
-            yb += al_b
-        elif pair_sign(ya - t2_a, yb - t2_b, d) >= 0:  # y >= lo + beta
+            y += sa
+        elif y >= above2 or y > below2 and not exact_below(k, t2):  # y >= lo + beta
             k += gb
-            ya -= be_a
-            yb -= be_b
+            y -= sb
         else:
             k += gab
-            ya += ab_a
-            yb += ab_b
+            y += sab
         if k > k_max:
-            return
+            return out
 
 
 # -- block shift (module docstring) --------------------------------------------------
@@ -429,7 +457,7 @@ def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int) -> B
 
 
 CROSSING_COST = 2  # C: one crossing, in stepped hits (module docstring)
-ARC_COST = 96  # A: the fixed cost of the block shift per endpoint, in stepped hits
+ARC_COST = 160  # A: the fixed cost of the block shift per endpoint, in stepped hits
 
 
 @lru_cache(maxsize=256)
@@ -450,7 +478,7 @@ def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], ends: tuple[P
     w = CROSSING_COST * span * n_ends
     best = (span * la - ARC_COST * n_ends * m, span * lb)  # a q must beat stepping whole, less A per endpoint
     q = 0
-    for left, (a, al, b, be) in _steps(d, m, step, 0):
+    for _, left, (a, al, b, be) in _steps(d, m, step):
         t, eps, s = (a, al, al) if left else (b, be, (0, 0))  # eps = alpha, or -beta
         if 3 * t > span:
             break
@@ -628,8 +656,9 @@ def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
 # -- block tables (module docstring) --------------------------------------------------
 
 Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and the min prefix
-# a, alpha, b, beta, the table's cuts, values and cut keys, and the keys of alpha and -beta
-Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], list[int], int, int]
+# a, alpha, b, beta, the table's cuts, values and cut keys, the keys of alpha and -beta, and
+# where the walk stands after the level's step: step t of run i, as (i, t) (``_steps``)
+Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], list[int], int, int, tuple[int, int]]
 
 
 @lru_cache(maxsize=8)  # a window's levels keep its call's peak: 4.1 MiB at sqrt(10^6 + 1) to 10^6
@@ -662,11 +691,12 @@ def table_rows(
     def keyed(pts: set[Pair]) -> list[tuple[int, Pair]]:
         return sort_pairs([(floor_key(*c, d), c) for c in pts], d)
 
-    def level(a: int, al: Pair, b: int, be: Pair, cuts: list, vals: list[Summary]) -> Level:
+    def level(gaps: Gaps, cuts: list, vals: list[Summary], at: tuple[int, int]) -> Level:
         keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]  # merge equal neighbours
         cuts, keys = [cuts[j][1] for j in keep], [cuts[j][0] for j in keep]
+        a, al, b, be = gaps
         ka, kb = floor_key(*al, d), floor_key(-be[0], -be[1], d)
-        return a, al, b, be, cuts, [vals[j] for j in keep], keys, ka, kb
+        return a, al, b, be, cuts, [vals[j] for j in keep], keys, ka, kb, at
 
     sa, sb = ss.step
     levels = _levels(d, m, ss.step, ss.ivals)
@@ -675,12 +705,15 @@ def table_rows(
         cuts = keyed({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
         # one step from the circle point of each cut
         vals = [(int(ss.contains(*(c if k >= 0 else (c[0] + m, c[1])))), 1) * 3 for k, c in cuts]
-        levels[:1] = [level(*_runs(d, m, ss.step)[0][:4], cuts, vals)]
+        levels[:1] = [level(_runs(d, m, ss.step)[0][:4], cuts, vals, (0, 0))]
     top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
-    for left, nxt in _steps(d, m, ss.step, top):  # top: the last level whose blocks fit
-        if min(nxt[0], nxt[2]) > records[-1] + 1:
-            break
-        _, al, _, be, cuts, vals, keys, _, _ = levels[top]
+    # top: the last level whose blocks fit.  Where it is the last level built, build on from
+    # where its walk stands up to one whose blocks do not fit, so that a call with a bound no
+    # larger reads no run
+    steps = _steps(d, m, ss.step, levels[top][9]) if top == len(levels) - 1 else ()
+    i = top
+    for at, left, nxt in steps:
+        _, al, _, be, cuts, vals, keys, _, _, _ = levels[i]
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
             p, shift = nxt[1], al
         else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
@@ -696,8 +729,11 @@ def table_rows(
                 c = (c[0] + shift[0], c[1] + shift[1])
                 v = mul(v, vals[rank_pair(keys, cuts, floor_key(*c, d), c, d) - 1])
             new_vals.append(v)
-        levels[top + 1:top + 2] = [level(*nxt, new_cuts, new_vals)]
-        top += 1
+        levels[i + 1:i + 2] = [level(nxt, new_cuts, new_vals, at)]
+        i += 1
+        if min(nxt[0], nxt[2]) > records[-1] + 1:
+            top = i - 1
+            break
 
     x = ss.base if pair_sign(ss.base[0] - sa, ss.base[1] - sb, d) < 0 else (ss.base[0] - m, ss.base[1])
     kx = floor_key(*x, d)  # x's key, carried from step to step
@@ -712,13 +748,13 @@ def table_rows(
         i = 0
         while n:
             if i < top:  # up while x lies in the next J = [-beta, alpha) and its block fits
-                a, al, b, be, _, _, _, ka, kb = levels[i + 1]
+                a, al, b, be, _, _, _, ka, kb, _ = levels[i + 1]
                 if (a if neg else b) <= n and (
                         kb < kx or kb == kx and pair_sign(x[0] + be[0], x[1] + be[1], d) >= 0) and (
                         kx < ka or kx == ka and pair_sign(x[0] - al[0], x[1] - al[1], d) < 0):
                     i += 1
                     continue
-            a, al, b, be, cuts, vals, keys, _, _ = levels[i]
+            a, al, b, be, cuts, vals, keys, _, _, _ = levels[i]
             r = a if neg else b
             if r > n:
                 i -= 1

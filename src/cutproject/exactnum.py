@@ -17,7 +17,9 @@ unique and structural equality is value equality.  A sign is one
 ``pair_sign`` on (A, B), a floor one ``isqrt`` (``floor_key``), and a sum,
 product or inverse integer work followed by one gcd.  Points over one
 modulus sort and bisect by their floor keys, with ``pair_sign`` only on
-equal keys (``sort_pairs``, ``rank_pair``).  ``coordinates`` reads a
+equal keys (``sort_pairs``, ``rank_pair``), and sums of fixed steps test
+against fixed thresholds by an additive int key that settles every test
+but an exact tie (``linear_key``).  ``coordinates`` reads a
 value over the basis (1, xi), for ``a``, ``b``, ``coordinates_text`` (the
 one spelling of ``str``, for values and witness rows: one gcd per
 coefficient, no ``Fraction``) and ``lattice_split``, whose residue names
@@ -125,6 +127,17 @@ def floor_key(a: int, b: int, d: int) -> int:
     floor(floor(x) / m): no sign test."""
     t = isqrt(b * b * d)
     return a + t if b >= 0 else a - t - 1
+
+
+def linear_key(d: int, e: int) -> tuple[int, int]:
+    """(one, r) with one = 2^s and r = isqrt(d << 2s) = floor(2^s*sqrt(d)), so that the
+    additive key a*one + b*r of integers a, b lies within |b| of 2^s*(a + b*sqrt(d)), and
+    exactly on it for b = 0.  2^s >= 2e(2e*(isqrt(d) + 1) + 1) for e >= 1: a value with
+    b != 0 has |a + b*sqrt(d)| >= 1/(2|b|*sqrt(d) + 1) (the norm a^2 - b^2*d is a
+    nonzero integer), so for |b| <= e a key of at most -e means a value below 0, one of
+    at least e a value above 0, and one inside (-e, e) means a = b = 0."""
+    s = (2 * e * (2 * e * (isqrt(d) + 1) + 1) - 1).bit_length()
+    return 1 << s, isqrt(d << 2 * s)
 
 
 def sort_pairs(items: list, d: int) -> list:

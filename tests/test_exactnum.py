@@ -23,6 +23,7 @@ from cutproject.exactnum import (
     decompose_Z_plus_Zxi,
     floor_key,
     lattice_split,
+    linear_key,
     pair_sign,
     parse_xi,
     parse_xireal,
@@ -313,6 +314,46 @@ class TestFloorKeys:
         assert rank_pair(keys, ordered, floor_key(*x, d), x, d) == bisect_right(
             ordered, key(x), key=key
         )
+
+
+@st.composite
+def linear_key_args(draw):
+    """(a, b, d, e) with |b| <= e: a = b = 0, any a, or a within 2 of -b*sqrt(d), where a
+    value with that b comes nearest 0 (within about 1/(2|b|*sqrt(d)))."""
+    d = draw(radicands)
+    e = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**80)))
+    b = draw(st.integers(-e, e))
+    kind = draw(st.sampled_from(["zero", "any", "near"]))
+    if kind == "zero":
+        return 0, 0, d, e
+    if kind == "any":
+        return draw(ints), b, d, e
+    t = isqrt(b * b * d)
+    return (-t if b > 0 else t) + draw(st.integers(-2, 2)), b, d, e
+
+
+class TestLinearKey:
+    @settings(max_examples=500, deadline=None)
+    @given(linear_key_args())
+    @example((0, 0, 2, 1))
+    @example((1, 0, 2, 1))
+    @example((-1, 1, 2, 1))
+    @example((-(10**6), 1, NEAR_LIMIT[0], 1))
+    def test_band_decision_agrees_with_pair_sign(self, args):
+        """A key of at most -e is a value below 0, one of at least e above 0, and only
+        (0, 0) has a key inside (-e, e)."""
+        a, b, d, e = args
+        one, r = linear_key(d, e)
+        assert one & (one - 1) == 0 and one >= 2 * e * (2 * e * (isqrt(d) + 1) + 1)
+        assert r == isqrt(one * one * d)  # floor(2^s*sqrt(d))
+        key = a * one + b * r
+        sign = pair_sign(a, b, d)
+        if key <= -e:
+            assert sign < 0
+        elif key >= e:
+            assert sign > 0
+        else:
+            assert (a, b) == (0, 0) and sign == 0
 
 
 class TestFloorAndFrac:

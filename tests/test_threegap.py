@@ -217,6 +217,91 @@ def test_shared_chains_match_records(system, top, width, n_max, data):
     assert starts == list(range(top, bottom - 1, -1))
 
 
+# sqrt(d) for squarefree d up to 10^12: large partial quotients, and d near RADICAND_LIMIT
+BIG_RADICAND_FIELDS = [XiSpec.sqrt(d) for d in [101, 10001, 999999, 10**6 + 1, 999999999989,
+                                                999999999998]]
+
+
+@SETTINGS
+@given(st.sampled_from(BIG_RADICAND_FIELDS), st.integers(-(10**12), 10**12),
+       st.sampled_from([0, 1, 7, 50, 400]), st.data())
+def test_interval_hits_match_direct_far_out(xi, k_min, span, data):
+    """``interval_hits`` against one explicit floor per index at k_min up to +-10^12 over
+    sqrt(d) with d up to 10^12, where y's sqrt(d) part and so the key's band are largest;
+    half the basepoints put the orbit on an endpoint, hi - alpha or lo + beta in range."""
+    lo, hi = sorted(data.draw(st.lists(points(xi), min_size=2, max_size=2, unique=True)))
+    assume((lo, hi) != (xi.zero, xi.one))  # [0, 1) is no window
+    system = RotationSystem(xi, xi.zero, Window.single(lo, hi))
+    ss = system._scaled
+    (iv,) = ss.ivals
+    if data.draw(st.booleans()):
+        base = data.draw(points(xi))
+    else:  # y_k lands on an endpoint or a threshold of the three-gap step, k in range
+        _, alpha, _, beta = _scaled.return_gaps(ss.d, ss.m, ss.step, ss.length)
+        t = data.draw(st.sampled_from([(iv[0], iv[1]), (iv[2], iv[3]),
+                                       (iv[2] - alpha[0], iv[3] - alpha[1]),
+                                       (iv[0] + beta[0], iv[1] + beta[1])]))
+        base = ss.unscale(t) - (k_min + data.draw(st.integers(0, span))) * xi.xi_real
+    ss = RotationSystem(xi, base, system.window)._scaled
+    (iv,) = ss.ivals
+    assert _scaled.interval_hits(ss, iv, k_min, k_min + span) == _scaled.collect_hits_direct(
+        ss, k_min, k_min + span)
+
+
+@pytest.mark.parametrize("threshold", ["hi - alpha", "lo + beta"])
+@pytest.mark.parametrize("xi", [FIELDS[0], FIELDS[1], XI101], ids=["golden", "sqrt2", "sqrt101"])
+def test_stepping_meets_a_threshold_exactly(xi, threshold, monkeypatch):
+    """A non-strict system whose orbit meets hi - alpha (or lo + beta) exactly at a hit
+    k0 inside the range: the keys cannot order y and the threshold there, so the step
+    reads y_k0 by ``state_at`` and tests its sign; the hits are those of the direct route."""
+    window = parse_window("[1/10, 7/10)", xi)
+    ss = RotationSystem(xi, xi.zero, window)._scaled
+    (iv,) = ss.ivals
+    _, alpha, _, beta = _scaled.return_gaps(ss.d, ss.m, ss.step, ss.length)
+    t = (iv[2] - alpha[0], iv[3] - alpha[1]) if threshold == "hi - alpha" else (
+        iv[0] + beta[0], iv[1] + beta[1])
+    k0 = 537
+    system = RotationSystem(xi, ss.unscale(t) - k0 * xi.xi_real, window)
+    assert not system.strict
+    t = ss.unscale(t)
+    ss = system._scaled
+    (iv,) = ss.ivals
+    assert ss.unscale(ss.state_at(k0)) == t
+    read = []
+    state_at = _scaled.ScaledSystem.state_at
+    monkeypatch.setattr(_scaled.ScaledSystem, "state_at",
+                        lambda self, k: read.append(k) or state_at(self, k))
+    hits = _scaled.interval_hits(ss, iv, 0, 2000)
+    assert k0 in hits and k0 in read  # the exact fallback ran at k0
+    monkeypatch.undo()
+    assert hits == _scaled.collect_hits_direct(ss, 0, 2000)
+    assert orbit_hits(system, 0, 2000) == strip_points(system, 0, 2000)
+
+
+def test_stepping_makes_no_sign_test_per_hit(monkeypatch):
+    """On a range where the orbit meets no threshold, the stepping loop tests no sign:
+    from one k_min, 10^3 and 10^5 indices make the same sign tests (the first hit's)."""
+    xi = FIELDS[0]
+    system = RotationSystem(xi, xi.real(Fraction(1, 7)), parse_window("[1/10, 7/10)", xi))
+    ss = system._scaled
+    (iv,) = ss.ivals
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_sign(*args)
+
+    _scaled.interval_hits(ss, iv, 12345, 12345 + 10**3)  # the walk's runs and return times
+    monkeypatch.setattr(_scaled, "pair_sign", counted)
+    counts = []
+    for span in (10**3, 10**5):
+        calls.clear()
+        hits = _scaled.interval_hits(ss, iv, 12345, 12345 + span)
+        counts.append(len(calls))
+    assert len(hits) > 50_000
+    assert counts[0] == counts[1] < 20
+
+
 def test_sparse_window_needs_no_search(monkeypatch):
     """No hit of [1/3, 1/3 + 10^-12) over 0..10^5: the first-hit record walk
     makes O(log) sign tests, where an index-by-index search made 266,855."""
@@ -899,8 +984,9 @@ def test_walk_matches_a_floor_at_every_stop(xi, scale, data):
 def test_steps_match_single_steps(xi, scale, data):
     """``_steps`` against the walk with one sign test a step (``oracles.single_steps``):
     the same directions and states through the first three runs (of 2,000 steps at
-    sqrt(1000^2 + 1)), from step 0 and from a drawn later step, and a cold run list left
-    as ``_walk`` alone leaves it on its way to the first value of the third run."""
+    sqrt(1000^2 + 1)), each step at its run and its place in the run, the same steps
+    again when resumed after a drawn step, and a cold run list left as ``_walk`` alone
+    leaves it on its way to the first value of the third run."""
     A, B, D = xi.xi_real.fractional_part()[0].triple
     d, m, step = xi.d, D * scale, (A * scale, B * scale)
     ref, runs = [], 0
@@ -911,13 +997,43 @@ def test_steps_match_single_steps(xi, scale, data):
         ref.append((left, gaps))
     start = data.draw(st.integers(0, len(ref) - 1))
     clear_walk_caches()
-    assert list(islice(_scaled._steps(d, m, step, 0), len(ref))) == ref
-    assert list(islice(_scaled._steps(d, m, step, start), len(ref) - start)) == ref[start:]
+    steps = list(islice(_scaled._steps(d, m, step), len(ref)))
+    assert [s[1:] for s in steps] == ref
+    at, i, t = [], 0, 0  # step t of run i: a run ends where the direction turns
+    for j, (left, _) in enumerate(ref):
+        i, t = (i + 1, 1) if j and left != ref[j - 1][0] else (i, t + 1)
+        at.append((i, t))
+    assert [s[0] for s in steps] == at
+    resumed = _scaled._steps(d, m, step, at[start - 1] if start else (0, 0))
+    assert list(islice(resumed, len(ref) - start)) == steps[start:]
     turn = max(i for i in range(1, len(ref)) if ref[i][0] != ref[i - 1][0])  # run 3's first step
     _, al, _, be = ref[turn - 1][1]
     walked = _scaled._runs.__wrapped__(d, m, step)
     _scaled._walk(d, walked, al if ref[turn][0] else be, 0)  # stops in run 3, below its first value
     assert _scaled._runs(d, m, step) == walked and len(walked) == 3
+
+
+def test_warm_table_call_reads_no_run(monkeypatch):
+    """The tables build levels up to one whose blocks do not fit, each keeping where the
+    walk stands after its step: a warm call that builds no level reads no run, and one
+    with a larger bound resumes the walk there and gives the rows of a cold call."""
+    ss = SHARED_WALK_CASES[1]._scaled  # golden [1/7, 9/14)
+    clear_walk_caches()
+    short, long = _record_points(49_999, 40), _record_points(10**6, 64)
+    rows = _scaled.table_rows(ss, short)
+    levels = list(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals))
+    assert min(levels[-1][0], levels[-1][2]) > short[-1] + 1 >= min(levels[-2][0], levels[-2][2])
+    reads = []
+    runs = _scaled._runs
+    monkeypatch.setattr(_scaled, "_runs", lambda *args: reads.append(args) or runs(*args))
+    assert _scaled.table_rows(ss, short) == rows
+    assert _scaled.table_rows(ss, short[:9])[0] == rows[0][:9]  # a smaller bound
+    assert reads == [] and _scaled._levels(ss.d, ss.m, ss.step, ss.ivals) == levels
+    warm = _scaled.table_rows(ss, long)
+    assert reads and _scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[:len(levels)] == levels
+    monkeypatch.undo()
+    clear_walk_caches()
+    assert _scaled.table_rows(ss, long) == warm
 
 
 # an interval of length 10^-30: the walk to its return times passes 143 runs
