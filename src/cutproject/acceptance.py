@@ -129,10 +129,8 @@ class AcceptanceDomain:
 @lru_cache(maxsize=64)
 def _class_shifts(window: Window) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per endpoint e_j, the (j', s) with e_j' - e_j in s*xi + Z: its boundary class."""
-    cls = _classes(window)
-    return tuple(
-        tuple((jj, kk - k) for jj, (cc, kk, _) in enumerate(cls) if cc == c) for c, k, _ in cls
-    )
+    cls, members = _classes(window)
+    return tuple(tuple((jj, cls[jj][1] - k) for jj in members[c]) for c, k, _ in cls)
 
 
 @lru_cache(maxsize=1024)  # [-64, 64] on about 8 systems; an entry of 6 events, about 1.4 KiB
@@ -140,9 +138,8 @@ def _offset_events(system: RotationSystem, o: int) -> tuple[bool, tuple]:
     """Whether frac(o*xi) lies in W, and offset o's events (key, x, j, o) but those at 0."""
     ss = system._scaled
     d, m, (sa, sb) = ss.d, ss.m, ss.step
-    ends = [e for iv in ss.ivals for e in (iv[:2], iv[2:])]
     events = []
-    for j, (ea, eb) in enumerate(ends):
+    for j, (ea, eb) in enumerate(ss.ends):
         n, key = divmod(floor_key(ea - o * sa, eb - o * sb, d), m)  # x's floor, frac(x)'s key
         if (x := (ea - o * sa - n * m, eb - o * sb)) != (0, 0):
             events.append((key, x, j, o))

@@ -15,7 +15,6 @@ from here.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 import re
@@ -27,7 +26,7 @@ from math import gcd
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .exactnum import (Exact, XiMismatchError, XiReal, XiSpec, check_exact, check_int,
-                       coordinates_text, floor_key, pair_sign, parse_xi, parse_xireal)
+                       coordinates_text, linear_key, parse_xi, parse_xireal)
 from .patterns import PointPattern
 
 __all__ = ["EmptyPattern", "MatchingWitness", "build_witness", "optimality_check"]
@@ -185,35 +184,19 @@ def _residue_extrema(
 ) -> tuple[Exact, Exact]:
     """Exact (min, max) of r_i = y_i*delta - i over the sorted points; `all_int` if all are ints.
 
-    For int points and delta = (a + b*sqrt(d))/m the residues are ranked by integers.  With
-    A = floor(2^K*(a + b*sqrt(d))), one ``floor_key``, z_i = y_i*A - i*m*2^K equals
-    2^K*m*r_i - y_i*t for one t in [0, 1), and t = 0 if b = 0.  So z_i lies within |y_i| of
-    2^K*m*r_i, and z_i - z_j >= e = 2*max|y| + 2 implies r_i > r_j; if b = 0, e = 0 and
-    z_i >= z_j implies r_i >= r_j.  An extreme is settled by the z's alone when the top two
-    are at least e apart; else ``pair_sign`` settles it among the points whose z lies within
-    e of the top one, which hold every point that can be extreme.  K is 20 plus the bit
-    length of e, so residues more than 2^-19/m apart have z's at least e apart.
+    For int points and delta = (a + b*sqrt(d))/m, m*r_i is the pair (y_i*a - i*m, y_i*b),
+    whose additive key (``linear_key``) is y_i*(a*one + b*r) - i*m*one.  Two residues differ
+    by a pair whose sqrt(d) part is at most e = (max y - min y)*|b|, so for the keys of
+    ``linear_key(d, max(1, e))`` a greater residue has a greater key, and equal keys mean
+    equal residues: the extremes are the points of the least and the greatest key.
     """
     if all_int and isinstance(delta, XiReal):
         a, b, m = delta.triple
-        d = delta.xi.d
-        e = 2 * max(-points[0], points[-1]) + 2 if b else 0
-        K = e.bit_length() + 20
-        A, step = floor_key(a << K, b << K, d), m << K
-        zs = [y * A - i * step for i, y in enumerate(points)]
-        ends = []
-        for sgn, (z1, z2) in ((-1, heapq.nsmallest(2, zs)), (1, heapq.nlargest(2, zs))):
-            if abs(z1 - z2) >= e:
-                i = zs.index(z1)
-            else:  # pair_sign on m*(r_j - r_i) among the points within e of z1
-                near = [j for j, z in enumerate(zs) if abs(z - z1) <= e]
-                i = near[0]
-                for j in near[1:]:
-                    dy = points[j] - points[i]
-                    if sgn * pair_sign(dy * a - (j - i) * m, dy * b, d) > 0:
-                        i = j
-            ends.append(XiReal.from_triple(points[i] * a - i * m, points[i] * b, m, delta.xi))
-        return tuple(ends)
+        one, r = linear_key(delta.xi.d, max(1, (points[-1] - points[0]) * abs(b)))
+        ka, km = a * one + b * r, m * one  # the keys of (a, b) and (m, 0)
+        keys = [y * ka - i * km for i, y in enumerate(points)]
+        return tuple(XiReal.from_triple(points[i] * a - i * m, points[i] * b, m, delta.xi)
+                     for i in (keys.index(min(keys)), keys.index(max(keys))))
     if all_int and isinstance(delta, (int, Fraction)):
         num, den = delta.numerator, delta.denominator
         cands = [y * num - i * den for i, y in enumerate(points)]

@@ -108,27 +108,22 @@ class CohomologyReport:
     witness: Optional[OrenWitness]
 
 
-def _classes(w: Window) -> list[tuple[int, int, int]]:
-    """(c, k, m) per endpoint, flat as in ``Window.endpoints``: the endpoint is
-    r + k*xi + m with r the residue of class c, classes numbered by first
-    appearance."""
+def _classes(w: Window) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """(c, k, m) per endpoint, flat as in ``Window.endpoints``, with the endpoint
+    r + k*xi + m and r the residue of class c, classes numbered by first appearance;
+    and the flat endpoint indices of each class, in class order."""
     w._require_nonempty()
     number: dict[tuple[int, int, int], int] = {}
-    out = []
-    for e in w.endpoints():
-        r, k, m = lattice_split(e)
-        out.append((number.setdefault(r, len(number)), k, m))
-    return out
-
-
-def _members(cls: list[tuple[int, int, int]]) -> list[list[int]]:
-    """The flat endpoint indices of each class, in class order."""
+    cls: list[tuple[int, int, int]] = []
     members: list[list[int]] = []
-    for i, (c, _, _) in enumerate(cls):
+    for i, e in enumerate(w.endpoints()):
+        r, k, m = lattice_split(e)
+        c = number.setdefault(r, len(number))
         if c == len(members):
             members.append([])
         members[c].append(i)
-    return members
+        cls.append((c, k, m))
+    return cls, members
 
 
 def _matching(cls: list[tuple[int, int, int]], members: list[list[int]]) -> Optional[OrenWitness]:
@@ -150,8 +145,7 @@ def _matching(cls: list[tuple[int, int, int]], members: list[list[int]]) -> Opti
 
 def _read(w: Window) -> tuple[BoundaryClassReport, Optional[OrenWitness]]:
     """The boundary classes and the Oren matching (None if a class is unbalanced)."""
-    cls = _classes(w)
-    members = _members(cls)
+    cls, members = _classes(w)
     report = BoundaryClassReport(
         endpoints=w.endpoints(),
         classes=tuple(map(tuple, members)),
@@ -180,8 +174,7 @@ def oren_condition(w: Window) -> Optional[OrenWitness]:
     Read off the boundary classes, with no class report; reduces to
     kesten_condition when the window has a single interval.
     """
-    cls = _classes(w)
-    return _matching(cls, _members(cls))
+    return _matching(*_classes(w))
 
 
 def boundary_classes(w: Window) -> BoundaryClassReport:

@@ -374,11 +374,7 @@ def local_discrepancy(system: RotationSystem, n: int) -> XiReal:
         raise ValueError("n must be >= 0")
     system.guard_singular(0, n)
     ss = system._scaled
-    _, q, r = system.xi.triple  # xi = (p + q*sqrt(d))/r
-    # the kappa_l sum to beta, the xi-part of len = (la + lb*sqrt(d))/m, so beta = lb*r/(m*q):
-    # where |beta| > L*(N + 1) some |kappa_l| exceeds N + 1, and the matching is not read
-    wide = abs(ss.length[1] * r) > len(ss.ivals) * (n + 1) * abs(ss.m * q)
-    ks = None if wide else system._oren_ks
+    ks = system._oren_ks
     if ks is not None and max(map(abs, ks)) <= n + 1:
         _scaled.debug(__name__, "D(%d): telescoped floor sums, %d terms", n, sum(map(abs, ks)))
         return ss.unscale(_scaled.telescoped_discrepancy(ss, ks, n))

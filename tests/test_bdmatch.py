@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cutproject import bdmatch
+from cutproject import bdmatch, exactnum
 from cutproject.bdmatch import (
     EmptyPattern,
     MatchingWitness,
@@ -396,7 +396,7 @@ def residue_cases(draw):
     """Sorted int points, negative ones too, and a delta = (a + b*sqrt(d))/m with b of
     either sign or 0.  Half have a, b and m up to 2^130; half have m*delta within about
     2^-12 to 2^-230 of 1/3 and points 3m apart, whose residues then differ only by that
-    distance times their y: the floor keys of the near-ties cannot rank them."""
+    distance times their y: near-ties that a key of fixed precision could not rank."""
     xi = draw(st.sampled_from(FIELDS))
     if draw(st.booleans()):
         big = st.integers(-2**130, 2**130)
@@ -414,9 +414,8 @@ def residue_cases(draw):
 
 
 # m*delta = 1/3 + tau, 0 < tau < 10^-13 (near_third(d, 9)), and points 3m apart: the residues
-# tie but for tau*y, and 2^K*m*delta lies near 1/3 or 2/3 modulo 1, so the z's rank them
-# against their order, the two ends of a run of ties further apart than half of e: pair_sign
-# must settle both extremes, over every point within e of the top z
+# tie but for tau*y, so both extremes are near-ties: the keys must resolve residues about
+# tau apart
 FALLBACK_CASES = [
     (pts, XiReal.from_triple(*near_third(xi.d, 9), m, xi))
     for xi in (SQRT2, FIELDS[1])
@@ -434,20 +433,22 @@ FALLBACK_CASES = [
 @example(FALLBACK_CASES[5])
 @example(((0, 2, 3, 4, 6), XiReal.from_triple(1, 0, 2, SQRT2)))  # b = 0: exact ties at both ends
 def test_residue_extrema_match_the_sign_loop(case):
-    """The extremes ranked by one floor key, with pair_sign only among the points whose z
-    lies within e of the top one, are those of a pair_sign test against every point."""
+    """The extremes ranked by one additive key (linear_key) are those of a pair_sign test
+    against every point."""
     pts, delta = case
     assert _residue_extrema(pts, delta, True) == sign_residue_extrema(pts, delta)
 
 
 @pytest.mark.parametrize("pts, delta", FALLBACK_CASES)
-def test_near_tied_residues_reach_the_exact_fallback(monkeypatch, pts, delta):
-    """The near-tie examples above need pair_sign: their floor keys alone cannot settle
-    the extremes."""
+def test_near_tied_residues_need_no_sign_test(monkeypatch, pts, delta):
+    """The near-tie examples above are ranked by their keys alone: no pair_sign call."""
+    want = sign_residue_extrema(pts, delta)
     calls = []
-    monkeypatch.setattr(bdmatch, "pair_sign", lambda *a: calls.append(a) or pair_sign(*a))
-    assert _residue_extrema(pts, delta, True) == sign_residue_extrema(pts, delta)
-    assert len(calls) >= 2  # one settling at least, at each end
+    for module in (bdmatch, exactnum):  # a sign test made from either module counts
+        monkeypatch.setattr(module, "pair_sign", lambda *a: calls.append(a) or pair_sign(*a),
+                            raising=False)
+    assert _residue_extrema(pts, delta, True) == want
+    assert calls == []
 
 
 def parse_by_lines(text: str) -> MatchingWitness:
