@@ -146,13 +146,13 @@ b' = a + b and F'(x) = F(x) F(x - beta) on [0, alpha).  The tower floors
 of J_i cover the circle once and each endpoint lies in one floor, so
 F_i has at most 2L + 2 pieces once equal neighbours merge.  The n steps
 from x are a greedy climb from level 0: go up a level while x lies in the
-next J and its block fits, else take F_i(x) if it fits, else go down.  x
-carries its floor key, so its sign, the J tests and the piece lookup
-compare ints with the keys a level keeps of its cuts, alpha and -beta,
-and test signs only on equal keys.  At most two blocks a level, so
-O(log n) lookups as xi has bounded partial quotients, times their size (a
-level is one walk step): a profile of [1/7, 9/14) to 10^6 at
-xi = sqrt(k^2 + 1) takes 4.7 s at k = 10^4, 160 times as long as at 10.
+next J and its block fits, else take F_i(x) if it fits, else go down.  It
+carries x's additive key (``linear_key``) and reads the keys of each
+level's cuts, alpha, -beta and summaries, so it compares ints and tests no
+sign.  At most two blocks a level, so O(log n) lookups as xi has bounded
+partial quotients, times their size (a level is one walk step): a cold
+profile of [1/7, 9/14) to 10^6 at xi = sqrt(k^2 + 1) takes 3.4 s at
+k = 10^4, 120 times as long as at 10.
 A profile multiplies the products from record to record: the prefix
 (h, k) of steps 0..n gives D(n) = h - (k - 1)*len, and max |D| reads
 max(hi, -lo) the same way.  Only the levels with a block of at most
@@ -167,8 +167,9 @@ interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every floor
 one ``isqrt`` (``floor_key``); sorts and bisections of points over M order
 them by the floor of the numerator, an int key, and test signs only on
-equal keys (``exactnum.sort_pairs``, ``rank_pair``), and the three-gap
-steps compare additive keys and test signs only on exact meetings.
+equal keys (``exactnum.sort_pairs``, ``rank_pair``); the three-gap steps
+and the table climb compare additive keys, and test signs only on exact
+meetings or not at all.
 """
 
 from __future__ import annotations
@@ -656,23 +657,35 @@ def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
 # -- block tables (module docstring) --------------------------------------------------
 
 Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and the min prefix
-# a, alpha, b, beta, the table's cuts, values and cut keys, the keys of alpha and -beta, and
-# where the walk stands after the level's step: step t of run i, as (i, t) (``_steps``)
-Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], list[int], int, int, tuple[int, int]]
+# a, alpha, b, beta, the table's cuts, values and cut floor keys, the largest |sqrt(d) part| of
+# a cut, alpha or beta up to it, and where the walk stands after its step: step t of run i, as
+# (i, t) (``_steps``)
+Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], list[int], int, tuple[int, int]]
 
 
-@lru_cache(maxsize=8)  # a window's levels keep its call's peak: 4.1 MiB at sqrt(10^6 + 1) to 10^6
+@lru_cache(maxsize=8)  # levels and one keyed view keep 9.2 MiB (levels 4.3) at sqrt(10^6 + 1) to 10^6
 def _levels(d: int, m: int, step: Pair, ivals: tuple[Interval, ...]) -> list[Level]:
     return []  # the levels of the window's tables built so far; ``table_rows`` adds more
+
+
+@lru_cache(maxsize=16)  # chunks of a window from other basepoints share a few values of one
+def _views(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], one: int) -> list[tuple]:
+    return []  # the window's levels read so far in the keys of one; ``table_rows`` adds more
 
 
 def table_rows(
     ss: ScaledSystem, records: Sequence[int]
 ) -> tuple[list[tuple[int, XiReal, XiReal]], int]:
     """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, from the block
-    tables of the levels whose blocks fit in 0..records[-1] (cached per window by
+    tables of the levels whose blocks fit in 0..records[-1] = N (cached per window by
     ``_levels``, as they do not depend on the basepoint); `records` is increasing and
-    nonempty.  Returns the rows and the number of those levels."""
+    nonempty.  Returns the rows and the number of those levels.
+
+    The climb compares additive keys (``linear_key``) for e = max(|b_0|, |b_0 + (N + 1)*
+    step_b|) + E + 2(N + 1)|len_b|: x's sqrt(d) part is b_0 + j*step_b after j <= N + 1
+    steps, E (kept per level) bounds a cut's, alpha's or beta's, and prefixes (h, k) of the
+    product have 1 <= k <= N + 1, so two summaries differ by (k - k')*len_b and up - down by
+    (2 - hk - lk)*len_b.  e bounds every difference compared, so keys order as values do."""
     d = ss.d
     m = ss.m
     la, lb = ss.length
@@ -691,12 +704,12 @@ def table_rows(
     def keyed(pts: set[Pair]) -> list[tuple[int, Pair]]:
         return sort_pairs([(floor_key(*c, d), c) for c in pts], d)
 
-    def level(gaps: Gaps, cuts: list, vals: list[Summary], at: tuple[int, int]) -> Level:
+    def level(gaps: Gaps, cuts: list, vals: list[Summary], at: tuple[int, int], big: int) -> Level:
         keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]  # merge equal neighbours
         cuts, keys = [cuts[j][1] for j in keep], [cuts[j][0] for j in keep]
         a, al, b, be = gaps
-        ka, kb = floor_key(*al, d), floor_key(-be[0], -be[1], d)
-        return a, al, b, be, cuts, [vals[j] for j in keep], keys, ka, kb, at
+        big = max(big, abs(al[1]), abs(be[1]), *(abs(c[1]) for c in cuts))
+        return a, al, b, be, cuts, [vals[j] for j in keep], keys, big, at
 
     sa, sb = ss.step
     levels = _levels(d, m, ss.step, ss.ivals)
@@ -705,15 +718,15 @@ def table_rows(
         cuts = keyed({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
         # one step from the circle point of each cut
         vals = [(int(ss.contains(*(c if k >= 0 else (c[0] + m, c[1])))), 1) * 3 for k, c in cuts]
-        levels[:1] = [level(_runs(d, m, ss.step)[0][:4], cuts, vals, (0, 0))]
+        levels[:1] = [level(_runs(d, m, ss.step)[0][:4], cuts, vals, (0, 0), 0)]
     top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
     # top: the last level whose blocks fit.  Where it is the last level built, build on from
     # where its walk stands up to one whose blocks do not fit, so that a call with a bound no
     # larger reads no run
-    steps = _steps(d, m, ss.step, levels[top][9]) if top == len(levels) - 1 else ()
+    steps = _steps(d, m, ss.step, levels[top][8]) if top == len(levels) - 1 else ()
     i = top
     for at, left, nxt in steps:
-        _, al, _, be, cuts, vals, keys, _, _, _ = levels[i]
+        _, al, _, be, cuts, vals, keys, big, _ = levels[i]
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
             p, shift = nxt[1], al
         else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
@@ -729,16 +742,36 @@ def table_rows(
                 c = (c[0] + shift[0], c[1] + shift[1])
                 v = mul(v, vals[rank_pair(keys, cuts, floor_key(*c, d), c, d) - 1])
             new_vals.append(v)
-        levels[i + 1:i + 2] = [level(nxt, new_cuts, new_vals, at)]
+        levels[i + 1:i + 2] = [level(nxt, new_cuts, new_vals, at, big)]
         i += 1
         if min(nxt[0], nxt[2]) > records[-1] + 1:
             top = i - 1
             break
 
     x = ss.base if pair_sign(ss.base[0] - sa, ss.base[1] - sb, d) < 0 else (ss.base[0] - m, ss.base[1])
-    kx = floor_key(*x, d)  # x's key, carried from step to step
-    neg = kx < 0
-    acc: Optional[Summary] = None
+    n = records[-1] + 1
+    one, r = linear_key(d, max(abs(x[1]), abs(x[1] + n * sb)) + levels[top][7] + 2 * n * abs(lb))
+    ell, mo = la * one + lb * r, m * one  # the keys of m*len and of m
+    views = _views(d, m, ss.step, ss.ivals, one)
+    # a, b, the keys of alpha, -beta and the cuts, and each value as (h, k, K) thrice, with K
+    # the key of m*(h - k*len), for the levels this view lacks: stored from where the view
+    # stood, so a thread that extended it meanwhile gets the same entries again, not a copy
+    start = len(views)
+    views[start:top + 1] = [
+        (a, b, al[0] * one + al[1] * r, -be[0] * one - be[1] * r, [c[0] * one + c[1] * r for c in cuts],
+         [(h, k, h * mo - k * ell, hh, hk, hh * mo - hk * ell, lh, lk, lh * mo - lk * ell)
+          for h, k, hh, hk, lh, lk in vals]) for a, al, b, be, cuts, vals, *_ in levels[start:top + 1]]
+
+    def keyed_mul(s: tuple, t: tuple) -> tuple:  # mul on keys: K + TKH > KH, not a sign test
+        h, k, kk, hh, hk, kh, lh, lk, kl = s
+        if kk + t[5] > kh:
+            hh, hk, kh = h + t[3], k + t[4], kk + t[5]
+        if kk + t[8] < kl:
+            lh, lk, kl = h + t[6], k + t[7], kk + t[8]
+        return h + t[0], k + t[1], kk + t[2], hh, hk, kh, lh, lk, kl
+
+    kx = x[0] * one + x[1] * r  # x's key, carried from step to step
+    acc: Optional[tuple] = None
     rows = []
     prev = -1
     last = None  # the last sup pair: it changes on few rows, so each is unscaled once
@@ -747,28 +780,25 @@ def table_rows(
         prev = rec
         i = 0
         while n:
+            neg = kx < 0
             if i < top:  # up while x lies in the next J = [-beta, alpha) and its block fits
-                a, al, b, be, _, _, _, ka, kb, _ = levels[i + 1]
-                if (a if neg else b) <= n and (
-                        kb < kx or kb == kx and pair_sign(x[0] + be[0], x[1] + be[1], d) >= 0) and (
-                        kx < ka or kx == ka and pair_sign(x[0] - al[0], x[1] - al[1], d) < 0):
+                a, b, ka, kb, _, _ = views[i + 1]
+                if (a if neg else b) <= n and kb <= kx < ka:
                     i += 1
                     continue
-            a, al, b, be, cuts, vals, keys, _, _, _ = levels[i]
-            r = a if neg else b
-            if r > n:
+            a, b, ka, kb, keys, vals = views[i]
+            t = a if neg else b
+            if t > n:
                 i -= 1
                 continue
-            v = vals[rank_pair(keys, cuts, kx, x, d) - 1]  # the piece holding x
-            acc = v if acc is None else mul(acc, v)
-            x = (x[0] + al[0], x[1] + al[1]) if neg else (x[0] - be[0], x[1] - be[1])
-            kx = floor_key(*x, d)
-            neg = kx < 0
-            n -= r
-        h, k, hh, hk, lh, lk = acc  # k = rec + 1 steps, so D(rec) = h - rec*len
-        up = (hh * m - (hk - 1) * la, (1 - hk) * lb)  # max D
-        down = ((lk - 1) * la - lh * m, (lk - 1) * lb)  # -min D
-        sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
+            v = vals[bisect_right(keys, kx) - 1]  # the piece holding x
+            acc = v if acc is None else keyed_mul(acc, v)
+            kx += ka if neg else kb  # x + alpha, or x - beta
+            n -= t
+        h, k, _, hh, hk, kh, lh, lk, kl = acc  # k = rec + 1 steps, so D(rec) = h - rec*len
+        up = (hh * m - (hk - 1) * la, (1 - hk) * lb)  # max D, key kh + ell
+        down = ((lk - 1) * la - lh * m, (lk - 1) * lb)  # -min D, key -kl - ell
+        sup = up if kh + kl + 2 * ell >= 0 else down
         if sup != last:
             last, sup_x = sup, ss.unscale(sup)
         rows.append((rec, ss.unscale((h * m - rec * la, -rec * lb)), sup_x))

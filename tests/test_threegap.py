@@ -6,7 +6,8 @@ Every fast route is compared with a route that shares none of its
 stepping: ``collect_hits_direct`` (one explicit floor per index), plain
 ``XiReal`` arithmetic from ``exactnum``, or brute force over k.  The
 block tables ``table_rows`` are checked against ``strip_rows`` (one
-explicit floor per index) and are in turn the reference for the closed
+explicit floor per index) and, far out, against the floor-sum count of
+``local_discrepancy``, and are in turn the reference for the closed
 form up to N = 10^30, where both stay below the exact supremum of a
 bounded window (``oracles.exact_sup``).
 """
@@ -324,11 +325,11 @@ def test_sparse_window_needs_no_search(monkeypatch):
     assert calls < 1000
 
 
-def test_table_profile_sign_tests_only_on_equal_keys(monkeypatch):
-    """The block tables order points by their floor keys and call pair_sign only on
-    equal keys: a profile of [1/7, 9/14) to 10^6 makes about 22,000 sign tests, where
-    one test per comparison made 39,215 (38,163 with the levels built), and a floor
-    makes none."""
+def test_table_climb_makes_no_sign_test(monkeypatch):
+    """The block tables' climb compares additive keys: a profile of [1/7, 9/14) to 10^6
+    makes 722 sign tests on a cold call, all in the level build (21,836 when the climb
+    compared floor keys with a tie pass, 39,215 with one test per comparison), and one on
+    a warm call, the side of 0 of the basepoint; a floor makes none."""
     xi = FIELDS[0]
     system = RotationSystem(xi, xi.zero, parse_window("[1/7, 9/14)", xi))
     calls = 0
@@ -341,8 +342,12 @@ def test_table_profile_sign_tests_only_on_equal_keys(monkeypatch):
     monkeypatch.setattr(_scaled, "pair_sign", counted)
     monkeypatch.setattr(exactnum, "pair_sign", counted)  # the tie passes of sort_pairs, rank_pair
     assert system._oren_ks is None  # the tables' route
+    clear_walk_caches()
     profile(system, 10**6)
-    assert 0 < calls < 27_000
+    assert 0 < calls < 800
+    calls = 0
+    profile(system, 10**6)
+    assert calls <= 1
     calls = 0
     t = 141421356237309504880  # floor(10^20*sqrt(2)): values just above and below integers
     cases = [(7, -4, 2, 5), (-t, 10**20, 1, 2), (t + 1, -(10**20), 3, 2), (-t, -(10**20), 1, 2)]
@@ -630,6 +635,23 @@ def test_table_rows_match_strip_route(system, n, data):
     assert rows == [(r, *want[r]) for r in records]
 
 
+@pytest.mark.parametrize("system, n_max", [
+    (RotationSystem(FIELDS[0], FIELDS[0].real(Fraction(1, 3), 5), parse_window("[1/7, 9/14)", FIELDS[0])),
+     10**30),
+    (RotationSystem(XI101, XI101.zero, parse_window("[1/7, 9/14)", XI101)), 10**20),
+], ids=["golden-1/3+5xi-1e30", "sqrt101-1e20"])
+def test_table_rows_match_the_count_deep(system, n_max):
+    """Past the strip route's reach: each sample's D from the tables equals
+    ``local_discrepancy``, here the floor-sum count, which shares no step with them.  The
+    large sqrt(d) parts of x and of the deep levels' cuts test the climb's key bound."""
+    assert system._oren_ks is None  # the tables' route, and the count's
+    samples = profile(system, n_max, trace_limit=1024).samples
+    assert len(samples) > 300
+    for s in samples:
+        assert s.value == local_discrepancy(system, s.n), s.n
+        assert (s.running_sup - abs(s.value)).sign() >= 0
+
+
 def test_table_rows_keep_prefix_extremes_apart():
     """Neighbouring pieces whose blocks have one sum but other prefix extremes stay two."""
     xi = FIELDS[0]
@@ -902,7 +924,7 @@ SHARED_WALK_CASES = [
 
 
 def clear_walk_caches():
-    for cache in (_scaled._runs, _scaled._levels, _scaled.return_gaps):
+    for cache in (_scaled._runs, _scaled._levels, _scaled._views, _scaled.return_gaps):
         cache.cache_clear()
 
 
@@ -939,6 +961,25 @@ def test_walk_and_levels_do_not_depend_on_cache_state(system):
     walk_outputs(system, 3)
     assert all(now < then for now, then in zip(sizes(), (runs, levels)))
     assert walk_outputs(system, 2000) == cold
+
+
+def test_keyed_views_do_not_depend_on_cache_state():
+    """Table rows from warm levels and keyed views equal those of cold caches: profiles
+    to 10^6, 10^30 and 10^6 again, from two basepoints 10^6 steps of xi apart, so that the
+    key bound e, and with it the views' scale, differs from call to call, and a view made
+    for one bound is read again at another with more or fewer levels."""
+    xi = FIELDS[0]
+    window = parse_window("[1/7, 9/14)", xi)
+    bases = [xi.zero, (10**6 * xi.xi_real).fractional_part()[0]]  # b-parts 10^6*step_b apart
+    calls = [(RotationSystem(xi, b, window)._scaled, _record_points(n, 64))
+             for n in (10**6, 10**30, 10**6) for b in bases]
+    cold = []
+    for ss, records in calls:
+        clear_walk_caches()
+        cold.append(_scaled.table_rows(ss, records))
+    clear_walk_caches()
+    assert [_scaled.table_rows(ss, records) for ss, records in calls] == cold
+    assert _scaled._views.cache_info().currsize >= 3  # one per bound and basepoint at least
 
 
 # golden, sqrt 2, sqrt 3 and sqrt(k^2 + 1) for k = 10, 100, 1000: one-step runs, runs of
@@ -1071,5 +1112,41 @@ def test_two_threads_extend_one_run_list():
                 assert not t.is_alive()
             assert got == [want, want]
             assert _scaled._runs(ss.d, ss.m, ss.step) == serial_runs
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_two_threads_extend_one_keyed_view(monkeypatch):
+    """Two threads whose cold table calls share the levels and one keyed view get the
+    serial rows and leave the serial view: each stores its entries from where the view
+    stood when it made them (20 tries)."""
+    ss = SHARED_WALK_CASES[1]._scaled  # golden [1/7, 9/14)
+    records = _record_points(10**30, 64)
+    caches = (_scaled._runs, _scaled._levels, _scaled._views, _scaled.return_gaps)
+    views, made = _scaled._views, []
+    clear_walk_caches()
+    monkeypatch.setattr(_scaled, "_views", lambda *args: made.append(views(*args)) or made[-1])
+    want = _scaled.table_rows(ss, records)
+    serial = list(made[-1])
+    got = [None, None]
+
+    def work(i):
+        got[i] = _scaled.table_rows(ss, records)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(20):
+            for cache in caches:
+                cache.cache_clear()
+            got[:] = [None, None]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == [want, want]
+            assert made[-1] is made[-2] and made[-1] == serial
     finally:
         sys.setswitchinterval(interval)
