@@ -41,14 +41,16 @@ or a gap of the hull) unless y_k lies on the crossing arc [c - eps, c)
 or [c, c - eps) of an endpoint c, split at 0 if it wraps, and then in
 the piece just past c (if it crosses two endpoints, it is stepped).  The
 first q indices and the arcs are stepped.  A block is kept as the offsets
-of its hits from its start, the gap before each hit (the first from the
-block start, and one more from the last hit to the block end) and their
-colours, which stay the same from block to block but at the crossings: each
-patches them at its offset (a delete merges a gap into the next, an insert
-splits one).  A block's gap and colour lists are copied to the output by
-reference, its first gap raised by the bridge from the last hit output and
-its end gap taken off as the next bridge, so no bytecode runs per hit; one
-``accumulate`` over the output's gaps makes each hit's int at the end.
+of its hits from its start and the gap before each hit (the first from the
+block start, and one more from the last hit to the block end), which stay
+the same from block to block but at the crossings: each patches them at its
+offset (a delete merges a gap into the next, an insert splits one).  A
+block's gap list is copied to the output by reference, its first gap raised
+by the bridge from the last hit output and its end gap taken off as the next
+bridge, so no bytecode runs per hit; one ``accumulate`` over the output's
+gaps makes each hit's int at the end.  Only a hull of several pieces keeps
+its hits' colours per block, patched and copied alike: a one-piece hull's
+are made once at the end, and the intervals alone (hull=False) have none.
 In stepped hits, a shift by q over N indices costs q*len for
 the first block and C*N*E*|eps| for the crossings, with len the total
 length of the pieces, E the number of their distinct endpoints and C the
@@ -445,16 +447,18 @@ def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> lis
 # -- block shift (module docstring) --------------------------------------------------
 
 Piece = tuple[Interval, int]  # an interval and its colour
-Block = tuple[tuple[int, ...], list[int]]  # hits and their colours
+Block = tuple[tuple[int, ...], Optional[tuple[int, ...]]]  # hits and their colours, or None
 
 
-def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int) -> Block:
-    """Hits of the pieces in [k_min, k_max] and their colours, by three-gap stepping."""
+def _stepped(ss: ScaledSystem, pieces: list[Piece], k_min: int, k_max: int, colored: bool) -> Block:
+    """Hits of the pieces in [k_min, k_max] by three-gap stepping, and their colours or None."""
     if len(pieces) == 1:
         ks = tuple(interval_hits(ss, pieces[0][0], k_min, k_max))
-        return ks, [pieces[0][1]] * len(ks)
+        return ks, (pieces[0][1],) * len(ks) if colored else None
+    if not colored:
+        return tuple(sorted(k for iv, _ in pieces for k in interval_hits(ss, iv, k_min, k_max))), None
     hits = sorted((k, color) for iv, color in pieces for k in interval_hits(ss, iv, k_min, k_max))
-    return tuple(map(itemgetter(0), hits)), list(map(itemgetter(1), hits))
+    return tuple(map(itemgetter(0), hits)), tuple(map(itemgetter(1), hits))
 
 
 CROSSING_COST = 2  # C: one crossing, in stepped hits (module docstring)
@@ -506,16 +510,16 @@ def _plan(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], ends: tuple[P
 def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -> Block:
     """Increasing k in [k_min, k_max] whose orbit point lies in the window, and their
     colours: with hull=True the hits of the hull, coloured by interval index (1-based)
-    or 0 when the point lies in none of the intervals, else of the intervals alone.
+    or 0 when the point lies in none of the intervals, else of the intervals alone and None.
 
-    On the block shift each block of q indices is the last one's offsets, gaps and
-    colours patched at its crossings; the output is the gap before each hit, the first
-    block's first from 0, summed once by ``accumulate`` (module docstring)."""
+    On the block shift each block of q indices is the last one's offsets, gaps and (for a
+    hull of several pieces) colours patched at its crossings; the output is the gap before
+    each hit, the first block's first from 0, summed once by ``accumulate`` (module docstring)."""
     span = k_max - k_min + 1
     pieces, q, arcs = _plan(ss.d, ss.m, ss.step, ss.ivals, ss.ends, span, hull)
     if not q:
         debug(__name__, "hits %d..%d: three-gap stepping, %d pieces", k_min, k_max, len(pieces))
-        return _stepped(ss, pieces, k_min, k_max)
+        return _stepped(ss, pieces, k_min, k_max, hull)
     # the k whose point crosses an endpoint when moved on by q: those on its arc
     on_arcs = ((k, color) for arc, color in arcs for k in interval_hits(ss, arc, k_min, k_max - q))
     cross = sorted(on_arcs, key=itemgetter(0))
@@ -523,33 +527,38 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
         __name__, "hits %d..%d: block shift, q=%d, %d blocks, %d crossings",
         k_min, k_max, q, -(-span // q), len(cross),
     )
-    ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1)
+    track = hull and len(pieces) > 1  # the hits' colours can differ: keep them per block
+    ks, colors = _stepped(ss, pieces, k_min, k_min + q - 1, track)
     # a block: the offsets of its hits from its start, then q; the gap before each offset
-    # (the first from the block start); and the hits' colours
+    # (the first from the block start); and, if tracked, the hits' colours
     offs = [k - k_min for k in ks] + [q]
     gaps = list(map(sub, offs, [0, *offs]))
+    colors = list(colors or ())  # empty if not tracked
     out_gaps, out_colors = [], []  # out_gaps: the gap before each hit, the first from 0
     bridge = k_min  # from the last hit output to the block start
     i = 0
     for start in range(k_min, k_max + 1, q):
         while i < len(cross) and cross[i][0] < start:  # the crossings of the last block
-            k, color = cross[i]
+            k, color = cross[i]  # the colour past the endpoint; None: a delete
             i += 1
             while i < len(cross) and cross[i][0] == k:  # it crosses several endpoints: step k + q
                 i += 1
-                color = (_stepped(ss, pieces, k + q, k + q)[1] or [None])[0]
+                color = (_stepped(ss, pieces, k + q, k + q, True)[1] or (None,))[0]
             o = k + q - start
             j = bisect_left(offs, o)
-            if offs[j] == o and color is not None:
-                colors[j] = color
-            elif offs[j] == o:  # a delete merges its gap into the next one
+            if offs[j] == o and color is None:  # a delete merges its gap into the next one
                 gaps[j + 1] += gaps[j]
-                del offs[j], colors[j], gaps[j]
-            elif color is not None:  # an insert splits the gap before offs[j]
+                del offs[j], gaps[j]
+                if track:
+                    del colors[j]
+            elif offs[j] == o and track:  # a recolour
+                colors[j] = color
+            elif offs[j] != o and color is not None:  # an insert splits the gap before offs[j]
                 gaps.insert(j + 1, offs[j] - o)
                 gaps[j] -= offs[j] - o
                 offs.insert(j, o)
-                colors.insert(j, color)
+                if track:
+                    colors.insert(j, color)
         if start + q - 1 > k_max:  # the last block ends at k_max
             j = bisect_right(offs, k_max - start)
             del offs[j:], colors[j:], gaps[j + 1:]
@@ -558,7 +567,9 @@ def collect_hits(ss: ScaledSystem, k_min: int, k_max: int, hull: bool = False) -
         out_colors += colors
         gaps[0] -= bridge
         bridge = out_gaps.pop()  # the gap after the last hit, to the next block start
-    return tuple(accumulate(out_gaps)), out_colors
+    ks = tuple(accumulate(out_gaps))
+    del out_gaps  # freed before the colours are made, which reuse its memory: less heap
+    return ks, tuple(out_colors) if track else (pieces[0][1],) * len(ks) if hull else None
 
 
 # -- floor sums -------------------------------------------------------------------

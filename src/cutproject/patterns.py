@@ -307,9 +307,8 @@ class PointPattern:
         return iter(self.points)
 
     def gaps(self) -> tuple[int, ...]:
-        return tuple(
-            self.points[i + 1] - self.points[i] for i in range(len(self.points) - 1)
-        )
+        pts = self.points
+        return tuple(map(operator.sub, pts[1:], pts))
 
 
 # -- operations -----------------------------------------------------------------
@@ -351,8 +350,7 @@ def colored_hits(system: RotationSystem, k_min: int, k_max: int) -> PointPattern
     if k_min > k_max:
         return PointPattern((), ())
     system.guard_singular(k_min, k_max)
-    ks, colors = _scaled.collect_hits(system._scaled, k_min, k_max, hull=True)
-    return PointPattern._sorted(ks, tuple(colors))
+    return PointPattern._sorted(*_scaled.collect_hits(system._scaled, k_min, k_max, hull=True))
 
 
 def local_discrepancy(system: RotationSystem, n: int) -> XiReal:

@@ -478,6 +478,14 @@ class TestPointPattern:
         loaded2, header2 = load_pattern(buf2)
         assert loaded2 == plain and header2 == {}
 
+    def test_gaps_are_the_plain_differences(self):
+        hits = orbit_hits(kesten_system(), 0, 5000)
+        pts = hits.points
+        assert len(pts) > 100
+        assert hits.gaps() == tuple(pts[i + 1] - pts[i] for i in range(len(pts) - 1))
+        assert PointPattern(()).gaps() == ()
+        assert PointPattern((7,)).gaps() == ()
+
 
 INDEX_CALLS = [
     (orbit_hits, {"k_min": 0, "k_max": 50}),

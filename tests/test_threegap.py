@@ -836,7 +836,30 @@ def test_block_shift_patches_block_ends(xi, text, base, k_min, k_max, moves, hul
     assert end_moves(sorted(want), k_min, k_max, q) == moves[hull]
     ks, colors = _scaled.collect_hits(ss, k_min, k_max, hull)
     assert list(ks) == sorted(want)
-    assert list(colors) == [want[k] for k in ks]
+    if hull:
+        assert colors == tuple(want[k] for k in ks)
+    else:  # the intervals alone: no colour list is built
+        assert colors is None
+
+
+@pytest.mark.parametrize("k_max", [99, 49999], ids=["stepped", "block shift"])
+def test_colors_only_where_they_can_differ(k_max, caplog):
+    """collect_hits keeps colours only for a hull of several pieces: with hull=False they
+    are None on both routes, and a one-interval hull's are a tuple of 1s, made at the end."""
+    xi = FIELDS[0]
+    one = RotationSystem(xi, xi.zero, parse_window("[1/10, 7/10)", xi))
+    three = one.with_window(parse_window("[1/10, 1/4) [1/3, 1/2) [3/5, 17/20)", xi))
+    for system in (one, three):
+        message = route(caplog, lambda: _scaled.collect_hits(system._scaled, 0, k_max))
+        assert ("block shift" in message) == (k_max > 99)
+        ks, colors = _scaled.collect_hits(system._scaled, 0, k_max)
+        assert colors is None
+        assert list(ks) == _scaled.collect_hits_direct(system._scaled, 0, k_max)
+    ks, colors = _scaled.collect_hits(one._scaled, 0, k_max, hull=True)
+    want = direct_colors(one._scaled, 0, k_max)
+    assert type(colors) is tuple and set(colors) == {1}
+    assert colors == tuple(want[k] for k in ks) and list(ks) == sorted(want)
+    assert colored_hits(one, 0, k_max).colors == colors
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
