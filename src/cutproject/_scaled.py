@@ -167,11 +167,11 @@ do not fit, so a call with a bound no larger reads no run.
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every floor
-one ``isqrt`` (``floor_key``); sorts and bisections of points over M order
-them by the floor of the numerator, an int key, and test signs only on
-equal keys (``exactnum.sort_pairs``, ``rank_pair``); the three-gap steps
-and the table climb compare additive keys, and test signs only on exact
-meetings or not at all.
+one ``isqrt`` (``floor_key``); every order of points over M, the three-gap
+steps, the tables' levels and climb and the closed form's teeth, G and
+chains, compares one additive int key (``exactnum.linear_key``) for a bound
+on the sqrt(d) parts compared, and tests signs only on exact meetings or
+not at all.
 """
 
 from __future__ import annotations
@@ -179,14 +179,13 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import (Triple, XiReal, XiSpec, floor_key, linear_key, pair_sign, rank_pair,
-                       sort_pairs)
+from .exactnum import Triple, XiReal, XiSpec, floor_key, linear_key, pair_sign
 
 Pair = tuple[int, int]
 Interval = tuple[int, int, int, int]  # (lo_a, lo_b, hi_a, hi_b)
@@ -668,13 +667,13 @@ def collect_hits_direct(ss: ScaledSystem, k_min: int, k_max: int) -> list[int]:
 # -- block tables (module docstring) --------------------------------------------------
 
 Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and the min prefix
-# a, alpha, b, beta, the table's cuts, values and cut floor keys, the largest |sqrt(d) part| of
-# a cut, alpha or beta up to it, and where the walk stands after its step: step t of run i, as
+# a, alpha, b, beta, the table's cuts (increasing) and values, the largest |sqrt(d) part| of a
+# cut, alpha or beta up to it, and where the walk stands after its step: step t of run i, as
 # (i, t) (``_steps``)
-Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], list[int], int, tuple[int, int]]
+Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], int, tuple[int, int]]
 
 
-@lru_cache(maxsize=8)  # levels and one keyed view keep 9.2 MiB (levels 4.3) at sqrt(10^6 + 1) to 10^6
+@lru_cache(maxsize=8)  # levels and one keyed view keep 8.1 MiB (levels 3.5) at sqrt(10^6 + 1) to 10^6
 def _levels(d: int, m: int, step: Pair, ivals: tuple[Interval, ...]) -> list[Level]:
     return []  # the levels of the window's tables built so far; ``table_rows`` adds more
 
@@ -691,6 +690,14 @@ def table_rows(
     tables of the levels whose blocks fit in 0..records[-1] = N (cached per window by
     ``_levels``, as they do not depend on the basepoint); `records` is increasing and
     nonempty.  Returns the rows and the number of those levels.
+
+    Each level is built on additive keys (``linear_key``) of one scale, for an e that bounds
+    the sqrt(d) part (b-part) of every difference compared.  Level 0's, 2*max(|step_b|,
+    |end_b|), bounds those of its cuts (frac(xi) - 1, 0 and the endpoints, less 1 from
+    frac(xi) on) and of an endpoint and frac(xi).  To step to level i + 1, let B = max(E,
+    |alpha'_b|, |beta'_b|), E level i's (below): the old cuts, the shift (alpha or -beta)
+    and alpha' - beta' have |b| <= B, a new cut (an old one, one less the shift, -beta' or
+    0) 2B and one plus the shift 3B, so e = 4B bounds every comparison among them.
 
     The climb compares additive keys (``linear_key``) for e = max(|b_0|, |b_0 + (N + 1)*
     step_b|) + E + 2(N + 1)|len_b|: x's sqrt(d) part is b_0 + j*step_b after j <= N + 1
@@ -712,48 +719,49 @@ def table_rows(
             lh, lk = ch, ck
         return h + th, k + tk, hh, hk, lh, lk
 
-    def keyed(pts: set[Pair]) -> list[tuple[int, Pair]]:
-        return sort_pairs([(floor_key(*c, d), c) for c in pts], d)
-
     def level(gaps: Gaps, cuts: list, vals: list[Summary], at: tuple[int, int], big: int) -> Level:
         keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]  # merge equal neighbours
-        cuts, keys = [cuts[j][1] for j in keep], [cuts[j][0] for j in keep]
+        cuts = [cuts[j] for j in keep]
         a, al, b, be = gaps
         big = max(big, abs(al[1]), abs(be[1]), *(abs(c[1]) for c in cuts))
-        return a, al, b, be, cuts, [vals[j] for j in keep], keys, big, at
+        return a, al, b, be, cuts, [vals[j] for j in keep], big, at
 
     sa, sb = ss.step
     levels = _levels(d, m, ss.step, ss.ivals)
-    if not levels:
-        signed = {e if pair_sign(e[0] - sa, e[1] - sb, d) < 0 else (e[0] - m, e[1]) for e in ss.ends}
-        cuts = keyed({(sa - m, sb), (0, 0)} | signed)  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0
-        # one step from the circle point of each cut
-        vals = [(int(ss.contains(*(c if k >= 0 else (c[0] + m, c[1])))), 1) * 3 for k, c in cuts]
+    if not levels:  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0 and the endpoints
+        one, r = linear_key(d, 2 * max(abs(b) for _, b in (ss.step, *ss.ends)))
+        signed = {e if e[0] * one + e[1] * r < sa * one + sb * r else (e[0] - m, e[1]) for e in ss.ends}
+        cuts = sorted({(sa - m, sb), (0, 0)} | signed, key=lambda c: c[0] * one + c[1] * r)
+        vals = [(int(ss.contains(*ss.frac(*c))), 1) * 3 for c in cuts]  # one step from each cut
         levels[:1] = [level(_runs(d, m, ss.step)[0][:4], cuts, vals, (0, 0), 0)]
-    top = bisect_right(levels, records[-1] + 1, key=lambda lv: min(lv[0], lv[2])) - 1
-    # top: the last level whose blocks fit.  Where it is the last level built, build on from
-    # where its walk stands up to one whose blocks do not fit, so that a call with a bound no
-    # larger reads no run
-    steps = _steps(d, m, ss.step, levels[top][8]) if top == len(levels) - 1 else ()
+    # top: the last level whose blocks fit, from one read of the list, which other threads may
+    # extend meanwhile.  Where it is the last level read, build on from where its walk stands
+    # up to one whose blocks do not fit, so that a call with a bound no larger reads no run
+    built = len(levels)
+    top = bisect_right(levels, records[-1] + 1, hi=built, key=lambda lv: min(lv[0], lv[2])) - 1
+    steps = _steps(d, m, ss.step, levels[top][7]) if top == built - 1 else ()
     i = top
     for at, left, nxt in steps:
-        _, al, _, be, cuts, vals, keys, big, _ = levels[i]
+        _, al, _, be, cuts, vals, big, _ = levels[i]
+        nb = (-nxt[3][0], -nxt[3][1])  # -beta', a cut of J'
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
             p, shift = nxt[1], al
         else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
-            p, shift = (-nxt[3][0], -nxt[3][1]), (-be[0], -be[1])
+            p, shift = nb, (-be[0], -be[1])
+        one, r = linear_key(d, 4 * max(big, abs(nxt[1][1]), abs(nb[1])))  # e of the docstring
+        keys = [c[0] * one + c[1] * r for c in cuts]
+        kp, ks = p[0] * one + p[1] * r, shift[0] * one + shift[1] * r
         # a cut of J outside J', on the far side of alpha - beta, comes back as its preimage
-        pts = {(c[0] - shift[0], c[1] - shift[1])
-               if (pair_sign(c[0] - p[0], c[1] - p[1], d) >= 0) == left else c for c in cuts}
-        new_cuts = keyed(pts | {(-nxt[3][0], -nxt[3][1]), (0, 0)})
+        pts = {(k - ks, (c[0] - shift[0], c[1] - shift[1])) if (k >= kp) == left else (k, c)
+               for k, c in zip(keys, cuts)}
+        new_cuts = sorted(pts | {(nb[0] * one + nb[1] * r, nb), (0, (0, 0))})  # (key, cut)
         new_vals = []
-        for k, c in new_cuts:
-            v = vals[rank_pair(keys, cuts, k, c, d) - 1]
+        for k, _ in new_cuts:
+            v = vals[bisect_right(keys, k) - 1]
             if (k < 0) == left:  # the block doubles
-                c = (c[0] + shift[0], c[1] + shift[1])
-                v = mul(v, vals[rank_pair(keys, cuts, floor_key(*c, d), c, d) - 1])
+                v = mul(v, vals[bisect_right(keys, k + ks) - 1])
             new_vals.append(v)
-        levels[i + 1:i + 2] = [level(nxt, new_cuts, new_vals, at, big)]
+        levels[i + 1:i + 2] = [level(nxt, [c for _, c in new_cuts], new_vals, at, big)]
         i += 1
         if min(nxt[0], nxt[2]) > records[-1] + 1:
             top = i - 1
@@ -761,7 +769,7 @@ def table_rows(
 
     x = ss.base if pair_sign(ss.base[0] - sa, ss.base[1] - sb, d) < 0 else (ss.base[0] - m, ss.base[1])
     n = records[-1] + 1
-    one, r = linear_key(d, max(abs(x[1]), abs(x[1] + n * sb)) + levels[top][7] + 2 * n * abs(lb))
+    one, r = linear_key(d, max(abs(x[1]), abs(x[1] + n * sb)) + levels[top][6] + 2 * n * abs(lb))
     ell, mo = la * one + lb * r, m * one  # the keys of m*len and of m
     views = _views(d, m, ss.step, ss.ivals, one)
     # a, b, the keys of alpha, -beta and the cuts, and each value as (h, k, K) thrice, with K
@@ -829,6 +837,13 @@ def closed_form_rows(
     teeth of interval l share its two record chains (module docstring).  Returns
     the rows, the number of distinct teeth of G (one of net weight 0 too), of
     record chains walked and of record events merged.
+
+    Teeth, G's samples and chain slices order by one additive key (``linear_key``) for e =
+    |base_b| + (N + K + 1)|step_b| + 3T, N = records[-1], K = max |kappa_l| and T the largest
+    |b| of a tooth, which bounds each difference compared: two teeth differ by 2T at most;
+    G's y_n (-1 <= n <= N) has |b| <= |base_b| + (N + 1)|step_b|, against a tooth's T; a
+    chain value +-(y_k - a_l) (|k| <= N + K) has |b| <= |base_b| + (N + K + 1)|step_b| + T,
+    as a tooth is a_l or a_l - xi mod 1, against a piece length's 2T.
     """
     d, m = ss.d, ss.m
     frac = ss.frac
@@ -841,19 +856,24 @@ def closed_form_rows(
             weight[e] = weight.get(e, 0) + (1 if kappa > 0 else -1)
             owner.setdefault(e, (l, j))
     beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
-    key = cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d))
-    teeth = sort_pairs([(floor_key(*e, d), e) for e in weight], d)  # weight 0 stays, with its chains
-    tkeys, pts = [k for k, _ in teeth], [e for _, e in teeth]
+    big = max(abs(e[1]) for e in weight)
+    one, root = linear_key(d, abs(ss.base[1]) + (records[-1] + max(map(abs, kappas)) + 1) * abs(xb)
+                           + 3 * big)  # e of the docstring
+
+    def key(v: Pair) -> int:
+        return v[0] * one + v[1] * root
+
+    pts = sorted(weight, key=key)  # weight 0 stays, with its chains
+    tkeys = list(map(key, pts))
     # G(y) = beta*y - sum w_e*e + above[i] for y in [0, 1) with i teeth at or below it (module
     # docstring): above[i] sums w_e over pts[i:]
     above = list(accumulate((weight[p] for p in reversed(pts)), initial=0))[::-1]
     ka = sum(w * e[0] for e, w in weight.items())
     kb = sum(w * e[1] for e, w in weight.items())
 
-    def big_g(ya: int, yb: int) -> Pair:  # one floor key: y's frac and its key, then a rank
-        n, k = divmod(floor_key(ya, yb, d), m)
-        ya -= n * m
-        return beta * ya - ka + above[rank_pair(tkeys, pts, k, (ya, yb), d)] * m, beta * yb - kb
+    def big_g(ya: int, yb: int) -> Pair:  # one floor: y's frac, then a bisection on its key
+        ya -= floor_key(ya, yb, d) // m * m
+        return beta * ya - ka + above[bisect_right(tkeys, ya * one + yb * root)] * m, beta * yb - kb
 
     ya, yb = ss.base
     ga, gb = big_g(ya - xa, yb - xb)

@@ -20,8 +20,8 @@ lies in W, so events at 0 are skipped.  As y_o(x) = a_j lies in [a_j, b_j)
 and y_o(x) = b_j does not, membership just right of an event equals that
 at it, once every event at that position is applied (a right and a left
 end may meet there): c is read, and a cut taken, only at the last event at a
-position.  The events are sorted once by their floor keys, with ``pair_sign``
-only on equal keys (``exactnum.sort_pairs``), and the cuts are unscaled once,
+position.  The events are sorted once, stably, by one additive key
+(``exactnum.linear_key``) per system, and the cuts are unscaled once,
 into one Window made with no check (``Window._sorted``): they increase, no two
 are equal (one per position, and the closing cut at 1 follows a frac < 1), they
 lie in [0, 1], and they bound a part of W (offset 0 is required), whose length
@@ -41,10 +41,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .criteria import _classes
-from .exactnum import XiReal, check_int, floor_key, sort_pairs
+from .exactnum import XiReal, check_int, linear_key
 from .patterns import PointPattern, RotationSystem, Window, orbit_hits
 
 __all__ = [
@@ -135,14 +136,16 @@ def _class_shifts(window: Window) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @lru_cache(maxsize=1024)  # [-64, 64] on about 8 systems; an entry of 6 events, about 1.4 KiB
 def _offset_events(system: RotationSystem, o: int) -> tuple[bool, tuple]:
-    """Whether frac(o*xi) lies in W, and offset o's events (key, x, j, o) but those at 0."""
+    """Whether frac(o*xi) lies in W, and offset o's events (key, x, j, o) but those at 0: x =
+    frac(e_j - o*xi) has b-part e_j's less o*step_b, so one ``linear_key`` scale for the system,
+    e = 2*(max |end_b| + DEFAULT_OFFSET_BOUND*|step_b|), orders any pattern's events exactly."""
     ss = system._scaled
-    d, m, (sa, sb) = ss.d, ss.m, ss.step
+    sa, sb = ss.step
+    one, r = linear_key(ss.d, 2 * (max(abs(e[1]) for e in ss.ends) + DEFAULT_OFFSET_BOUND * abs(sb)))
     events = []
     for j, (ea, eb) in enumerate(ss.ends):
-        n, key = divmod(floor_key(ea - o * sa, eb - o * sb, d), m)  # x's floor, frac(x)'s key
-        if (x := (ea - o * sa - n * m, eb - o * sb)) != (0, 0):
-            events.append((key, x, j, o))
+        if (x := ss.frac(ea - o * sa, eb - o * sb)) != (0, 0):
+            events.append((x[0] * one + x[1] * r, x, j, o))
     return ss.contains(*ss.frac(o * sa, o * sb)), tuple(events)
 
 
@@ -164,7 +167,7 @@ def acceptance_domain(system: RotationSystem, pattern: PatternSpec) -> Acceptanc
         inside, evs = _offset_events(system, o)
         c += step[o] if inside else 0
         events += evs
-    events = sort_pairs(events, ss.d)
+    events.sort(key=itemgetter(0))  # stable: equal keys are equal points
     inside = c == 0  # x is in the domain; then len(cuts) is odd
     cuts = [((0, 0), 0, 0)] if inside else []
     last = len(events) - 1

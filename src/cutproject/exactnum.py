@@ -16,27 +16,25 @@ condition then make D their least common denominator, so the triple is
 unique and structural equality is value equality.  A sign is one
 ``pair_sign`` on (A, B), a floor one ``isqrt`` (``floor_key``), and a sum,
 product or inverse integer work followed by one gcd.  Points over one
-modulus sort and bisect by their floor keys, with ``pair_sign`` only on
-equal keys (``sort_pairs``, ``rank_pair``), and sums of fixed steps test
-against fixed thresholds by an additive int key that settles every test
-but an exact tie (``linear_key``).  ``coordinates`` reads a
-value over the basis (1, xi), for ``a``, ``b``, ``coordinates_text`` (the
-one spelling of ``str``, for values and witness rows: one gcd per
-coefficient, no ``Fraction``) and ``lattice_split``, whose residue names
-the value's class modulo Z + Z*xi.  ``decimal_text`` is the one decimal
-spelling, of ``XiReal.decimal`` and of profile CSV rows, from the triple.
+modulus order by one additive int key (``linear_key``), for a bound on the
+sqrt(d) parts compared, so a plain sort or bisection on the keys is exact,
+and a sum of fixed steps tests against a fixed threshold by one int
+comparison but at an exact tie.  ``coordinates`` reads a value over the
+basis (1, xi), for ``a``, ``b``, ``coordinates_text`` (the one spelling of
+``str``, for values and witness rows: one gcd per coefficient, no
+``Fraction``) and ``lattice_split``, whose residue names the value's class
+modulo Z + Z*xi.  ``decimal_text`` is the one decimal spelling, of
+``XiReal.decimal`` and of profile CSV rows, from the triple.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt
-from operator import itemgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -135,32 +133,10 @@ def linear_key(d: int, e: int) -> tuple[int, int]:
     exactly on it for b = 0.  2^s >= 2e(2e*(isqrt(d) + 1) + 1) for e >= 1: a value with
     b != 0 has |a + b*sqrt(d)| >= 1/(2|b|*sqrt(d) + 1) (the norm a^2 - b^2*d is a
     nonzero integer), so for |b| <= e a key of at most -e means a value below 0, one of
-    at least e a value above 0, and one inside (-e, e) means a = b = 0."""
+    at least e a value above 0, and one inside (-e, e) means a = b = 0.  Keys are linear, so
+    points whose differences have |b| <= e order by them: equal keys are equal points."""
     s = (2 * e * (2 * e * (isqrt(d) + 1) + 1) - 1).bit_length()
     return 1 << s, isqrt(d << 2 * s)
-
-
-def sort_pairs(items: list, d: int) -> list:
-    """Items (floor_key(a, b, d), (a, b), ...) in the order of a + b*sqrt(d), equal values
-    in input order: stably by key, then each run of equal keys stably by ``pair_sign``."""
-    items = sorted(items, key=itemgetter(0))
-    keys = [item[0] for item in items]
-    by_value = cmp_to_key(lambda u, v: pair_sign(u[1][0] - v[1][0], u[1][1] - v[1][1], d))
-    end = 0
-    for i in [i for i in range(1, len(keys)) if keys[i] == keys[i - 1]]:
-        if i > end:  # a run of equal keys from i - 1 on
-            end = bisect_right(keys, keys[i], i)
-            items[i - 1:end] = sorted(items[i - 1:end], key=by_value)
-    return items
-
-
-def rank_pair(keys: list[int], pts: list, key: int, x: tuple[int, int], d: int) -> int:
-    """The number of pts <= x, for pts in ``sort_pairs`` order with floor keys `keys` and
-    `key` that of x: a bisection on the keys, then ``pair_sign`` along x's run of them."""
-    i = bisect_left(keys, key)
-    while i < len(keys) and keys[i] == key and pair_sign(x[0] - pts[i][0], x[1] - pts[i][1], d) >= 0:
-        i += 1
-    return i
 
 
 Triple = tuple[int, int, int]  # (A, B, D): the value (A + B*sqrt(d)) / D, D > 0

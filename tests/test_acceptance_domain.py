@@ -13,7 +13,7 @@ from cutproject.acceptance import (
     match_pattern,
     pattern_density,
 )
-from cutproject.exactnum import XiSpec, decompose_Z_plus_Zxi, floor_key
+from cutproject.exactnum import XiSpec, decompose_Z_plus_Zxi, floor_key, pair_sign
 from cutproject.patterns import RotationSystem, Window, orbit_hits, parse_window, strip_points
 from oracles import chain_domain, search_provenance
 from test_threegap import FIELDS, NEGATIVE_XI, systems
@@ -294,26 +294,42 @@ def test_domains_from_cached_events_match_the_chain(system, runs):
 def test_events_of_an_offset_are_computed_once(monkeypatch):
     """acceptance_domain takes an offset's events, and whether frac(o*xi) lies in the
     window, from a cache keyed by (system, o): a second pattern over offsets already
-    seen makes no floor_key call."""
+    seen makes no floor_key call, and its sort on the events' keys no pair_sign call.
+    The last batch is on a modulus of 14, where many events share a floor (20 sign tests
+    when the events were sorted on floor keys with a tie pass)."""
     golden = FIELDS[0]
     system = RotationSystem(golden, golden.real(Fraction(5, 97)), parse_window("[1/9, 2/3)", golden))
-    calls = 0
+    calls = signs = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return floor_key(*args)
 
+    def signed(*args):
+        nonlocal signs
+        signs += 1
+        return pair_sign(*args)
+
     system._scaled  # scaled before counting: frac(xi) takes a floor
-    monkeypatch.setattr(acceptance, "floor_key", counted)
     monkeypatch.setattr(exactnum, "floor_key", counted)
-    monkeypatch.setattr(_scaled, "floor_key", counted)  # the floor of frac(o*xi), ScaledSystem.frac
+    monkeypatch.setattr(_scaled, "floor_key", counted)  # ScaledSystem.frac: the events and frac(o*xi)
+    monkeypatch.setattr(exactnum, "pair_sign", signed)  # XiReal comparisons
+    monkeypatch.setattr(_scaled, "pair_sign", signed)  # ScaledSystem.contains
     first = acceptance_domain(system, PatternSpec(frozenset({0, 3}), frozenset({-5})))
     assert calls == 3 * 2 + 3  # two events and the floor of frac(o*xi) per offset
-    calls = 0
+    calls = signs = 0
     second = acceptance_domain(system, PatternSpec(frozenset({0, -5}), frozenset({3})))
-    assert calls == 0 and second != first
+    assert calls == signs == 0 and second != first
     assert second.window == chain_domain(system, PatternSpec(frozenset({0, -5}), frozenset({3})))
+    system = RotationSystem(golden, golden.zero, parse_window("[1/7, 9/14)", golden))
+    system._scaled
+    for i in range(1, 25):
+        acceptance_domain(system, PatternSpec(frozenset({0, i}), frozenset({-i})))
+    calls = signs = 0
+    for i in range(1, 25):
+        acceptance_domain(system, PatternSpec(frozenset({0, -i}), frozenset({i})))
+    assert calls == signs == 0
 
 
 @st.composite

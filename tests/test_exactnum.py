@@ -8,6 +8,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isqrt, prod, ulp
+from operator import itemgetter
 
 import mpmath
 import pytest
@@ -27,8 +28,6 @@ from cutproject.exactnum import (
     pair_sign,
     parse_xi,
     parse_xireal,
-    rank_pair,
-    sort_pairs,
 )
 from oracles import fraction_floor, mp_floor_pair, mp_pair_sign, mp_sign, mp_value
 
@@ -285,6 +284,11 @@ def by_value(d):
     return cmp_to_key(lambda u, v: pair_sign(u[0] - v[0], u[1] - v[1], d))
 
 
+def key_bound(pts, x):
+    """The largest |b| difference among pts and x, at least 1: an e for `linear_key`."""
+    return max(1, *(abs(p[1] - q[1]) for p in pts + [x] for q in pts + [x]))
+
+
 class TestFloorKeys:
     @settings(max_examples=300, deadline=None)
     @given(floor_args())
@@ -294,27 +298,35 @@ class TestFloorKeys:
         assert floor_key(a, b, d) == mp_floor_pair(a, b, 1, d)
 
     @settings(max_examples=300, deadline=None)
-    @given(keyed_pairs())
-    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)))  # keys 1, 1, 1, 0
-    def test_sort_pairs_is_the_stable_exact_sort(self, case):
-        d, pts, _ = case
-        items = [(floor_key(a, b, d), (a, b), i) for i, (a, b) in enumerate(pts)]
+    @given(keyed_pairs(), st.integers(0, 3))
+    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)), 0)  # floor keys 1, 1, 1, 0
+    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)), 3)
+    def test_sort_pairs_is_the_stable_exact_sort(self, case, extra):
+        """Sorting (key, point, index) by the additive key, for e at least the largest
+        |b| difference, is the stable sort by value (the order the deleted floor-key
+        `sort_pairs` gave)."""
+        d, pts, x = case
+        one, r = linear_key(d, key_bound(pts, x) + extra)
+        items = [(a * one + b * r, (a, b), i) for i, (a, b) in enumerate(pts)]
         key = by_value(d)
-        assert sort_pairs(items, d) == sorted(items, key=lambda item: key(item[1]))
+        assert sorted(items, key=itemgetter(0)) == sorted(items, key=lambda item: key(item[1]))
 
     @settings(max_examples=300, deadline=None)
-    @given(keyed_pairs())
-    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)))
-    @example((2, [(0, 1), (1, 0), (0, 1)], (0, 1)))
-    def test_rank_pair_is_bisect_right(self, case):
+    @given(keyed_pairs(), st.integers(0, 3))
+    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)), 0)
+    @example((2, [(0, 1), (1, 0), (0, 1)], (0, 1)), 0)
+    @example((2, [(0, 1), (1, 0), (0, 1), (-1, 1)], (1, 0)), 3)
+    def test_rank_pair_is_bisect_right(self, case, extra):
+        """bisect_right on the sorted additive keys counts the points at most x, as a
+        bisection by value does (the count the deleted `rank_pair` gave)."""
         d, pts, x = case
-        ordered = [p for _, p in sort_pairs([(floor_key(*p, d), p) for p in pts], d)]
-        keys = [floor_key(*p, d) for p in ordered]
+        one, r = linear_key(d, key_bound(pts, x) + extra)
         key = by_value(d)
-        assert rank_pair(keys, ordered, floor_key(*x, d), x, d) == bisect_right(
+        ordered = sorted(pts, key=key)
+        keys = [a * one + b * r for a, b in ordered]
+        assert bisect_right(keys, x[0] * one + x[1] * r) == bisect_right(
             ordered, key(x), key=key
         )
-
 
 @st.composite
 def linear_key_args(draw):

@@ -326,10 +326,11 @@ def test_sparse_window_needs_no_search(monkeypatch):
 
 
 def test_table_climb_makes_no_sign_test(monkeypatch):
-    """The block tables' climb compares additive keys: a profile of [1/7, 9/14) to 10^6
-    makes 722 sign tests on a cold call, all in the level build (21,836 when the climb
-    compared floor keys with a tie pass, 39,215 with one test per comparison), and one on
-    a warm call, the side of 0 of the basepoint; a floor makes none."""
+    """The block tables' climb and level build order additive keys: a profile of [1/7,
+    9/14) to 10^6 makes 161 sign tests on a cold call, the walk's and the summary
+    products' of the level build (722 when the build sorted floor keys with a tie pass,
+    21,836 when the climb did too, 39,215 with one test per comparison), and one on a
+    warm call, the side of 0 of the basepoint; a floor makes none."""
     xi = FIELDS[0]
     system = RotationSystem(xi, xi.zero, parse_window("[1/7, 9/14)", xi))
     calls = 0
@@ -340,11 +341,11 @@ def test_table_climb_makes_no_sign_test(monkeypatch):
         return pair_sign(*args)
 
     monkeypatch.setattr(_scaled, "pair_sign", counted)
-    monkeypatch.setattr(exactnum, "pair_sign", counted)  # the tie passes of sort_pairs, rank_pair
+    monkeypatch.setattr(exactnum, "pair_sign", counted)  # XiReal comparisons, if any
     assert system._oren_ks is None  # the tables' route
     clear_walk_caches()
     profile(system, 10**6)
-    assert 0 < calls < 800
+    assert 0 < calls < 180
     calls = 0
     profile(system, 10**6)
     assert calls <= 1
@@ -1173,3 +1174,33 @@ def test_two_threads_extend_one_keyed_view(monkeypatch):
             assert made[-1] is made[-2] and made[-1] == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_level_appended_between_reads_is_built_on(monkeypatch):
+    """A table call whose level list another thread extends between its reads gives the
+    serial rows and level count: here the list is built to level 127 of the 145 of golden
+    [1/7, 9/14) to 10^30, and from its second len() on each len() first appends the next
+    serial level, as a thread on the same levels would.  Deciding whether to build from a
+    later read than the one that found the top level left that top stale (129 levels)."""
+    ss = SHARED_WALK_CASES[1]._scaled
+    records = _record_points(10**30, 64)
+    clear_walk_caches()
+    want = _scaled.table_rows(ss, records)
+    serial = list(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals))
+    assert want[1] == 145 and len(serial) == 146  # the last does not fit
+
+    class Extended(list):
+        reads = 0
+
+        def __len__(self):
+            self.reads += 1
+            n = super().__len__()
+            if self.reads > 1 and n < len(serial):
+                self.append(serial[n])
+            return super().__len__()
+
+    levels = Extended(serial[:128])
+    _scaled._views.cache_clear()  # the run list stays: the levels resume its walk
+    monkeypatch.setattr(_scaled, "_levels", lambda *args: levels)
+    assert _scaled.table_rows(ss, records) == want
+    assert list(levels) == serial
