@@ -139,7 +139,7 @@ standing for h - k*len.  Summaries multiply as
 
     (s, hi, lo)(s', hi', lo') = (s + s', max(hi, s + hi'), min(lo, s + lo'))
 
-at one sign test per max or min.  F_0 is (1, 1) or (0, 1) thrice, cut
+at one key comparison per max or min.  F_0 is (1, 1) or (0, 1) thrice, cut
 at 0 and the endpoints.  One walk step with alpha > beta gives
 J' = [-beta, alpha - beta), a' = a + b: a block from [-beta, 0) goes on
 from x + alpha, outside J', so F'(x) = F(x) F(x + alpha) there, and F
@@ -161,17 +161,18 @@ max(hi, -lo) the same way.  Only the levels with a block of at most
 records[-1] + 1 steps are read, and each is built once per window: a
 level keeps where the walk stands after its step (run i, step t), a call
 resumes the walk there, and levels are built up to the first whose blocks
-do not fit, so a call with a bound no larger reads no run.
+do not fit, so a call with a bound no larger reads no run.  The climb's
+keys are kept in one view per window, for the largest bound read so far.
 
 ``collect_hits_direct`` is the independent route: ``state_at(k)`` (one
 explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every floor
-one ``isqrt`` (``floor_key``); every order of points over M, the three-gap
-steps, the tables' levels and climb and the closed form's teeth, G and
-chains, compares one additive int key (``exactnum.linear_key``) for a bound
-on the sqrt(d) parts compared, and tests signs only on exact meetings or
-not at all.
+one ``isqrt`` (``floor_key``); every order of points over M (the three-gap
+steps, the tables' levels and climb, the closed form's teeth, G and chains)
+and every max or min of the tables' summaries compares one additive int key
+(``exactnum.linear_key``) for a bound on the sqrt(d) parts compared, and
+tests signs only on exact meetings or not at all.
 """
 
 from __future__ import annotations
@@ -307,15 +308,16 @@ def _runs(d: int, m: int, step: Pair) -> list[Run]:
 
 
 def _run(d: int, runs: list[Run], i: int) -> Run:
-    """Run i of ``runs``, made from run i - 1 (callers read a run made before from the list):
+    """Run i of ``runs``, made with those before it that the list lacks, each from the last:
     run j takes the larger value v_j down by v_{j+1} to v_j mod v_{j+1} in q_j = floor(v_j /
     v_{j+1}) steps, each taking the smaller value from the larger and adding the two times,
     and the next q is one exact floor.  Stored idempotently, so threads add each run once."""
-    a, alpha, b, beta, left, q = runs[i - 1]
-    big, small = (alpha, beta) if left else (beta, alpha)
-    rest = (big[0] - q * small[0], big[1] - q * small[1])
-    nxt = (a + q * b, rest, b, beta, False) if left else (a, alpha, b + q * a, rest, True)
-    runs[i:i + 1] = [(*nxt, _floor_ratio(d, small, rest))]  # its q: small over rest
+    for j in range(len(runs), i + 1):  # a table level may resume the walk past a cold list's end
+        a, alpha, b, beta, left, q = runs[j - 1]
+        big, small = (alpha, beta) if left else (beta, alpha)
+        rest = (big[0] - q * small[0], big[1] - q * small[1])
+        nxt = (a + q * b, rest, b, beta, False) if left else (a, alpha, b + q * a, rest, True)
+        runs[j:j + 1] = [(*nxt, _floor_ratio(d, small, rest))]  # its q: small over rest
     return runs[i]
 
 
@@ -673,14 +675,9 @@ Summary = tuple[int, int, int, int, int, int]  # (h, k) of the sum, the max and 
 Level = tuple[int, Pair, int, Pair, list[Pair], list[Summary], int, tuple[int, int]]
 
 
-@lru_cache(maxsize=8)  # levels and one keyed view keep 8.1 MiB (levels 3.5) at sqrt(10^6 + 1) to 10^6
-def _levels(d: int, m: int, step: Pair, ivals: tuple[Interval, ...]) -> list[Level]:
-    return []  # the levels of the window's tables built so far; ``table_rows`` adds more
-
-
-@lru_cache(maxsize=16)  # chunks of a window from other basepoints share a few values of one
-def _views(d: int, m: int, step: Pair, ivals: tuple[Interval, ...], one: int) -> list[tuple]:
-    return []  # the window's levels read so far in the keys of one; ``table_rows`` adds more
+@lru_cache(maxsize=8)  # levels and one keyed view keep 9.3 MiB (levels 4.3) at sqrt(10^6 + 1) to 10^6
+def _levels(d: int, m: int, step: Pair, ivals: tuple[Interval, ...]) -> list:
+    return [[], (0, 0, [])]  # the window's levels and one keyed view (one, r, entries) of them
 
 
 def table_rows(
@@ -688,36 +685,42 @@ def table_rows(
 ) -> tuple[list[tuple[int, XiReal, XiReal]], int]:
     """Profile rows (n, D(n), max |D(N)| over N <= n) at each record, from the block
     tables of the levels whose blocks fit in 0..records[-1] = N (cached per window by
-    ``_levels``, as they do not depend on the basepoint); `records` is increasing and
-    nonempty.  Returns the rows and the number of those levels.
+    ``_levels`` with one keyed view, as they do not depend on the basepoint); `records`
+    is increasing and nonempty.  Returns the rows and the number of those levels.
 
     Each level is built on additive keys (``linear_key``) of one scale, for an e that bounds
     the sqrt(d) part (b-part) of every difference compared.  Level 0's, 2*max(|step_b|,
     |end_b|), bounds those of its cuts (frac(xi) - 1, 0 and the endpoints, less 1 from
-    frac(xi) on) and of an endpoint and frac(xi).  To step to level i + 1, let B = max(E,
-    |alpha'_b|, |beta'_b|), E level i's (below): the old cuts, the shift (alpha or -beta)
-    and alpha' - beta' have |b| <= B, a new cut (an old one, one less the shift, -beta' or
-    0) 2B and one plus the shift 3B, so e = 4B bounds every comparison among them.
+    frac(xi) on) and of an endpoint and frac(xi).  To step from level i, of times a and b,
+    let B = max(E, |alpha'_b|, |beta'_b|), E level i's (below): the old cuts, the shift
+    (alpha or -beta) and alpha' - beta' have |b| <= B, a new cut (an old one, one less the
+    shift, -beta' or 0) 2B and one plus the shift 3B; the summaries, multiplied on keys as
+    in the climb, compare prefixes (h, k) of blocks of at most a + b steps, 1 <= k <= a + b,
+    whose differences have b-part (k - k')*len_b.  So e = max(4B, (a + b)|len_b|).
 
     The climb compares additive keys (``linear_key``) for e = max(|b_0|, |b_0 + (N + 1)*
     step_b|) + E + 2(N + 1)|len_b|: x's sqrt(d) part is b_0 + j*step_b after j <= N + 1
     steps, E (kept per level) bounds a cut's, alpha's or beta's, and prefixes (h, k) of the
     product have 1 <= k <= N + 1, so two summaries differ by (k - k')*len_b and up - down by
-    (2 - hk - lk)*len_b.  e bounds every difference compared, so keys order as values do."""
-    d = ss.d
-    m = ss.m
+    (2 - hk - lk)*len_b.  e bounds every difference compared, so keys order as values do.
+    A scale made for e' is exact for every e <= e' (its 2^s only grows), so the window keeps
+    one view, keyed for the largest e read so far, and keys it anew only for a larger one."""
+    d, m = ss.d, ss.m
     la, lb = ss.length
 
-    def mul(s: Summary, t: Summary) -> Summary:
-        h, k, hh, hk, lh, lk = s
-        th, tk, thh, thk, tlh, tlk = t
-        ch, ck = h + thh, k + thk  # max(hi, s + hi'): the sign of (ch - ck*len) - (hh - hk*len)
-        if pair_sign((ch - hh) * m - (ck - hk) * la, (hk - ck) * lb, d) > 0:
-            hh, hk = ch, ck
-        ch, ck = h + tlh, k + tlk
-        if pair_sign((ch - lh) * m - (ck - lk) * la, (lk - ck) * lb, d) < 0:
-            lh, lk = ch, ck
-        return h + th, k + tk, hh, hk, lh, lk
+    def keyed(vals: list[Summary], one: int, r: int) -> list[tuple]:
+        # each summary as (h, k, K) thrice, with K the key of m*(h - k*len) at (one, r)
+        mo, ell = m * one, la * one + lb * r
+        return [(h, k, h * mo - k * ell, hh, hk, hh * mo - hk * ell, lh, lk, lh * mo - lk * ell)
+                for h, k, hh, hk, lh, lk in vals]
+
+    def keyed_mul(s: tuple, t: tuple) -> tuple:  # the product on keys: K + TKH > KH, not a sign test
+        h, k, kk, hh, hk, kh, lh, lk, kl = s
+        if kk + t[5] > kh:
+            hh, hk, kh = h + t[3], k + t[4], kk + t[5]
+        if kk + t[8] < kl:
+            lh, lk, kl = h + t[6], k + t[7], kk + t[8]
+        return h + t[0], k + t[1], kk + t[2], hh, hk, kh, lh, lk, kl
 
     def level(gaps: Gaps, cuts: list, vals: list[Summary], at: tuple[int, int], big: int) -> Level:
         keep = [j for j in range(len(vals)) if not j or vals[j] != vals[j - 1]]  # merge equal neighbours
@@ -727,7 +730,8 @@ def table_rows(
         return a, al, b, be, cuts, [vals[j] for j in keep], big, at
 
     sa, sb = ss.step
-    levels = _levels(d, m, ss.step, ss.ivals)
+    store = _levels(d, m, ss.step, ss.ivals)
+    levels = store[0]
     if not levels:  # J_0 = [frac(xi) - 1, frac(xi)), cut at 0 and the endpoints
         one, r = linear_key(d, 2 * max(abs(b) for _, b in (ss.step, *ss.ends)))
         signed = {e if e[0] * one + e[1] * r < sa * one + sb * r else (e[0] - m, e[1]) for e in ss.ends}
@@ -741,14 +745,15 @@ def table_rows(
     top = bisect_right(levels, records[-1] + 1, hi=built, key=lambda lv: min(lv[0], lv[2])) - 1
     steps = _steps(d, m, ss.step, levels[top][7]) if top == built - 1 else ()
     i = top
+    summary = itemgetter(0, 1, 3, 4, 6, 7)  # a keyed summary's (h, k) thrice
     for at, left, nxt in steps:
-        _, al, _, be, cuts, vals, big, _ = levels[i]
+        a, al, b, be, cuts, vals, big, _ = levels[i]
         nb = (-nxt[3][0], -nxt[3][1])  # -beta', a cut of J'
         if left:  # J' = [-beta, alpha - beta): a block from [-beta, 0) goes on from x + alpha
             p, shift = nxt[1], al
         else:  # J' = [alpha - beta, alpha): a block from [0, alpha) goes on from x - beta
             p, shift = nb, (-be[0], -be[1])
-        one, r = linear_key(d, 4 * max(big, abs(nxt[1][1]), abs(nb[1])))  # e of the docstring
+        one, r = linear_key(d, max(4 * max(big, abs(nxt[1][1]), abs(nb[1])), (a + b) * abs(lb)))
         keys = [c[0] * one + c[1] * r for c in cuts]
         kp, ks = p[0] * one + p[1] * r, shift[0] * one + shift[1] * r
         # a cut of J outside J', on the far side of alpha - beta, comes back as its preimage
@@ -758,8 +763,8 @@ def table_rows(
         new_vals = []
         for k, _ in new_cuts:
             v = vals[bisect_right(keys, k) - 1]
-            if (k < 0) == left:  # the block doubles
-                v = mul(v, vals[bisect_right(keys, k + ks) - 1])
+            if (k < 0) == left:  # the block doubles: its product on keys of this scale
+                v = summary(keyed_mul(*keyed([v, vals[bisect_right(keys, k + ks) - 1]], one, r)))
             new_vals.append(v)
         levels[i + 1:i + 2] = [level(nxt, [c for _, c in new_cuts], new_vals, at, big)]
         i += 1
@@ -769,25 +774,17 @@ def table_rows(
 
     x = ss.base if pair_sign(ss.base[0] - sa, ss.base[1] - sb, d) < 0 else (ss.base[0] - m, ss.base[1])
     n = records[-1] + 1
-    one, r = linear_key(d, max(abs(x[1]), abs(x[1] + n * sb)) + levels[top][6] + 2 * n * abs(lb))
-    ell, mo = la * one + lb * r, m * one  # the keys of m*len and of m
-    views = _views(d, m, ss.step, ss.ivals, one)
-    # a, b, the keys of alpha, -beta and the cuts, and each value as (h, k, K) thrice, with K
-    # the key of m*(h - k*len), for the levels this view lacks: stored from where the view
-    # stood, so a thread that extended it meanwhile gets the same entries again, not a copy
+    need = linear_key(d, max(abs(x[1]), abs(x[1] + n * sb)) + levels[top][6] + 2 * n * abs(lb))
+    one, r, views = store[1]  # one read: a thread that swaps the view meanwhile leaves this one whole
+    if one < need[0]:  # too coarse for this bound: key the levels anew, for the store too
+        store[1] = one, r, views = (*need, [])
+    ell = la * one + lb * r  # the key of m*len
+    # a, b, the keys of alpha, -beta and the cuts, and the keyed values, of the levels this view
+    # lacks: stored from where it stood, so a thread that extended it gets the same again
     start = len(views)
     views[start:top + 1] = [
         (a, b, al[0] * one + al[1] * r, -be[0] * one - be[1] * r, [c[0] * one + c[1] * r for c in cuts],
-         [(h, k, h * mo - k * ell, hh, hk, hh * mo - hk * ell, lh, lk, lh * mo - lk * ell)
-          for h, k, hh, hk, lh, lk in vals]) for a, al, b, be, cuts, vals, *_ in levels[start:top + 1]]
-
-    def keyed_mul(s: tuple, t: tuple) -> tuple:  # mul on keys: K + TKH > KH, not a sign test
-        h, k, kk, hh, hk, kh, lh, lk, kl = s
-        if kk + t[5] > kh:
-            hh, hk, kh = h + t[3], k + t[4], kk + t[5]
-        if kk + t[8] < kl:
-            lh, lk, kl = h + t[6], k + t[7], kk + t[8]
-        return h + t[0], k + t[1], kk + t[2], hh, hk, kh, lh, lk, kl
+         keyed(vals, one, r)) for a, al, b, be, cuts, vals, *_ in levels[start:top + 1]]
 
     kx = x[0] * one + x[1] * r  # x's key, carried from step to step
     acc: Optional[tuple] = None

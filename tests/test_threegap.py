@@ -326,11 +326,12 @@ def test_sparse_window_needs_no_search(monkeypatch):
 
 
 def test_table_climb_makes_no_sign_test(monkeypatch):
-    """The block tables' climb and level build order additive keys: a profile of [1/7,
-    9/14) to 10^6 makes 161 sign tests on a cold call, the walk's and the summary
-    products' of the level build (722 when the build sorted floor keys with a tie pass,
-    21,836 when the climb did too, 39,215 with one test per comparison), and one on a
-    warm call, the side of 0 of the basepoint; a floor makes none."""
+    """The block tables' climb and level build order additive keys and multiply summaries
+    on them: a profile of [1/7, 9/14) to 10^6 makes 9 sign tests on a cold call, the first
+    run's direction, level 0's values (``ScaledSystem.contains``) and the side of 0 of the
+    basepoint (161 when the level build multiplied summaries by sign tests, 722 when it
+    also sorted floor keys with a tie pass, 21,836 when the climb did too, 39,215 with one
+    test per comparison), and one on a warm call, the basepoint's; a floor makes none."""
     xi = FIELDS[0]
     system = RotationSystem(xi, xi.zero, parse_window("[1/7, 9/14)", xi))
     calls = 0
@@ -345,7 +346,7 @@ def test_table_climb_makes_no_sign_test(monkeypatch):
     assert system._oren_ks is None  # the tables' route
     clear_walk_caches()
     profile(system, 10**6)
-    assert 0 < calls < 180
+    assert 0 < calls < 12
     calls = 0
     profile(system, 10**6)
     assert calls <= 1
@@ -640,11 +641,13 @@ def test_table_rows_match_strip_route(system, n, data):
     (RotationSystem(FIELDS[0], FIELDS[0].real(Fraction(1, 3), 5), parse_window("[1/7, 9/14)", FIELDS[0])),
      10**30),
     (RotationSystem(XI101, XI101.zero, parse_window("[1/7, 9/14)", XI101)), 10**20),
-], ids=["golden-1/3+5xi-1e30", "sqrt101-1e20"])
+    (RotationSystem(XI101, XI101.zero, parse_window("[1/5, -47/15 + 1/3*xi)", XI101)), 10**20),
+], ids=["golden-1/3+5xi-1e30", "sqrt101-1e20", "sqrt101-surd-length-1e20"])
 def test_table_rows_match_the_count_deep(system, n_max):
     """Past the strip route's reach: each sample's D from the tables equals
     ``local_discrepancy``, here the floor-sum count, which shares no step with them.  The
-    large sqrt(d) parts of x and of the deep levels' cuts test the climb's key bound."""
+    large sqrt(d) parts of x and of the deep levels' cuts test the climb's key bound, and a
+    window of length frac(xi)/3 gives the summaries' differences, (k - k')*len_b, one too."""
     assert system._oren_ks is None  # the tables' route, and the count's
     samples = profile(system, n_max, trace_limit=1024).samples
     assert len(samples) > 300
@@ -948,7 +951,7 @@ SHARED_WALK_CASES = [
 
 
 def clear_walk_caches():
-    for cache in (_scaled._runs, _scaled._levels, _scaled._views, _scaled.return_gaps):
+    for cache in (_scaled._runs, _scaled._levels, _scaled.return_gaps):
         cache.cache_clear()
 
 
@@ -973,7 +976,7 @@ def test_walk_and_levels_do_not_depend_on_cache_state(system):
 
     def sizes():  # of the run list and of the table levels
         runs = _scaled._runs(ss.d, ss.m, ss.step)
-        return len(runs), len(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals))
+        return len(runs), len(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[0])
 
     clear_walk_caches()
     cold = walk_outputs(system, 2000)
@@ -988,22 +991,34 @@ def test_walk_and_levels_do_not_depend_on_cache_state(system):
 
 
 def test_keyed_views_do_not_depend_on_cache_state():
-    """Table rows from warm levels and keyed views equal those of cold caches: profiles
-    to 10^6, 10^30 and 10^6 again, from two basepoints 10^6 steps of xi apart, so that the
-    key bound e, and with it the views' scale, differs from call to call, and a view made
-    for one bound is read again at another with more or fewer levels."""
+    """Table rows from warm levels and the window's one keyed view equal those of cold
+    caches: profiles to 10^6, 10^30 and 10^6 again, from two basepoints 10^6 steps of xi
+    apart, so that the key bound e differs from call to call.  The window keeps one view,
+    keyed for the largest e read so far, and a call with a smaller bound reads it as it is,
+    with more or fewer levels: the 10^6 calls after the 10^30 ones do not key it anew."""
     xi = FIELDS[0]
     window = parse_window("[1/7, 9/14)", xi)
     bases = [xi.zero, (10**6 * xi.xi_real).fractional_part()[0]]  # b-parts 10^6*step_b apart
     calls = [(RotationSystem(xi, b, window)._scaled, _record_points(n, 64))
              for n in (10**6, 10**30, 10**6) for b in bases]
-    cold = []
+
+    def view(ss):  # the window's keyed view (one, r, entries)
+        return _scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[1]
+
+    cold, ones = [], []
     for ss, records in calls:
         clear_walk_caches()
         cold.append(_scaled.table_rows(ss, records))
+        ones.append(view(ss)[0])  # the scale this call needs
+    assert max(ones[4:]) < max(ones[2:4])
     clear_walk_caches()
-    assert [_scaled.table_rows(ss, records) for ss, records in calls] == cold
-    assert _scaled._views.cache_info().currsize >= 3  # one per bound and basepoint at least
+    views = []
+    for j, (ss, records) in enumerate(calls):
+        assert _scaled.table_rows(ss, records) == cold[j]
+        views.append(view(ss))
+        assert views[-1][0] == max(ones[:j + 1])
+    assert _scaled._levels.cache_info().currsize == 1  # one store for the window
+    assert views[5] is views[4] is views[3]
 
 
 # golden, sqrt 2, sqrt 3 and sqrt(k^2 + 1) for k = 10, 100, 1000: one-step runs, runs of
@@ -1087,19 +1102,33 @@ def test_warm_table_call_reads_no_run(monkeypatch):
     clear_walk_caches()
     short, long = _record_points(49_999, 40), _record_points(10**6, 64)
     rows = _scaled.table_rows(ss, short)
-    levels = list(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals))
+    levels = list(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[0])
     assert min(levels[-1][0], levels[-1][2]) > short[-1] + 1 >= min(levels[-2][0], levels[-2][2])
     reads = []
     runs = _scaled._runs
     monkeypatch.setattr(_scaled, "_runs", lambda *args: reads.append(args) or runs(*args))
     assert _scaled.table_rows(ss, short) == rows
     assert _scaled.table_rows(ss, short[:9])[0] == rows[0][:9]  # a smaller bound
-    assert reads == [] and _scaled._levels(ss.d, ss.m, ss.step, ss.ivals) == levels
+    assert reads == [] and _scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[0] == levels
     warm = _scaled.table_rows(ss, long)
-    assert reads and _scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[:len(levels)] == levels
+    assert reads and _scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[0][:len(levels)] == levels
     monkeypatch.undo()
     clear_walk_caches()
     assert _scaled.table_rows(ss, long) == warm
+
+
+def test_levels_outlive_their_run_list():
+    """Warm levels whose run list was evicted (``_levels`` keeps 8 windows, ``_runs`` 256
+    moduli) resume the walk past the cold list's end: ``_run`` makes the runs it lacks in
+    order, and a profile to 10^30 after one to 10^6 gives a cold call's rows."""
+    ss = SHARED_WALK_CASES[1]._scaled  # golden [1/7, 9/14)
+    records = _record_points(10**30, 64)
+    clear_walk_caches()
+    want = _scaled.table_rows(ss, records)
+    clear_walk_caches()
+    _scaled.table_rows(ss, _record_points(10**6, 64))
+    _scaled._runs.cache_clear()
+    assert _scaled.table_rows(ss, records) == want
 
 
 # an interval of length 10^-30: the walk to its return times passes 143 runs
@@ -1140,18 +1169,20 @@ def test_two_threads_extend_one_run_list():
         sys.setswitchinterval(interval)
 
 
-def test_two_threads_extend_one_keyed_view(monkeypatch):
-    """Two threads whose cold table calls share the levels and one keyed view get the
-    serial rows and leave the serial view: each stores its entries from where the view
-    stood when it made them (20 tries)."""
+def test_two_threads_extend_one_keyed_view():
+    """Two threads whose cold table calls share the levels and the window's one keyed view
+    get the serial rows and leave the serial view: each reads the view once and keys on its
+    scale, and stores its entries from where the view stood when it made them (20 tries)."""
     ss = SHARED_WALK_CASES[1]._scaled  # golden [1/7, 9/14)
     records = _record_points(10**30, 64)
-    caches = (_scaled._runs, _scaled._levels, _scaled._views, _scaled.return_gaps)
-    views, made = _scaled._views, []
+
+    def store():  # the window's levels and keyed view
+        return _scaled._levels(ss.d, ss.m, ss.step, ss.ivals)
+
     clear_walk_caches()
-    monkeypatch.setattr(_scaled, "_views", lambda *args: made.append(views(*args)) or made[-1])
     want = _scaled.table_rows(ss, records)
-    serial = list(made[-1])
+    one, r, entries = store()[1]
+    serial = one, r, list(entries)
     got = [None, None]
 
     def work(i):
@@ -1161,8 +1192,7 @@ def test_two_threads_extend_one_keyed_view(monkeypatch):
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
         for _ in range(20):
-            for cache in caches:
-                cache.cache_clear()
+            clear_walk_caches()
             got[:] = [None, None]
             threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
             for t in threads:
@@ -1171,7 +1201,7 @@ def test_two_threads_extend_one_keyed_view(monkeypatch):
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert got == [want, want]
-            assert made[-1] is made[-2] and made[-1] == serial
+            assert store()[1] == serial
     finally:
         sys.setswitchinterval(interval)
 
@@ -1186,7 +1216,7 @@ def test_a_level_appended_between_reads_is_built_on(monkeypatch):
     records = _record_points(10**30, 64)
     clear_walk_caches()
     want = _scaled.table_rows(ss, records)
-    serial = list(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals))
+    serial = list(_scaled._levels(ss.d, ss.m, ss.step, ss.ivals)[0])
     assert want[1] == 145 and len(serial) == 146  # the last does not fit
 
     class Extended(list):
@@ -1199,8 +1229,8 @@ def test_a_level_appended_between_reads_is_built_on(monkeypatch):
                 self.append(serial[n])
             return super().__len__()
 
-    levels = Extended(serial[:128])
-    _scaled._views.cache_clear()  # the run list stays: the levels resume its walk
-    monkeypatch.setattr(_scaled, "_levels", lambda *args: levels)
+    levels = Extended(serial[:128])  # the run list stays: the levels resume its walk
+    store = [levels, (0, 0, [])]  # with no keyed view
+    monkeypatch.setattr(_scaled, "_levels", lambda *args: store)
     assert _scaled.table_rows(ss, records) == want
     assert list(levels) == serial
