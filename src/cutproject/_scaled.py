@@ -27,12 +27,15 @@ exactly, where the orbit meets hi - alpha or lo + beta, and only there
 is y read again by ``state_at`` and tested by ``pair_sign``.  The first
 hit is the first record of v = frac(y_k - lo) (the orbit closer to lo
 from the right than ever before) below l, read off the Euclid walk over
-the shrinking records (``_records``, below): as xi has bounded partial
-quotients, it takes O(log(a + b)) steps, so a call costs
-O(#hits + log(a + b)).  Its runs
-depend on xi alone: each is made once and shared with its number of steps
-(``_run``); a walk stops inside a run at one sign test where the run has
-one step, else one exact floor (``_walk``); ``_steps`` lists single steps.
+the shrinking records (``_records``, below) on keys of the same scale:
+as xi has bounded partial quotients, it takes O(log(a + b)) steps, so a
+call costs O(#hits + log(a + b)).  Its runs depend on xi alone: each is
+made once and shared with its number of steps (``_run``).  A walk compares
+ell's key with its runs' values, keyed at the caller's scale as first read,
+and stops inside a run at one key comparison where the run has one step,
+else one exact floor (``_walk``): as a*beta + b*alpha = 1, the values it
+compares have times at most 1/ell (here < a + b; else ``walk_bound``).
+``_steps`` lists single steps.
 
 Long ranges copy hits forward by blocks (``collect_hits``).  For a walk
 time q, frac(q*xi) = alpha or 1 - beta, so y_{k+q} = y_k + eps (mod 1)
@@ -123,8 +126,13 @@ in the piece.  The chains of tooth a_l + j*xi are those of f_l(y_k), or of
 over [s, s'), then the suffix of those from s' below their minimum: an
 interval walks its chains once, from its latest s (``_records``), and each
 earlier s pops the records it beats and pushes its own (``_chains``).  A
-tooth's events are a slice of the stack found by two bisections: O(L log N)
-walk steps and O(sum |kappa_l|) floors, then one exact comparison per record.
+tooth's events are a slice of the stack found by two bisections on its
+keys: O(L log N) walk steps and O(sum |kappa_l|) floors, then one int
+comparison per record.  One scale per call keys the teeth, G's samples
+(whose floors read the key but within e of an integer), the chain values
+and the walks' run values, G's events and the sup choice, for an e that
+bounds every difference compared, the walks' by the norm of a chain value,
+so the closed form tests no sign.
 
 Profiles of other windows come from block tables (``table_rows``), a
 Rauzy induction of the rotation onto the nested intervals
@@ -169,10 +177,14 @@ explicit floor per index, no carried state) and two sign tests per
 interval, so the stepping core is checked against it (``strip_points``
 and the tests).  Every sign test is ``exactnum.pair_sign`` and every floor
 one ``isqrt`` (``floor_key``); every order of points over M (the three-gap
-steps, the tables' levels and climb, the closed form's teeth, G and chains)
-and every max or min of the tables' summaries compares one additive int key
-(``exactnum.linear_key``) for a bound on the sqrt(d) parts compared, and
-tests signs only on exact meetings or not at all.
+steps, the record walk, the tables' levels and climb, and the closed form's
+teeth, samples, chains, events and sup choice) and every max or min of the
+tables' summaries compares one additive int key (``exactnum.linear_key``)
+for a bound on the sqrt(d) parts compared, and tests signs only on exact
+meetings or not at all.  Sign tests are left to signs: the first run's
+direction and a length's in ``return_gaps``, window membership
+(``contains``), the basepoint's side of 0 in the tables and ``_plan``'s
+costs and arcs, once per window and span.
 """
 
 from __future__ import annotations
@@ -182,7 +194,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
@@ -291,11 +303,13 @@ def return_gaps(d: int, m: int, step: Pair, ell: Pair) -> Gaps:
     a is the least k >= 1 with alpha = frac(k*xi) < ell and b the least
     k >= 1 with beta = 1 - frac(k*xi) < ell; step is frac(xi), and every
     value is a radical pair scaled by m.  The subtractive Euclid walk
-    starts from (1, frac(xi)) and (1, 1 - frac(xi)) (``_walk``).
+    starts from (1, frac(xi)) and (1, 1 - frac(xi)) (``_walk``), on keys for
+    ``walk_bound`` of ell's sqrt(d) part.
     """
     if pair_sign(ell[0], ell[1], d) <= 0:
         raise ValueError("an interval of length <= 0 has no return times")
-    return _walk(d, _runs(d, m, step), ell, 0)[1]
+    one, r = linear_key(d, walk_bound(d, m, step[1], abs(ell[1])))
+    return _walk(d, _runs(d, m, step), ell, ell[0] * one + ell[1] * r, 0, (one, r, {}))[1]
 
 
 @lru_cache(maxsize=256)
@@ -321,18 +335,43 @@ def _run(d: int, runs: list[Run], i: int) -> Run:
     return runs[i]
 
 
-def _walk(d: int, runs: list[Run], ell: Pair, i: int) -> tuple[int, Gaps]:
+# a linear_key scale (one, r) and the keys of each run's smaller and larger value, as first read
+Scale = tuple[int, int, dict[int, tuple[int, int]]]
+
+
+def walk_bound(d: int, m: int, step_b: int, v: int) -> int:
+    """An e for the keys of walks to ells in (0, 1] with |sqrt(d) part| <= v (``_walk``):
+    such an ell = (A + B*sqrt(d))/m has |A^2 - B^2*d| >= 1 and |A - B*sqrt(d)| <= m + 2v*sqrt(d),
+    so 1/ell <= m*(m + 2v*(isqrt(d) + 1)) bounds the times compared, and a value of time k
+    has sqrt(d) part +-k*step_b."""
+    return m * (m + 2 * v * (isqrt(d) + 1)) * abs(step_b) + v
+
+
+def _walk(d: int, runs: list[Run], ell: Pair, kl: int, i: int, scale: Scale) -> tuple[int, Gaps]:
     """(j, gaps): the first state of the subtractive Euclid walk with alpha, beta < ell, from
     run i of ``runs`` on (``_run``).  The states do not depend on ell: the walk stops in the
-    run with v_{j+1} < ell <= v_j after floor((v_j - ell) / v_{j+1}) + 1 steps, at one sign
-    test where the run has one step (then v_j - ell < v_{j+1}), else one exact floor."""
+    run with v_{j+1} < ell <= v_j after floor((v_j - ell) / v_{j+1}) + 1 steps, at one key
+    comparison where the run has one step (then v_j - ell < v_{j+1}), else one exact floor.
+
+    kl is ell's additive key at ``scale``, whose keys of the runs' values it reads and adds.
+    A state keeps a*beta + b*alpha = 1, so each value's time (a of alpha, b of beta) is at
+    most 1 over the other value: run j's smaller value v_{j+1} has time <= 1/v_j, and its
+    larger v_j (j >= 1), run j - 1's smaller, time <= 1/v_{j-1} < 1/v_j.  From run 0, or from
+    a run with v_i >= ell, every value compared has time <= 1/ell, so the keys order them
+    against ell for an e of ``walk_bound`` (or of any bound on 1/ell, as ``interval_hits``
+    has).  ``_records`` resumes at its last stop j, for a smaller ell: j = 0, or v_j is at
+    least the ell of the walk that stopped there, as a stop past the start has v_j >= ell."""
+    one, r, keys = scale
     while True:
         a, alpha, b, beta, left, q = runs[i] if i < len(runs) else _run(d, runs, i)
         big, small = (alpha, beta) if left else (beta, alpha)
-        if pair_sign(small[0] - ell[0], small[1] - ell[1], d) < 0:
+        if i not in keys:
+            keys[i] = small[0] * one + small[1] * r, big[0] * one + big[1] * r
+        ks, kb = keys[i]
+        if ks < kl:
             break
         i += 1
-    if q == 1 and pair_sign(big[0] - ell[0], big[1] - ell[1], d) >= 0:  # ell <= big: one step
+    if q == 1 and kb >= kl:  # ell <= big: one step
         t = 1
     else:
         t = _floor_ratio(d, (big[0] - ell[0], big[1] - ell[1]), small) + 1
@@ -356,10 +395,12 @@ def _steps(d: int, m: int, step: Pair, at: tuple[int, int] = (0, 0)) -> Iterator
 
 
 def _records(
-    ss: ScaledSystem, p: Pair, k0: int, n_max: int, left: bool = True
-) -> Iterator[tuple[int, Pair]]:
-    """(n, v) at each strict record over 0 <= n <= n_max of v = frac(y_{k0+n} - p), or
-    with left=False of u = p - y_{k0+n} in (0, 1]; p is reduced (module docstring)."""
+    ss: ScaledSystem, p: Pair, k0: int, n_max: int, left: bool, scale: Scale
+) -> Iterator[tuple[int, Pair, int]]:
+    """(n, v, key) at each strict record over 0 <= n <= n_max of v = frac(y_{k0+n} - p), or
+    with left=False of u = p - y_{k0+n} in (0, 1], and v's additive key at ``scale``, whose e
+    bounds its walks (``_walk``); p is reduced (module docstring)."""
+    one, r, _ = scale
     ya, yb = ss.state_at(k0)
     fa, fb = ss.frac(ya - p[0], yb - p[1])
     v = (fa, fb) if left else (ss.m - fa, -fb)
@@ -367,10 +408,11 @@ def _records(
     runs = _runs(ss.d, ss.m, ss.step)
     i = n = 0
     while n <= n_max:
-        yield n, v
+        kv = v[0] * one + v[1] * r
+        yield n, v, kv
         if n == n_max or v == (0, 0):
             return
-        i, (a, alpha, b, beta) = _walk(ss.d, runs, v, i)
+        i, (a, alpha, b, beta) = _walk(ss.d, runs, v, kv, i, scale)
         if not left:
             n, v = n + a, (v[0] - alpha[0], v[1] - alpha[1])
         elif k_hit is not None and n < k_hit - k0 < n + b:  # v drops to 0 exactly there
@@ -379,18 +421,23 @@ def _records(
             n, v = n + b, (v[0] - beta[0], v[1] - beta[1])
 
 
-def _chains(ss: ScaledSystem, p: Pair, top: int, bottom: int, n_max: int) -> Iterator[tuple]:
-    """For s = top, ..., bottom: s and the stacks (-k, value) of the left and right chains
-    of p over s <= k <= top + n_max, increasing lists changed in place (module docstring)."""
-    recs = [list(_records(ss, p, top, n_max, left))[::-1] for left in (True, False)]
-    stacks = [([-top - n for n, _ in r], [v for _, v in r]) for r in recs]
+def _chains(ss: ScaledSystem, p: Pair, top: int, bottom: int, n_max: int,
+            scale: Scale) -> Iterator[tuple]:
+    """For s = top, ..., bottom: s and the stacks (-k, key, value) of the left and right chains
+    of p over s <= k <= top + n_max, increasing lists changed in place (module docstring),
+    with the values' keys at ``scale``, which order them and bound the walks of ``_records``."""
+    one, r, _ = scale
+    recs = [list(_records(ss, p, top, n_max, left, scale))[::-1] for left in (True, False)]
+    stacks = [([-top - n for n, _, _ in rec], [kv for *_, kv in rec], [v for _, v, _ in rec]) for rec in recs]
     yield top, stacks
     for s in range(top - 1, bottom - 1, -1):
         fa, fb = ss.frac(ss.base[0] + s * ss.step[0] - p[0], ss.base[1] + s * ss.step[1] - p[1])
-        for (ks, vs), v in zip(stacks, ((fa, fb), (ss.m - fa, -fb))):
-            while vs and pair_sign(vs[-1][0] - v[0], vs[-1][1] - v[1], ss.d) >= 0:
-                del ks[-1], vs[-1]
+        kf = fa * one + fb * r
+        for (ks, kvs, vs), v, kv in zip(stacks, ((fa, fb), (ss.m - fa, -fb)), (kf, ss.m * one - kf)):
+            while kvs and kvs[-1] >= kv:
+                del ks[-1], kvs[-1], vs[-1]
             ks.append(-s)
+            kvs.append(kv)
             vs.append(v)
         yield s, stacks
 
@@ -398,26 +445,30 @@ def _chains(ss: ScaledSystem, p: Pair, top: int, bottom: int, n_max: int) -> Ite
 def interval_hits(ss: ScaledSystem, iv: Interval, k_min: int, k_max: int) -> list[int]:
     """Increasing k in [k_min, k_max] with frac(basepoint + k*xi) in [lo, hi): three-gap
     steps from the first record of frac(y_k - lo) below hi - lo (``_records``), on y's
-    additive key (module docstring)."""
+    additive key, at one scale for both (module docstring)."""
     d = ss.d
     lo_a, lo_b, hi_a, hi_b = iv
     la, lb = hi_a - lo_a, hi_b - lo_b
     ga, (al_a, al_b), gb, (be_a, be_b) = return_gaps(d, ss.m, ss.step, (la, lb))
-    for n, (va, vb) in _records(ss, (lo_a, lo_b), k_min, k_max - k_min):
-        if pair_sign(va - la, vb - lb, d) < 0:
+    t1 = (hi_a - al_a, hi_b - al_b)  # step by a below hi - alpha
+    t2 = (lo_a + be_a, lo_b + be_b)  # else by b from lo + beta on
+    # y's sqrt(d) part runs linearly from y0 to y1: e bounds its distance from each threshold's,
+    # so keys up to the threshold's less e lie below it, from its plus e above, and the records'
+    # walks: each to a record v >= hi - lo compares values of time <= 1/v < a + b (``_walk``;
+    # a*beta + b*alpha = 1 with alpha, beta < hi - lo), against v and v against hi - lo
+    y0 = ss.base[1] + k_min * ss.step[1]
+    y1 = y0 + (k_max - k_min) * ss.step[1]
+    walks = (ga + gb) * abs(ss.step[1]) + max(abs(y0 - lo_b), abs(y1 - lo_b)) + abs(lb)
+    e = max(walks, *(abs(y - t[1]) for y in (y0, y1) for t in (t1, t2)))
+    one, r = linear_key(d, e)
+    kl = la * one + lb * r
+    for n, _, kv in _records(ss, (lo_a, lo_b), k_min, k_max - k_min, True, (one, r, {})):
+        if kv < kl:
             break
     else:
         return []
     k = k_min + n
-    t1 = (hi_a - al_a, hi_b - al_b)  # step by a below hi - alpha
-    t2 = (lo_a + be_a, lo_b + be_b)  # else by b from lo + beta on
-    # y's sqrt(d) part runs linearly from yb to `end`: e bounds its distance from each
-    # threshold's, so keys up to the threshold's less e lie below it, from its plus e above
-    yb = lo_b + vb
-    end = yb + (k_max - k) * ss.step[1]
-    e = max(1, *(abs(y - t[1]) for y in (yb, end) for t in (t1, t2)))
-    one, r = linear_key(d, e)
-    y = (lo_a + va) * one + yb * r  # y's key, carried from hit to hit
+    y = lo_a * one + lo_b * r + kv  # y's key, carried from hit to hit
     key1, key2 = (t[0] * one + t[1] * r for t in (t1, t2))
     below1, above1, below2, above2 = key1 - e, key1 + e, key2 - e, key2 + e
     sa = al_a * one + al_b * r
@@ -760,12 +811,14 @@ def table_rows(
         pts = {(k - ks, (c[0] - shift[0], c[1] - shift[1])) if (k >= kp) == left else (k, c)
                for k, c in zip(keys, cuts)}
         new_cuts = sorted(pts | {(nb[0] * one + nb[1] * r, nb), (0, (0, 0))})  # (key, cut)
+        kv = keyed(vals, one, r)  # the step's summaries, keyed once at its scale
         new_vals = []
         for k, _ in new_cuts:
-            v = vals[bisect_right(keys, k) - 1]
+            j = bisect_right(keys, k) - 1
             if (k < 0) == left:  # the block doubles: its product on keys of this scale
-                v = summary(keyed_mul(*keyed([v, vals[bisect_right(keys, k + ks) - 1]], one, r)))
-            new_vals.append(v)
+                new_vals.append(summary(keyed_mul(kv[j], kv[bisect_right(keys, k + ks) - 1])))
+            else:
+                new_vals.append(vals[j])
         levels[i + 1:i + 2] = [level(nxt, [c for _, c in new_cuts], new_vals, at, big)]
         i += 1
         if min(nxt[0], nxt[2]) > records[-1] + 1:
@@ -835,89 +888,102 @@ def closed_form_rows(
     the rows, the number of distinct teeth of G (one of net weight 0 too), of
     record chains walked and of record events merged.
 
-    Teeth, G's samples and chain slices order by one additive key (``linear_key``) for e =
-    |base_b| + (N + K + 1)|step_b| + 3T, N = records[-1], K = max |kappa_l| and T the largest
-    |b| of a tooth, which bounds each difference compared: two teeth differ by 2T at most;
-    G's y_n (-1 <= n <= N) has |b| <= |base_b| + (N + 1)|step_b|, against a tooth's T; a
-    chain value +-(y_k - a_l) (|k| <= N + K) has |b| <= |base_b| + (N + K + 1)|step_b| + T,
-    as a tooth is a_l or a_l - xi mod 1, against a piece length's 2T.
+    Every order compares one additive key (``linear_key``), for e = max(walk_bound(V),
+    2N|beta||step_b|) with V = |base_b| + (N + K + 1)|step_b| + T, N = records[-1], K = max
+    |kappa_l|, beta = sum kappa_l and T the largest |b| of a tooth; e bounds the b-part of
+    each difference compared.  A chain value +-(y_k - a_l) (|k| <= N + K) has |b| <= V, as a
+    tooth is a_l or a_l - xi mod 1: two of one chain differ by (k - k')step_b (the pops), and
+    the walks of ``_records`` to it compare values of time <= 1/v against it (``_walk``),
+    which ``walk_bound`` bounds by its norm.  That e is at least 3V: it covers a chain value
+    against a piece length (2T), two teeth (2T) and G's y_n (-1 <= n <= N, |b| <= |base_b| +
+    (N + 1)|step_b|) against a tooth.  G(y_n) has b-part beta*y_n,b - sum w_e*e_b, so two
+    events differ by beta*(n - n')step_b, and 2C - min G - max G, whose sign picks the sup,
+    by -beta*(n + n')step_b, as len_b = beta*step_b.  A sample's floor is its key's over
+    m*one, unless the key lies within e of a multiple of m*one: then one ``floor_key``.
     """
     d, m = ss.d, ss.m
-    frac = ss.frac
     xa, xb = ss.step  # xi mod 1: every use of G reduces mod 1
     weight: dict[Pair, int] = {}  # tooth e mod 1 -> its summed signs w_e: G = sum w_e*frac(y - e)
     owner: dict[Pair, tuple[int, int]] = {}  # tooth e -> the first (l, j) on it: its chains
     for l, ((lo_a, lo_b, _, _), kappa) in enumerate(zip(ss.ivals, kappas)):
         for j in range(kappa) if kappa > 0 else range(kappa, 0):
-            e = frac(lo_a + j * xa, lo_b + j * xb)
-            weight[e] = weight.get(e, 0) + (1 if kappa > 0 else -1)
-            owner.setdefault(e, (l, j))
+            tooth = ss.frac(lo_a + j * xa, lo_b + j * xb)
+            weight[tooth] = weight.get(tooth, 0) + (1 if kappa > 0 else -1)
+            owner.setdefault(tooth, (l, j))
     beta = sum(kappas)  # the slope of G: len = beta*xi + integer, never 0
-    big = max(abs(e[1]) for e in weight)
-    one, root = linear_key(d, abs(ss.base[1]) + (records[-1] + max(map(abs, kappas)) + 1) * abs(xb)
-                           + 3 * big)  # e of the docstring
+    n_max = records[-1]
+    chain_b = abs(ss.base[1]) + (n_max + max(map(abs, kappas)) + 1) * abs(xb) + max(abs(t[1]) for t in weight)
+    e = max(walk_bound(d, m, xb, chain_b), 2 * n_max * abs(beta * xb))  # e of the docstring: V is chain_b
+    one, root = linear_key(d, e)
+    mo = m * one
 
-    def key(v: Pair) -> int:
-        return v[0] * one + v[1] * root
-
-    pts = sorted(weight, key=key)  # weight 0 stays, with its chains
-    tkeys = list(map(key, pts))
+    pts = sorted(weight, key=lambda v: v[0] * one + v[1] * root)  # weight 0 stays, with its chains
+    tkeys = [a * one + b * root for a, b in pts]
     # G(y) = beta*y - sum w_e*e + above[i] for y in [0, 1) with i teeth at or below it (module
     # docstring): above[i] sums w_e over pts[i:]
     above = list(accumulate((weight[p] for p in reversed(pts)), initial=0))[::-1]
-    ka = sum(w * e[0] for e, w in weight.items())
-    kb = sum(w * e[1] for e, w in weight.items())
+    ka = sum(w * t[0] for t, w in weight.items())
+    kb = sum(w * t[1] for t, w in weight.items())
+    kk = ka * one + kb * root
 
-    def big_g(ya: int, yb: int) -> Pair:  # one floor: y's frac, then a bisection on its key
-        ya -= floor_key(ya, yb, d) // m * m
-        return beta * ya - ka + above[bisect_right(tkeys, ya * one + yb * root)] * m, beta * yb - kb
+    def big_g(ya: int, yb: int) -> Pair:  # y's floor by its key, then a bisection on the key
+        ky = ya * one + yb * root
+        fl, rest = divmod(ky, mo)
+        if rest < e or rest > mo - e:  # within e of an integer: the key cannot tell
+            fl = floor_key(ya, yb, d) // m
+        return beta * (ya - fl * m) - ka + above[bisect_right(tkeys, ky - fl * mo)] * m, beta * yb - kb
 
     ya, yb = ss.base
     ga, gb = big_g(ya - xa, yb - xb)
     ca, cb = ss.length[0] + ga, ss.length[1] + gb  # D(n) = C - G(y_n)
+    kc = ca * one + cb * root
 
-    lens = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, [*pts[1:], (pts[0][0] + m, pts[0][1])])]
-    owned = {owner[e]: i for i, e in enumerate(pts)}
-    events = []  # (n, updates the min, candidate G(y_n))
+    lens = [q - p for p, q in zip(tkeys, [*tkeys[1:], tkeys[0] + mo])]  # the pieces' keys
+    owned = {owner[t]: i for i, t in enumerate(pts)}
+    scale: Scale = (one, root, {})  # shared by every chain's walks
+    # (n, updates the min, the key of G(y_n), then z, c and v with G(y_n) = z + c*v): the pair
+    # is made only for an event that a row's sup picks
+    events = []
     for l, ((lo_a, lo_b, _, _), kappa) in enumerate(zip(ss.ivals, kappas)):
         if not kappa:
             continue
         # tooth a_l - s*xi reads the chains of frac(y_k - a_l) from k = s (module docstring)
-        chains = _chains(ss, (lo_a, lo_b), max(-kappa, 0), min(1 - kappa, 1), records[-1])
-        for s, ((lks, vs), (rks, us)) in chains:
+        chains = _chains(ss, (lo_a, lo_b), max(-kappa, 0), min(1 - kappa, 1), n_max, scale)
+        for s, ((lks, kvs, vs), (rks, kus, us)) in chains:
             i = owned.get((l, -s))
             if i is None:
                 continue
-            (pa, pb), cut = pts[i], -s - records[-1]  # k - s <= N
-            za, zb = beta * pa - ka + above[i + 1] * m, beta * pb - kb  # G(p): i + 1 teeth up to p
+            (pa, pb), cut = pts[i], -s - n_max  # k - s <= N
+            z = beta * pa - ka + above[i + 1] * m, beta * pb - kb  # G(p): i + 1 teeth up to p
+            kz = beta * tkeys[i] - kk + above[i + 1] * mo
             # left chain: v = frac(y_n - p) < lens[i], G(y_n) = G(p) + beta*v
-            for t in range(bisect_left(lks, cut), bisect_left(vs, key(lens[i]), key=key)):
-                va, vb = vs[t]
-                events.append((-lks[t] - s, beta > 0, (za + beta * va, zb + beta * vb)))
+            for t in range(bisect_left(lks, cut), bisect_left(kvs, lens[i])):
+                events.append((-lks[t] - s, beta > 0, kz + beta * kvs[t], z, beta, vs[t]))
             # right chain: u = p - y_n in (0, 1] up to lens[i - 1], G(y_n) = G(p-) - beta*u
-            za += weight[pts[i]] * m  # G(p-): the i teeth below p
-            for t in range(bisect_left(rks, cut), bisect_right(us, key(lens[i - 1]), key=key)):
-                ua, ub = us[t]
-                events.append((-rks[t] - s, beta < 0, (za - beta * ua, zb - beta * ub)))
+            z = z[0] + weight[pts[i]] * m, z[1]  # G(p-): the i teeth below p
+            kz += weight[pts[i]] * mo
+            for t in range(bisect_left(rks, cut), bisect_right(kus, lens[i - 1])):
+                events.append((-rks[t] - s, beta < 0, kz - beta * kus[t], z, -beta, us[t]))
     events.sort(key=itemgetter(0))
 
     rows = []
-    lo = hi = last = None  # running min and max of G(y_n), both set by y_0's events; last sup
+    lo = hi = last = None  # events: the running min and max of G(y_n), set by y_0's, and the last sup
     i = 0
     for r in records:
         while i < len(events) and events[i][0] <= r:
-            _, to_min, g = events[i]
+            event = events[i]
             i += 1
-            if to_min:
-                if lo is None or pair_sign(g[0] - lo[0], g[1] - lo[1], d) < 0:
-                    lo = g
-            elif hi is None or pair_sign(g[0] - hi[0], g[1] - hi[1], d) > 0:
-                hi = g
+            if event[1]:
+                if lo is None or event[2] < lo[2]:
+                    lo = event
+            elif hi is None or event[2] > hi[2]:
+                hi = event
         ga, gb = big_g(ya + r * xa, yb + r * xb)
-        up = (ca - lo[0], cb - lo[1])  # max of D
-        down = (hi[0] - ca, hi[1] - cb)  # max of -D
-        sup = up if pair_sign(up[0] - down[0], up[1] - down[1], d) >= 0 else down
-        if sup != last:  # unscaled once per change, as in table_rows
-            last, sup_x = sup, ss.unscale(sup)
+        # max of D, C - min G, against max of -D, max G - C; unscaled once per change, as in table_rows
+        pick = lo if 2 * kc >= lo[2] + hi[2] else hi
+        if pick is not last:
+            _, to_min, _, (za, zb), c, (va, vb) = last = pick
+            g = za + c * va - ca, zb + c * vb - cb  # G(y_n) - C
+            sup_x = ss.unscale((-g[0], -g[1]) if to_min else g)
         rows.append((r, ss.unscale((ca - ga, cb - gb)), sup_x))
     return rows, len(pts), 2 * sum(1 for kappa in kappas if kappa), len(events)

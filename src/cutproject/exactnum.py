@@ -65,10 +65,11 @@ def check_exact(name: str, *values: object, field: bool = False) -> None:
 
 
 def check_int(**values: object) -> None:
-    """TypeError naming the argument unless each value is an int: no float, Fraction or
-    str index is truncated, or fails later with an error that names no argument."""
+    """TypeError naming the argument unless each value is an int and no bool: no float,
+    Fraction or str index is truncated, or fails later with an error that names no argument,
+    and True is no count of 1."""
     for name, value in values.items():
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 

@@ -50,13 +50,15 @@ class TestPatternSpec:
         with pytest.raises(ValueError):
             PatternSpec(frozenset({0, 1}), frozenset({1}))
 
-    @pytest.mark.parametrize("required, forbidden", [({0, 0.5}, ()), ({0, 2.0}, ()), ({0}, {Fraction(1)})])
+    @pytest.mark.parametrize(
+        "required, forbidden", [({0, 0.5}, ()), ({0, 2.0}, ()), ({0}, {Fraction(1)}), ({0, True}, ())]
+    )
     def test_non_int_offsets_rejected(self, required, forbidden):
         # {0, 0.5} matched nothing and {0, 2.0} spelled "require 0,2.0", which parse refuses
         with pytest.raises(TypeError, match="^offset must be an int"):
             PatternSpec(frozenset(required), frozenset(forbidden))
 
-    @pytest.mark.parametrize("k_min, k_max", [(0.0, 10), (0, Fraction(10))])
+    @pytest.mark.parametrize("k_min, k_max", [(0.0, 10), (0, Fraction(10)), (False, 10)])
     def test_match_pattern_rejects_non_int_range(self, k_min, k_max):
         with pytest.raises(TypeError, match="^k_(min|max) must be an int"):
             match_pattern(range(20), PatternSpec(frozenset({0, 2})), k_min, k_max)

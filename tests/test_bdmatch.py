@@ -171,7 +171,7 @@ class TestConstructor:
             MatchingWitness(0.5, 0, 0, (0, 2))
         with pytest.raises(TypeError, match="^delta must be"):
             build_witness([0, 2, 5], 0.5)  # not the sup_displacement it would compute
-        for offset in (0.0, Fraction(1, 2), Fraction(0)):  # a Fraction fails later, in to_csv
+        for offset in (0.0, Fraction(1, 2), Fraction(0), True):  # a Fraction fails later, in to_csv
             with pytest.raises(TypeError, match="^offset must be"):
                 MatchingWitness(Fraction(1, 2), offset, 0, (0, 2))
         with pytest.raises(TypeError, match="^a point must be"):

@@ -473,8 +473,9 @@ class TestRendering:
             SQRT2.xi_real.decimal(-1)
 
     def test_decimal_rejects_bad_digits_before_any_arithmetic(self):
-        with pytest.raises(TypeError, match="digits must be an int"):
-            SQRT2.xi_real.decimal(2.5)
+        for digits in (2.5, True):
+            with pytest.raises(TypeError, match="digits must be an int"):
+                SQRT2.xi_real.decimal(digits)
         limit = sys.get_int_max_str_digits()
         if limit:  # else CPython spells ints of any length
             with pytest.raises(ValueError, match="digits must be below"):

@@ -498,7 +498,8 @@ INDEX_CALLS = [
 
 # as k_max with k_min = 0, 10.5 spans the stepping route and 5e4 the block shift
 @pytest.mark.parametrize(
-    "bad", [50.0, 10.5, 5e4, Fraction(50), "50"], ids=["float", "10.5", "5e4", "Fraction", "str"]
+    "bad", [50.0, 10.5, 5e4, Fraction(50), "50", True],
+    ids=["float", "10.5", "5e4", "Fraction", "str", "bool"],
 )
 @pytest.mark.parametrize(
     "call, args, name",
@@ -507,7 +508,8 @@ INDEX_CALLS = [
 )
 def test_index_arguments_must_be_ints(call, args, name, bad):
     """An index, a count or a trace limit that is no int is refused by name, before
-    any route runs: a float is neither truncated nor fails deep inside a scan."""
+    any route runs: a float is neither truncated nor fails deep inside a scan, and a bool
+    is no 0 or 1 (trace_limit=True ran as 1, orbit_hits(s, False, True) as 0..1)."""
     with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
         call(kesten_system(), **{**args, name: bad})
 

@@ -163,6 +163,25 @@ def strict_records(ss, p, k0, n_max, left):
     return out
 
 
+def walk_scale(ss, v):
+    """A ``_scaled.Scale`` for walks to ells with |sqrt(d) part| <= v (``walk_bound``)."""
+    return (*exactnum.linear_key(ss.d, _scaled.walk_bound(ss.d, ss.m, ss.step[1], v)), {})
+
+
+def chain_scale(ss, p, k_lo, k_hi):
+    """The scale of the record chains of p over k_lo <= k <= k_hi: y_k - p has sqrt(d) part
+    linear in k, so its largest |b| is at an end."""
+    return walk_scale(ss, max(abs(ss.base[1] + k * ss.step[1] - p[1]) for k in (k_lo, k_hi)))
+
+
+def keyed_records(ss, p, k0, n_max, left, scale):
+    """``_records``' (n, v), each key checked against v's at the scale."""
+    one, r, _ = scale
+    got = list(_scaled._records(ss, p, k0, n_max, left, scale))
+    assert all(kv == v[0] * one + v[1] * r for _, v, kv in got)
+    return [(n, v) for n, v, _ in got]
+
+
 @SETTINGS
 @given(
     systems(FIELDS + [NEGATIVE_XI] + LARGE_QUOTIENTS),
@@ -171,16 +190,21 @@ def strict_records(ss, p, k0, n_max, left):
     st.data(),
 )
 def test_records_match_index_by_index(system, k0, n_max, data):
+    """``_records`` against one explicit floor per index; the orbit may meet p in the range
+    or before it (j < 0), where v_0 = frac(-j*xi) can equal a value of the walk exactly
+    and the walk's key comparison ties."""
     xi = system.xi
     p = data.draw(st.sampled_from([xi.zero, *system.window.endpoints()])).fractional_part()[0]
-    j = data.draw(st.one_of(st.none(), st.integers(0, 2100)))
+    j = data.draw(st.one_of(st.none(), st.integers(0, 2100), st.integers(-2100, -1)))
     if j is not None:  # the orbit meets p exactly at n = j
         system = RotationSystem(xi, p - (k0 + j) * xi.xi_real, system.window)
+        event("meets p before" if j < 0 else "meets p in range or after")
     ss = system._scaled
     A, B, D = p.triple
     pair = (A * (ss.m // D), B * (ss.m // D))
+    scale = chain_scale(ss, pair, k0, k0 + max(n_max, 0))
     for left in (True, False):
-        got = list(_scaled._records(ss, pair, k0, n_max, left))
+        got = keyed_records(ss, pair, k0, n_max, left, scale)
         assert got == strict_records(ss, pair, k0, n_max, left)
         if left:
             event("meets p" if got and got[-1][1] == (0, 0) else "misses p")
@@ -196,24 +220,29 @@ def test_records_match_index_by_index(system, k0, n_max, data):
 )
 def test_shared_chains_match_records(system, top, width, n_max, data):
     """Each start s of ``_chains`` holds its own left and right ``_records`` chains,
-    k - s <= n_max cut from the one stack, and up to n_max = 2,000 the records of one
-    explicit floor per index; the orbit may meet p at, before or after the starts."""
+    k - s <= n_max cut from the one stack with each value's key, and up to n_max = 2,000
+    the records of one explicit floor per index; the orbit may meet p at, before (up to
+    2,100 indices: the walk's key comparisons tie) or after the starts."""
     bottom = max(top - width, -40)
     xi = system.xi
     p = data.draw(st.sampled_from([xi.zero, *system.window.endpoints()])).fractional_part()[0]
-    j = data.draw(st.one_of(st.none(), st.integers(bottom, top), st.integers(bottom - 3, top + 60)))
+    j = data.draw(st.one_of(st.none(), st.integers(bottom, top), st.integers(bottom - 3, top + 60),
+                            st.integers(bottom - 2100, bottom - 1)))
     if j is not None:  # the orbit meets p exactly at k = j
         system = RotationSystem(xi, p - j * xi.xi_real, system.window)
         event("meets p before" if j < bottom else "at a start" if j <= top else "after them")
     ss = system._scaled
     A, B, D = p.triple
     pair = (A * (ss.m // D), B * (ss.m // D))
+    scale = chain_scale(ss, pair, bottom, top + n_max)
+    one, r, _ = scale
     starts = []
-    for s, stacks in _scaled._chains(ss, pair, top, bottom, n_max):
+    for s, stacks in _scaled._chains(ss, pair, top, bottom, n_max, scale):
         starts.append(s)
-        for (ks, vs), left in zip(stacks, (True, False)):
+        for (ks, kvs, vs), left in zip(stacks, (True, False)):
+            assert kvs == [v[0] * one + v[1] * r for v in vs]
             got = [(-k - s, v) for k, v in zip(reversed(ks), reversed(vs)) if -k - s <= n_max]
-            assert got == list(_scaled._records(ss, pair, s, n_max, left))
+            assert got == keyed_records(ss, pair, s, n_max, left, scale)
             if n_max <= 2000:
                 assert got == strict_records(ss, pair, s, n_max, left)
     assert starts == list(range(top, bottom - 1, -1))
@@ -354,6 +383,29 @@ def test_table_climb_makes_no_sign_test(monkeypatch):
     t = 141421356237309504880  # floor(10^20*sqrt(2)): values just above and below integers
     cases = [(7, -4, 2, 5), (-t, 10**20, 1, 2), (t + 1, -(10**20), 3, 2), (-t, -(10**20), 1, 2)]
     assert [floor_key(a, b, d) // m for a, b, m, d in cases] == [-1, 0, 0, -2 * t - 1]
+    assert calls == 0
+
+
+def test_closed_form_makes_no_sign_test(monkeypatch):
+    """The closed form orders teeth, samples, chain values, the walks' run values, G's
+    events and the sup choice by additive keys: a warm profile of [11/100, -89/100 + xi)
+    from 1/7 makes no sign test to 10^6 or to 10^30 (856 and 2,803 when the walk, the pops,
+    the running min and max and the sup choice tested signs)."""
+    xi = FIELDS[0]
+    system = RotationSystem(xi, xi.real(Fraction(1, 7)), parse_window("[11/100, -89/100+1*xi)", xi))
+    assert system._oren_ks is not None  # the closed form's route
+    rows = {n: profile(system, n).samples for n in (10**6, 10**30)}
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pair_sign(*args)
+
+    monkeypatch.setattr(_scaled, "pair_sign", counted)
+    monkeypatch.setattr(exactnum, "pair_sign", counted)  # XiReal comparisons, if any
+    for n, samples in rows.items():
+        assert profile(system, n).samples == samples
     assert calls == 0
 
 
@@ -964,7 +1016,9 @@ def walk_outputs(system, n_max):
         _scaled.return_gaps(ss.d, ss.m, ss.step, (hi_a - lo_a, hi_b - lo_b))
         for lo_a, lo_b, hi_a, hi_b in ss.ivals
     ]
-    chains = [list(_scaled._records(ss, ss.ivals[0][:2], 0, n_max, left)) for left in (True, False)]
+    p = ss.ivals[0][:2]
+    scale = chain_scale(ss, p, 0, n_max)
+    chains = [list(_scaled._records(ss, p, 0, n_max, left, scale)) for left in (True, False)]
     return gaps, chains, _scaled.table_rows(ss, _record_points(n_max, 64))
 
 
@@ -1054,7 +1108,12 @@ def test_walk_matches_a_floor_at_every_stop(xi, scale, data):
         else:
             v = big if kind.endswith("big") else small
             ell = (v[0] - 1, v[1]) if kind.startswith("under") else v
-        assert _scaled._walk(d, runs, ell, i) == walk_floor_every_time(d, ref, ell, i)
+        want = walk_floor_every_time(d, ref, ell, i)
+        # a run drawn past ell breaks _walk's start condition: key for every value in ref, as
+        # each compared value's time is at most 1 over a value in its state
+        bound = max(abs(ell[1]), *(abs(x[1]) for run in ref for x in run[1:4:2]))
+        one, r = exactnum.linear_key(d, _scaled.walk_bound(d, m, step[1], bound))
+        assert _scaled._walk(d, runs, ell, ell[0] * one + ell[1] * r, i, (one, r, {})) == want
         assert [run[:5] for run in runs] == ref
     for _, alpha, _, beta, left, q in runs:
         assert q == (floor_ratio(d, alpha, beta) if left else floor_ratio(d, beta, alpha))
@@ -1090,7 +1149,9 @@ def test_steps_match_single_steps(xi, scale, data):
     turn = max(i for i in range(1, len(ref)) if ref[i][0] != ref[i - 1][0])  # run 3's first step
     _, al, _, be = ref[turn - 1][1]
     walked = _scaled._runs.__wrapped__(d, m, step)
-    _scaled._walk(d, walked, al if ref[turn][0] else be, 0)  # stops in run 3, below its first value
+    ell = al if ref[turn][0] else be  # the walk stops in run 3, below its first value
+    one, r = exactnum.linear_key(d, _scaled.walk_bound(d, m, step[1], abs(ell[1])))
+    _scaled._walk(d, walked, ell, ell[0] * one + ell[1] * r, 0, (one, r, {}))
     assert _scaled._runs(d, m, step) == walked and len(walked) == 3
 
 
